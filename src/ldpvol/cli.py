@@ -79,12 +79,6 @@ def _model_config(args):
     return {"preset": args.preset}
 
 
-def _report_payload(report: AsymptoteReport, resolved: dict) -> dict:
-    obj = report.to_json_obj()
-    obj["resolved_config"] = resolved
-    return obj
-
-
 def _add_model_args(p):
     g = p.add_mutually_exclusive_group()
     g.add_argument("--model", help="model JSON file ({'preset': name, 'params': {...}})")
@@ -176,6 +170,21 @@ def _opt_kwargs(args):
     return kw
 
 
+def _resolved(args, **keys):
+    """resolved_config: the model, the command's own keys, then the grid and seed."""
+    return {
+        **_model_config(args),
+        **keys,
+        "horizon": args.horizon,
+        "n_steps": args.n_steps,
+        "seed": args.seed,
+    }
+
+
+def _exit_code(converged: bool) -> int:
+    return EXIT_OK if converged else EXIT_NONCONVERGED
+
+
 def _cmd_rate_path(args):
     model = _load_model(args)
     g = path_from_csv(args.target)
@@ -187,7 +196,7 @@ def _cmd_rate_path(args):
         "seed": args.seed,
     }
     _emit(payload, args)
-    return EXIT_OK if res.converged else EXIT_NONCONVERGED
+    return _exit_code(res.converged)
 
 
 def _cmd_rate_terminal(args):
@@ -197,15 +206,9 @@ def _cmd_rate_terminal(args):
     grid = TimeGrid(args.horizon, args.n_steps)
     res = itilde_terminal(model, x, grid=grid, **_opt_kwargs(args))
     payload = res.to_json_obj()
-    payload["resolved_config"] = {
-        **_model_config(args),
-        "x": args.x,
-        "horizon": args.horizon,
-        "n_steps": args.n_steps,
-        "seed": args.seed,
-    }
+    payload["resolved_config"] = _resolved(args, x=args.x)
     _emit(payload, args)
-    return EXIT_OK if res.converged else EXIT_NONCONVERGED
+    return _exit_code(res.converged)
 
 
 def _ladder_csv(reports, key):
@@ -221,30 +224,40 @@ def _ladder_csv(reports, key):
     return write
 
 
-def _cmd_call(args):
+def _emit_report(rep: AsymptoteReport, args, resolved: dict, csv_writer=None, **extra):
+    payload = {**rep.to_json_obj(), "resolved_config": resolved, **extra}
+    _emit(payload, args, csv_writer=csv_writer)
+    return _exit_code(rep.diagnostics.get("converged", True))
+
+
+def _strike_command(args, pricer):
+    """Call and Asian asymptotes: one strike, optionally a ladder that starts
+    with it (the first strike's report is reused, not solved again)."""
     model = _load_model(args)
-    rep = call_asymptote(
-        model, args.strike, args.horizon, n_steps=args.n_steps, **_opt_kwargs(args)
+
+    def solve(strike):
+        return pricer(model, strike, args.horizon, n_steps=args.n_steps, **_opt_kwargs(args))
+
+    rep = solve(args.strike)
+    resolved = _resolved(args, strike=args.strike)
+    if not args.ladder:
+        return _emit_report(rep, args, resolved)
+    ladder = [(args.strike, rep)] + [(K, solve(K)) for K in map(float, args.ladder.split(","))]
+    return _emit_report(
+        rep,
+        args,
+        resolved,
+        csv_writer=_ladder_csv(ladder, "strike"),
+        ladder=[{"strike": K, "rate": r.rate} for K, r in ladder],
     )
-    resolved = {
-        **_model_config(args),
-        "strike": args.strike,
-        "horizon": args.horizon,
-        "n_steps": args.n_steps,
-        "seed": args.seed,
-    }
-    ladder = None
-    if args.ladder:
-        strikes = [args.strike] + [float(s) for s in args.ladder.split(",")]
-        ladder = [
-            (K, call_asymptote(model, K, args.horizon, n_steps=args.n_steps, **_opt_kwargs(args)))
-            for K in strikes
-        ]
-    payload = _report_payload(rep, resolved)
-    if ladder:
-        payload["ladder"] = [{"strike": K, "rate": r.rate} for K, r in ladder]
-    _emit(payload, args, csv_writer=_ladder_csv(ladder, "strike") if ladder else None)
-    return EXIT_OK if rep.diagnostics.get("converged", True) else EXIT_NONCONVERGED
+
+
+def _cmd_call(args):
+    return _strike_command(args, call_asymptote)
+
+
+def _cmd_asian(args):
+    return _strike_command(args, asian_asymptote)
 
 
 def _cmd_iv(args):
@@ -252,82 +265,28 @@ def _cmd_iv(args):
     rep = implied_vol_limit(
         model, args.k, args.horizon, n_steps=args.n_steps, **_opt_kwargs(args)
     )
-    resolved = {
-        **_model_config(args),
-        "k": args.k,
-        "horizon": args.horizon,
-        "n_steps": args.n_steps,
-        "seed": args.seed,
-    }
-    _emit(_report_payload(rep, resolved), args)
-    return EXIT_OK
-
-
-def _cmd_asian(args):
-    model = _load_model(args)
-    kw = {"seed": args.seed}
-    if args.restarts is not None:
-        kw["restarts"] = args.restarts
-    rep = asian_asymptote(model, args.strike, args.horizon, n_steps=args.n_steps, **kw)
-    resolved = {
-        **_model_config(args),
-        "strike": args.strike,
-        "horizon": args.horizon,
-        "n_steps": args.n_steps,
-        "seed": args.seed,
-    }
-    ladder = None
-    if args.ladder:
-        strikes = [args.strike] + [float(s) for s in args.ladder.split(",")]
-        ladder = [
-            (K, asian_asymptote(model, K, args.horizon, n_steps=args.n_steps, **kw))
-            for K in strikes
-        ]
-    payload = _report_payload(rep, resolved)
-    if ladder:
-        payload["ladder"] = [{"strike": K, "rate": r.rate} for K, r in ladder]
-    _emit(payload, args, csv_writer=_ladder_csv(ladder, "strike") if ladder else None)
-    return EXIT_OK if rep.diagnostics.get("converged", True) else EXIT_NONCONVERGED
+    return _emit_report(rep, args, _resolved(args, k=args.k))
 
 
 def _cmd_exit(args):
     model = _load_model(args)
     domain = _load_domain(args.domain)
     deadline = args.deadline if args.deadline is not None else args.horizon
-    kw = {"seed": args.seed}
-    if args.restarts is not None:
-        kw["restarts"] = args.restarts
     rep = exit_asymptote(
-        model, domain, deadline, horizon=args.horizon, n_steps=args.n_steps, **kw
+        model, domain, deadline, horizon=args.horizon, n_steps=args.n_steps, **_opt_kwargs(args)
     )
-    resolved = {
-        **_model_config(args),
-        "domain": domain.to_json_obj(),
-        "deadline": deadline,
-        "horizon": args.horizon,
-        "n_steps": args.n_steps,
-        "seed": args.seed,
-    }
-    _emit(_report_payload(rep, resolved), args)
-    return EXIT_OK if rep.diagnostics.get("converged", True) else EXIT_NONCONVERGED
+    return _emit_report(
+        rep, args, _resolved(args, domain=domain.to_json_obj(), deadline=deadline)
+    )
 
 
 def _cmd_barrier(args):
     model = _load_model(args)
     domain = _load_domain(args.domain)
-    kw = {"seed": args.seed}
-    if args.restarts is not None:
-        kw["restarts"] = args.restarts
-    rep = barrier_asymptote(model, domain, args.horizon, n_steps=args.n_steps, **kw)
-    resolved = {
-        **_model_config(args),
-        "domain": domain.to_json_obj(),
-        "horizon": args.horizon,
-        "n_steps": args.n_steps,
-        "seed": args.seed,
-    }
-    _emit(_report_payload(rep, resolved), args)
-    return EXIT_OK if rep.diagnostics.get("converged", True) else EXIT_NONCONVERGED
+    rep = barrier_asymptote(
+        model, domain, args.horizon, n_steps=args.n_steps, **_opt_kwargs(args)
+    )
+    return _emit_report(rep, args, _resolved(args, domain=domain.to_json_obj()))
 
 
 def _cmd_toy(args):

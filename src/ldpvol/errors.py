@@ -37,10 +37,6 @@ class SingularVolatilityError(LdpvolError, RuntimeError):
     """Volatility matrix numerically singular along the evaluated path."""
 
 
-class DegenerateLimitError(LdpvolError, RuntimeError):
-    """Asymptotic limit is degenerate (zero rate, infinite implied vol)."""
-
-
 class AssumptionError(LdpvolError, ValueError):
     """Model configuration does not declare an assumption the formula needs."""
 

@@ -1,12 +1,14 @@
 """Monte Carlo simulation of the scaled models and empirical verification
 that -eps * log(probabilities / prices) approach the computed decay rates.
 
-Randomness is counter-based: every fixed-size block of paths owns a Philox
-substream keyed by (seed, ladder index, block index), so estimates are
-bit-identical no matter how blocks are scheduled across workers.  Gaussian
-volatility paths use the kernel convolution construction with per-cell
-root-mean-square weights, which reproduces the slice variance of the kernel
-exactly on every grid row.
+Volatility paths come from the skeleton's own scheme (``volmap.vol_state``)
+driven by ``sqrt(eps) * dB``; the Gaussian convolution uses the per-cell
+root-mean-square weights, which reproduce the slice variance of the kernel
+exactly on every grid row.  One block scheduler (``_run_blocks``) serves
+every entry point and opens at most one thread pool per call.  Randomness is
+counter-based: every fixed-size block of paths owns a Philox substream keyed
+by (seed, ladder index, block index), so estimates are bit-identical no
+matter how blocks are scheduled across workers.
 """
 
 from __future__ import annotations
@@ -22,14 +24,7 @@ from .errors import ConvergenceError, DimensionError, DomainError
 from .paths import TimeGrid
 from .pricing import ExitDomain
 from .ratefn import ModelSpec
-from .volmap import (
-    FRACTIONAL,
-    GAUSSIAN,
-    MIXED,
-    TOY,
-    VOLTERRA_SDE,
-    VolProcessSpec,
-)
+from .volmap import VolProcessSpec, output_map, vol_state
 
 BLOCK_SIZE = 1 << 15
 BLOWUP_LIMIT = 1e9
@@ -149,124 +144,42 @@ def _draw_increments(rng, size, n, m, dt, antithetic):
     return z1 * s, z2 * s
 
 
+def _run_blocks(block_fn, entries, n_paths, grid, m, seed, antithetic, workers=1):
+    """The block scheduler: ``block_fn(epsilon, db, dw)`` on every block of
+    every ``(ladder index, epsilon)`` entry, on at most one thread pool.
+
+    Returns one list of block results per entry, in block order; each block
+    draws from its own substream, so results do not depend on ``workers``.
+    """
+    sizes = _block_sizes(int(n_paths))
+    tasks = [(li, eps, b, size) for li, eps in entries for b, size in enumerate(sizes)]
+
+    def run(task):
+        li, eps, b, size = task
+        db, dw = _draw_increments(
+            _block_rng(seed, li, b), size, grid.n_steps, m, grid.dt, antithetic
+        )
+        return block_fn(float(eps), db, dw)
+
+    if workers > 1 and len(tasks) > 1:
+        with ThreadPoolExecutor(max_workers=workers) as ex:
+            results = list(ex.map(run, tasks))
+    else:
+        results = [run(t) for t in tasks]
+    k = len(sizes)
+    return [results[i * k : (i + 1) * k] for i in range(len(entries))]
+
+
 # ---------------------------------------------------------------------------
-# volatility-path simulation per family
+# volatility-path simulation
 # ---------------------------------------------------------------------------
-
-
-def _gaussian_vol_block(spec, db, grid, sqeps):
-    size = db.shape[0]
-    out = np.zeros((size, grid.n_steps + 1, spec.d))
-    dt = grid.dt
-    for i in range(spec.d):
-        acc = np.zeros((size, grid.n_steps + 1))
-        for j in range(spec.m):
-            kern = spec.noise_kernels[i][j]
-            if kern is None:
-                continue
-            if kern.kind == _k.BROWNIAN:
-                acc[:, 1:] += np.cumsum(db[:, :, j], axis=1)
-            else:
-                R = _k.rms_weights(kern, grid)
-                acc += db[:, :, j] @ R.T
-        out[:, :, i] = spec.y[i] + sqeps * acc
-    return out
-
-
-def _aux_euler_block(spec, db, grid, sqeps, truncate_input=True):
-    """Full-truncation Euler for the auxiliary process: coefficients read the
-    positive part of the state, keeping square-root dispersions defined."""
-    size = db.shape[0]
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    v = np.empty((size, n + 1, spec.k_dim))
-    cur = np.broadcast_to(spec.v0, (size, spec.k_dim)).copy()
-    v[:, 0, :] = cur
-    for k in range(n):
-        arg = np.maximum(cur, 0.0) if truncate_input else cur
-        drift = spec.aux_drift(nodes[k], arg)
-        disp = spec.aux_disp(nodes[k], arg)
-        cur = cur + drift * dt + sqeps * np.einsum("bkm,bm->bk", disp, db[:, k, :])
-        v[:, k + 1, :] = cur
-    return v
-
-
-def _fractional_vol_block(spec, db, grid, sqeps):
-    v = _aux_euler_block(spec, db, grid, sqeps)
-    u = spec.u_callable()(v[:, :-1, :])  # (size, n, d)
-    out = np.zeros((db.shape[0], grid.n_steps + 1, spec.d))
-    for i in range(spec.d):
-        kern = spec.drift_kernels[i]
-        if kern is None:
-            continue
-        M = _k.pc_weights(kern, grid)
-        out[:, :, i] = u[:, :, i] @ M.T
-    return spec.y + out
-
-
-def _volterra_sde_block(spec, db, grid, sqeps):
-    size = db.shape[0]
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    y = np.empty((size, n + 1, spec.d))
-    y[:, 0, :] = spec.y
-    for i in range(1, n + 1):
-        s = nodes[:i]
-        x = y[:, :i, :]
-        acc = np.broadcast_to(spec.y, (size, spec.d)).copy()
-        if spec.volterra_a is not None:
-            acc = acc + dt * np.sum(spec.volterra_a(nodes[i], s, x), axis=1)
-        if spec.volterra_c is not None:
-            cv = spec.volterra_c(nodes[i], s, x)
-            acc = acc + sqeps * np.einsum("bjkm,bjm->bk", cv, db[:, :i, :])
-        y[:, i, :] = acc
-    return y
-
-
-def _reflected_vol_block(spec, db, grid, sqeps):
-    size = db.shape[0]
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    u = np.empty((size, n + 1, spec.d))
-    cur = np.broadcast_to(spec.y, (size, spec.d)).copy()
-    u[:, 0, :] = cur
-    run_min = np.minimum(cur, 0.0)
-    for k in range(n):
-        refl = cur - run_min
-        drift = spec.aux_drift(nodes[k], refl)
-        disp = spec.aux_disp(nodes[k], refl)
-        cur = cur + drift * dt + sqeps * np.einsum("bkm,bm->bk", disp, db[:, k, :])
-        run_min = np.minimum(run_min, cur)
-        u[:, k + 1, :] = cur
-    comp = np.minimum.accumulate(np.minimum(u, 0.0), axis=1)
-    return u - comp
 
 
 def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
-    sqeps = math.sqrt(epsilon)
-    if spec.family in (TOY, GAUSSIAN):
-        if spec.family == TOY:
-            out = np.zeros((db.shape[0], grid.n_steps + 1, 1))
-            out[:, 1:, 0] = sqeps * np.cumsum(db[:, :, 0], axis=1)
-            return out
-        vals = _gaussian_vol_block(spec, db, grid, sqeps)
-    elif spec.family == FRACTIONAL:
-        vals = _fractional_vol_block(spec, db, grid, sqeps)
-    elif spec.family == MIXED:
-        vals = _fractional_vol_block(spec, db, grid, sqeps) + _gaussian_vol_block(
-            spec, db, grid, sqeps
-        ) - spec.y  # the initial level enters once
-    elif spec.family == VOLTERRA_SDE:
-        vals = _volterra_sde_block(spec, db, grid, sqeps)
-    else:
-        return _reflected_vol_block(spec, db, grid, sqeps)
-    if spec.reflect:
-        comp = np.minimum.accumulate(np.minimum(vals, 0.0), axis=1)
-        vals = vals - comp
-    return vals
+    """The skeleton's scheme driven by sqrt(eps) dB, Gaussian part on the
+    variance-exact rms_weights."""
+    incr = math.sqrt(epsilon) * db
+    return output_map(spec, vol_state(spec, incr, grid, _k.rms_weights))
 
 
 @dataclass
@@ -286,18 +199,20 @@ def simulate_vol(
     """Ensemble of volatility paths for the scaled model at one epsilon."""
     if epsilon < 0:
         raise DomainError("epsilon must be nonnegative")
-    chunks = []
-    excluded = 0
-    for b, size in enumerate(_block_sizes(int(n_paths))):
-        rng = _block_rng(int(seed), 0, b)
-        db, _ = _draw_increments(rng, size, grid.n_steps, spec.m, grid.dt, antithetic)
-        vals = _vol_block(spec, db, grid, float(epsilon))
+
+    def block(eps, db, dw):
+        vals = _vol_block(spec, db, grid, eps)
         ok = np.all(np.abs(vals) < BLOWUP_LIMIT, axis=(1, 2)) & np.all(
             np.isfinite(vals), axis=(1, 2)
         )
-        excluded += int(np.sum(~ok))
-        chunks.append(vals[ok])
-    return VolEnsemble(np.concatenate(chunks, axis=0), excluded)
+        return vals[ok], int(np.sum(~ok))
+
+    (results,) = _run_blocks(
+        block, [(0, epsilon)], n_paths, grid, spec.m, int(seed), antithetic
+    )
+    return VolEnsemble(
+        np.concatenate([r[0] for r in results], axis=0), sum(r[1] for r in results)
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -306,8 +221,8 @@ def simulate_vol(
 
 
 def _logprice_block(model: ModelSpec, grid, epsilon, db, dw, keep_paths=False):
-    """Terminal log-price displacement X_T - x0 per path; optionally the
-    whole displacement path (size, n+1, m)."""
+    """Terminal log-price displacement X_T - x0 per path, the whole
+    displacement path (size, n+1, m) when ``keep_paths``, and the finite mask."""
     spec = model.vol
     vol_paths = _vol_block(spec, db, grid, epsilon)
     size = db.shape[0]
@@ -339,7 +254,7 @@ def _logprice_block(model: ModelSpec, grid, epsilon, db, dw, keep_paths=False):
         if keep_paths:
             paths[:, k + 1, :] = x
     ok = np.all(np.isfinite(x), axis=1) & (np.max(np.abs(x), axis=1) < BLOWUP_LIMIT)
-    return x, vol_paths, paths, ok
+    return x, paths, ok
 
 
 @dataclass
@@ -357,35 +272,19 @@ def simulate_logprice(
     The same Brownian driver feeds the volatility path and the correlated
     part of the price noise.
     """
-    model = cfg.model
-    grid = cfg.grid
-    outs = []
-    path_chunks = [] if keep_paths else None
-    excluded = 0
 
-    def run_block(args):
-        b, size = args
-        rng = _block_rng(cfg.seed, ladder_index, b)
-        db, dw = _draw_increments(
-            rng, size, grid.n_steps, model.vol.m, grid.dt, cfg.antithetic
-        )
-        return _logprice_block(model, grid, float(epsilon), db, dw, keep_paths)
+    def block(eps, db, dw):
+        x, paths, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, keep_paths)
+        return x[ok], paths[ok] if keep_paths else None, int(np.sum(~ok))
 
-    blocks = list(enumerate(_block_sizes(cfg.n_paths)))
-    if cfg.max_workers > 1:
-        with ThreadPoolExecutor(max_workers=cfg.max_workers) as ex:
-            results = list(ex.map(run_block, blocks))
-    else:
-        results = [run_block(a) for a in blocks]
-    for x, _, paths, ok in results:
-        excluded += int(np.sum(~ok))
-        outs.append(x[ok])
-        if keep_paths:
-            path_chunks.append(paths[ok])
+    (results,) = _run_blocks(
+        block, [(ladder_index, epsilon)], cfg.n_paths, cfg.grid, cfg.model.vol.m,
+        cfg.seed, cfg.antithetic, cfg.max_workers,
+    )
     return LogPriceSamples(
-        np.concatenate(outs, axis=0),
-        excluded,
-        np.concatenate(path_chunks, axis=0) if keep_paths else None,
+        np.concatenate([r[0] for r in results], axis=0),
+        sum(r[2] for r in results),
+        np.concatenate([r[1] for r in results], axis=0) if keep_paths else None,
     )
 
 
@@ -427,35 +326,22 @@ def _reduce_report(cfg, quantity, per_eps_stats, reference_rate, diagnostics=Non
 
 
 def _per_eps_payoff_stats(cfg, payoff_fn, need_paths=False):
-    """Stream blocks per ladder entry, accumulating (n, sum, sum of squares)."""
-    stats = []
-    grid = cfg.grid
-    model = cfg.model
-    blocks = list(enumerate(_block_sizes(cfg.n_paths)))
-    for li, eps in enumerate(cfg.epsilon_ladder):
+    """(sum, sum of squares, path count) of the payoff per ladder entry,
+    reduced over blocks in block order."""
 
-        def run_block(args):
-            b, size = args
-            rng = _block_rng(cfg.seed, li, b)
-            db, dw = _draw_increments(
-                rng, size, grid.n_steps, model.vol.m, grid.dt, cfg.antithetic
-            )
-            x, _, paths, ok = _logprice_block(
-                model, grid, eps, db, dw, keep_paths=need_paths
-            )
-            vals = payoff_fn(x[ok], paths[ok] if need_paths else None)
-            return float(np.sum(vals)), float(np.sum(np.asarray(vals) ** 2)), int(np.sum(ok))
+    def block(eps, db, dw):
+        x, paths, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, need_paths)
+        vals = payoff_fn(x[ok], paths[ok] if need_paths else None)
+        return float(np.sum(vals)), float(np.sum(np.asarray(vals) ** 2)), int(np.sum(ok))
 
-        if cfg.max_workers > 1:
-            with ThreadPoolExecutor(max_workers=cfg.max_workers) as ex:
-                results = list(ex.map(run_block, blocks))
-        else:
-            results = [run_block(a) for a in blocks]
-        n_eff = sum(r[2] for r in results)
-        s = sum(r[0] for r in results)
-        sq = sum(r[1] for r in results)
-        stats.append((s, sq, n_eff))
-    return stats
+    per_entry = _run_blocks(
+        block, list(enumerate(cfg.epsilon_ladder)), cfg.n_paths, cfg.grid,
+        cfg.model.vol.m, cfg.seed, cfg.antithetic, cfg.max_workers,
+    )
+    return [
+        (sum(r[0] for r in res), sum(r[1] for r in res), sum(r[2] for r in res))
+        for res in per_entry
+    ]
 
 
 def ldp_tail_report(cfg: SimConfig, k: float, reference_rate: float | None = None) -> McReport:

@@ -150,27 +150,6 @@ def path_to_csv(path: PathFn, filename) -> None:
             writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
 
 
-def control_to_csv(control: Control, filename) -> None:
-    """Column 0 is the interval's left node time, columns 1..dim the
-    derivative values held on that interval."""
-    with open(filename, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["t"] + [f"df{i}" for i in range(control.dim)])
-        for t, row in zip(control.grid.nodes[:-1], control.dot_values):
-            writer.writerow([repr(float(t))] + [repr(float(x)) for x in row])
-
-
-def control_from_csv(filename, horizon=None) -> Control:
-    with open(filename, newline="") as fh:
-        rows = [r for r in csv.reader(fh) if r]
-    body = rows[1:] if rows and not _is_number(rows[0][0]) else rows
-    data = np.array([[float(x) for x in r] for r in body])
-    n = data.shape[0]
-    dt = data[1, 0] - data[0, 0] if n > 1 else (horizon if horizon else 1.0)
-    grid = TimeGrid(horizon if horizon is not None else n * dt, n)
-    return Control(grid, data[:, 1:])
-
-
 def path_from_csv(filename) -> PathFn:
     with open(filename, newline="") as fh:
         rows = [r for r in csv.reader(fh) if r]
@@ -204,19 +183,6 @@ def control_to_json_obj(control: Control) -> dict:
 def control_from_json_obj(obj: dict) -> Control:
     grid = TimeGrid(obj["horizon"], obj["n_steps"])
     return Control(grid, np.asarray(obj["dot_values"], dtype=float))
-
-
-def path_to_json_obj(path: PathFn) -> dict:
-    return {
-        "horizon": path.grid.horizon,
-        "n_steps": path.grid.n_steps,
-        "values": path.values.tolist(),
-    }
-
-
-def path_from_json_obj(obj: dict) -> PathFn:
-    grid = TimeGrid(obj["horizon"], obj["n_steps"])
-    return PathFn(grid, np.asarray(obj["values"], dtype=float))
 
 
 def dump_json(obj: dict, filename) -> None:

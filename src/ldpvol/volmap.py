@@ -1,9 +1,15 @@
-"""Deterministic controlled skeleton of the volatility process.
+"""The volatility scheme, shared by the skeleton and the simulator.
 
-Given a square-integrable control (stored through its per-interval values),
-the skeleton is produced in three stages: solve the controlled auxiliary ODE,
-solve the controlled Volterra equation, and apply the output map (reflection
-at zero when requested, identity otherwise).
+Each family's recursion is written once (``vol_state``), driven by increments
+of the noise: the controlled skeleton passes ``dots * dt``, the Monte Carlo
+simulator passes ``sqrt(eps) * dB``, so the skeleton is exactly the zero-noise
+limit of the simulated scheme.  Stages: the auxiliary process by explicit
+Euler, the Volterra equation (a kernel convolution for the gaussian,
+fractional and mixed families, one causal forward sweep for ``volterra_sde``),
+then the output map (reflection at zero when requested, identity otherwise).
+The skeleton entry points (``solve_psi_batch``, ``gamma_y_batch``,
+``hat_map_batch``) add the blow-up checks; the simulator excludes such paths
+instead.
 
 Coefficient closures must be numpy-vectorized: they receive arrays with
 arbitrary leading batch axes and broadcast over them.  Signatures:
@@ -19,6 +25,8 @@ Coefficients see nodal values only, not the whole past of the path.
 
 from __future__ import annotations
 
+import functools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -34,8 +42,6 @@ from .errors import (
 from .paths import Control, PathFn, TimeGrid, reflect_values
 
 BLOWUP_LIMIT = 1e9
-PICARD_TOL = 1e-10
-PICARD_MAX_ITER = 200
 
 GAUSSIAN = "gaussian"
 MIXED = "mixed"
@@ -160,8 +166,21 @@ class VolProcessSpec:
 
 
 # ---------------------------------------------------------------------------
-# controlled auxiliary process
+# the volatility scheme, written once and driven by increments
 # ---------------------------------------------------------------------------
+#
+# Every recursion below reads increments ``incr`` of the noise, shape
+# (..., n, m): the skeleton passes ``dots * dt``, the simulator
+# ``sqrt(eps) * dB``.  The only other input the two callers choose is the
+# Gaussian noise table ``noise_table(kernel, grid)``, weights per unit
+# increment: ``cell_means`` (cell-averaged kernel) for the skeleton and the
+# variance-exact ``kernels.rms_weights`` for simulation.
+
+
+@functools.lru_cache(maxsize=128)
+def cell_means(kernel, grid: TimeGrid) -> np.ndarray:
+    """pc_weights per unit increment: the skeleton's Gaussian noise table."""
+    return _k.pc_weights(kernel, grid) / grid.dt
 
 
 def _check_blowup(arr, what):
@@ -169,24 +188,127 @@ def _check_blowup(arr, what):
         raise DivergenceError(f"{what} exceeded the blow-up threshold {BLOWUP_LIMIT:g}")
 
 
+def _euler(spec, incr, grid, start, reflected=False):
+    """Explicit Euler for dV = b(t, V) dt + s(t, V) dZ; (..., n+1, len(start)).
+
+    With ``reflected`` the coefficients read the state reflected at zero
+    (the running-minimum compensator subtracted), as the reflected family's
+    state equation does.  Coefficients see the state itself: square-root
+    dispersions take the positive part in their own closure.
+    """
+    n = grid.n_steps
+    dt = grid.dt
+    nodes = grid.nodes
+    lead = incr.shape[:-2]
+    out = np.empty(lead + (n + 1, start.shape[0]))
+    cur = np.broadcast_to(start, lead + start.shape).copy()
+    out[..., 0, :] = cur
+    run_min = np.minimum(cur, 0.0)
+    for j in range(n):
+        arg = cur - run_min if reflected else cur
+        drift = spec.aux_drift(nodes[j], arg)
+        disp = spec.aux_disp(nodes[j], arg)
+        cur = cur + drift * dt + np.einsum("...km,...m->...k", disp, incr[..., j, :])
+        if reflected:
+            run_min = np.minimum(run_min, cur)
+        out[..., j + 1, :] = cur
+    return out
+
+
+def _gaussian_part(spec, incr, grid, noise_table):
+    # operands are made contiguous: matmul leaves BLAS for strided columns (m > 1)
+    out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, spec.d))
+    for i in range(spec.d):
+        for j in range(spec.m):
+            kern = spec.noise_kernels[i][j]
+            if kern is None:
+                continue
+            if kern.kind == _k.BROWNIAN:
+                out[..., 1:, i] += np.cumsum(incr[..., j], axis=-1)
+            else:
+                out[..., i] += np.ascontiguousarray(incr[..., j]) @ noise_table(kern, grid).T
+    return out
+
+
+def _fractional_part(spec, incr, grid):
+    psi = _euler(spec, incr, grid, spec.v0)
+    u = spec.u_callable()(psi[..., :-1, :])  # left node values, (..., n, d)
+    out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, spec.d))
+    for i in range(spec.d):
+        kern = spec.drift_kernels[i]
+        if kern is not None:
+            out[..., i] = np.ascontiguousarray(u[..., i]) @ _k.pc_weights(kern, grid).T
+    return out
+
+
+def _volterra_sweep(spec, incr, grid):
+    """Forward sweep of the discretized Volterra equation.
+
+    Node i reads only nodes j < i, so one causal pass solves the system
+    exactly; no fixed-point iteration is needed.
+    """
+    n = grid.n_steps
+    dt = grid.dt
+    nodes = grid.nodes
+    lead = incr.shape[:-2]
+    eta = np.empty(lead + (n + 1, spec.d))
+    eta[..., 0, :] = spec.y
+    for i in range(1, n + 1):
+        s = nodes[:i]
+        x = eta[..., :i, :]
+        acc = np.broadcast_to(spec.y, lead + (spec.d,)).copy()
+        if spec.volterra_a is not None:
+            acc = acc + dt * np.sum(spec.volterra_a(nodes[i], s, x), axis=-2)
+        if spec.volterra_c is not None:
+            cv = spec.volterra_c(nodes[i], s, x)
+            acc = acc + np.einsum("...jkm,...jm->...k", cv, incr[..., :i, :])
+        eta[..., i, :] = acc
+    return eta
+
+
+def vol_state(spec: VolProcessSpec, incr: np.ndarray, grid: TimeGrid, noise_table) -> np.ndarray:
+    """The volatility equation on the grid, before the output map.
+
+    incr has shape (..., n, m); returns (..., n+1, d).  No blow-up checks:
+    the skeleton raises on them, the simulator excludes the paths.
+    """
+    if spec.family == TOY:
+        out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, 1))
+        np.cumsum(incr, axis=-2, out=out[..., 1:, :])
+        return out
+    if spec.family == GAUSSIAN:
+        return spec.y + _gaussian_part(spec, incr, grid, noise_table)
+    if spec.family == FRACTIONAL:
+        return spec.y + _fractional_part(spec, incr, grid)
+    if spec.family == MIXED:
+        return (
+            spec.y
+            + _gaussian_part(spec, incr, grid, noise_table)
+            + _fractional_part(spec, incr, grid)
+        )
+    if spec.family == VOLTERRA_SDE:
+        return _volterra_sweep(spec, incr, grid)
+    return _euler(spec, incr, grid, spec.y, reflected=True)
+
+
+def output_map(spec: VolProcessSpec, vals: np.ndarray) -> np.ndarray:
+    """Reflection at zero along the time axis when requested, else identity."""
+    if spec.reflect:
+        vals = np.moveaxis(reflect_values(np.moveaxis(vals, -2, -1)), -1, -2)
+    return vals
+
+
+# ---------------------------------------------------------------------------
+# controlled skeleton
+# ---------------------------------------------------------------------------
+
+
 def solve_psi_batch(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Explicit Euler solution of the controlled auxiliary ODE.
 
     dots has shape (..., n, m); returns (..., n+1, k).
     """
-    dots = np.asarray(dots, float)
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    lead = dots.shape[:-2]
-    psi = np.empty(lead + (n + 1, spec.k_dim))
-    psi[..., 0, :] = spec.v0
-    cur = np.broadcast_to(spec.v0, lead + (spec.k_dim,)).copy()
-    for j in range(n):
-        drift = spec.aux_drift(nodes[j], cur)
-        disp = spec.aux_disp(nodes[j], cur)
-        cur = cur + dt * (drift + np.einsum("...km,...m->...k", disp, dots[..., j, :]))
-        psi[..., j + 1, :] = cur
+    psi = _euler(spec, np.asarray(dots, float) * grid.dt, grid, spec.v0)
     _check_blowup(psi, "auxiliary skeleton")
     return psi
 
@@ -196,94 +318,6 @@ def solve_psi(spec: VolProcessSpec, control: Control) -> PathFn:
     return PathFn(control.grid, vals)
 
 
-# ---------------------------------------------------------------------------
-# controlled Volterra equation
-# ---------------------------------------------------------------------------
-
-
-def _gaussian_part_batch(spec, dots, grid):
-    # cell masses against the piecewise-constant control are exact here
-    lead = dots.shape[:-2]
-    out = np.zeros(lead + (grid.n_steps + 1, spec.d))
-    for i in range(spec.d):
-        for j in range(spec.m):
-            kern = spec.noise_kernels[i][j]
-            if kern is None:
-                continue
-            M = _k.pc_weights(kern, grid)
-            out[..., i] += np.einsum("ij,...j->...i", M, dots[..., j])
-    return out
-
-
-def _fractional_part_batch(spec, dots, grid):
-    psi = solve_psi_batch(spec, dots, grid)
-    u = spec.u_callable()(psi[..., :-1, :])  # left node values, (..., n, d)
-    lead = dots.shape[:-2]
-    out = np.zeros(lead + (grid.n_steps + 1, spec.d))
-    for i in range(spec.d):
-        kern = spec.drift_kernels[i]
-        if kern is None:
-            continue
-        M = _k.pc_weights(kern, grid)
-        out[..., i] = np.einsum("ij,...j->...i", M, u[..., i])
-    return out
-
-
-def _picard_batch(spec, dots, grid):
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    lead = dots.shape[:-2]
-    eta = np.broadcast_to(spec.y, lead + (n + 1, spec.d)).copy()
-    a_map, c_map = spec.volterra_a, spec.volterra_c
-    for iteration in range(PICARD_MAX_ITER):
-        new = np.empty_like(eta)
-        new[..., 0, :] = spec.y
-        for i in range(1, n + 1):
-            s = nodes[:i]
-            x = eta[..., :i, :]
-            acc = np.broadcast_to(spec.y, lead + (spec.d,)).copy()
-            if a_map is not None:
-                acc = acc + dt * np.sum(a_map(nodes[i], s, x), axis=-2)
-            if c_map is not None:
-                cv = c_map(nodes[i], s, x)
-                acc = acc + dt * np.einsum("...jkm,...jm->...k", cv, dots[..., :i, :])
-            new[..., i, :] = acc
-        residual = float(np.max(np.abs(new - eta)))
-        eta = new
-        if not np.isfinite(residual):
-            raise ConvergenceError(
-                "Picard iterates diverged to non-finite values", residual=residual
-            )
-        if residual < PICARD_TOL:
-            _check_blowup(eta, "Volterra skeleton")
-            return eta
-    raise ConvergenceError(
-        f"Picard iteration did not converge in {PICARD_MAX_ITER} steps",
-        residual=residual,
-    )
-
-
-def _reflected_state_batch(spec, dots, grid):
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    lead = dots.shape[:-2]
-    state = np.empty(lead + (n + 1, spec.d))
-    cur = np.broadcast_to(spec.y, lead + (spec.d,)).copy()
-    state[..., 0, :] = cur
-    run_min = np.minimum(cur, 0.0)
-    for j in range(n):
-        refl = cur - run_min
-        drift = spec.aux_drift(nodes[j], refl)
-        disp = spec.aux_disp(nodes[j], refl)
-        cur = cur + dt * (drift + np.einsum("...km,...m->...k", disp, dots[..., j, :]))
-        run_min = np.minimum(run_min, cur)
-        state[..., j + 1, :] = cur
-    _check_blowup(state, "reflected skeleton")
-    return state
-
-
 def gamma_y_batch(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid) -> np.ndarray:
     """Solution of the controlled Volterra equation, before the output map."""
     dots = np.asarray(dots, float)
@@ -291,23 +325,16 @@ def gamma_y_batch(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid) -> np.
         raise DimensionError(
             f"control must have shape (..., {grid.n_steps}, {spec.m}), got {dots.shape}"
         )
-    if spec.family == TOY:
-        out = np.zeros(dots.shape[:-2] + (grid.n_steps + 1, 1))
-        np.cumsum(dots * grid.dt, axis=-2, out=out[..., 1:, :])
-        return out
-    if spec.family == GAUSSIAN:
-        return spec.y + _gaussian_part_batch(spec, dots, grid)
-    if spec.family == FRACTIONAL:
-        return spec.y + _fractional_part_batch(spec, dots, grid)
-    if spec.family == MIXED:
-        return (
-            spec.y
-            + _gaussian_part_batch(spec, dots, grid)
-            + _fractional_part_batch(spec, dots, grid)
+    vals = vol_state(spec, dots * grid.dt, grid, cell_means)
+    if spec.family in (TOY, GAUSSIAN):
+        return vals
+    if spec.family == VOLTERRA_SDE and not np.all(np.isfinite(vals)):
+        raise ConvergenceError(
+            "forward sweep of the Volterra equation reached non-finite values",
+            residual=math.inf,
         )
-    if spec.family == VOLTERRA_SDE:
-        return _picard_batch(spec, dots, grid)
-    return _reflected_state_batch(spec, dots, grid)
+    _check_blowup(vals, f"{spec.family} skeleton")
+    return vals
 
 
 def gamma_y(spec: VolProcessSpec, control: Control) -> PathFn:
@@ -315,10 +342,7 @@ def gamma_y(spec: VolProcessSpec, control: Control) -> PathFn:
 
 
 def hat_map_batch(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    vals = gamma_y_batch(spec, dots, grid)
-    if spec.reflect:
-        vals = np.moveaxis(reflect_values(np.moveaxis(vals, -2, -1)), -1, -2)
-    return vals
+    return output_map(spec, gamma_y_batch(spec, dots, grid))
 
 
 def hat_map(spec: VolProcessSpec, control: Control) -> PathFn:

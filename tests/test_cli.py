@@ -3,7 +3,8 @@ import math
 
 import pytest
 
-from ldpvol.cli import EXIT_CONFIG, EXIT_OK, main
+from ldpvol import cli
+from ldpvol.cli import EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
 
 
 def run_cli(capsys, *argv):
@@ -65,6 +66,21 @@ def test_model_file_and_outputs(tmp_path, capsys):
     assert code == EXIT_OK
     obj = json.loads((tmp_path / "result.json").read_text())
     assert obj["limit_value"] == pytest.approx(0.3, rel=1e-5)
+
+
+def test_iv_limit_nonconverged_exit_3(capsys, monkeypatch):
+    from ldpvol.pricing import AsymptoteReport
+
+    def stalled(model, k, horizon, **kw):
+        return AsymptoteReport(
+            "implied_vol_limit", rate=0.125, limit_value=0.2,
+            diagnostics={"degenerate": False, "converged": False},
+        )
+
+    monkeypatch.setattr(cli, "implied_vol_limit", stalled)
+    code, out, _ = run_cli(capsys, "iv-limit", "--preset", "bs_const", "--k", "0.1")
+    assert code == EXIT_NONCONVERGED
+    assert json.loads(out)["diagnostics"]["converged"] is False
 
 
 def test_call_ladder_csv(tmp_path, capsys):

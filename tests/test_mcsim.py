@@ -6,7 +6,7 @@ from scipy.stats import norm
 
 from ldpvol import TimeGrid
 from ldpvol.errors import ConvergenceError, DomainError
-from ldpvol.kernels import riemann_liouville, slice_variance
+from ldpvol.kernels import brownian, riemann_liouville, slice_variance
 from ldpvol.mcsim import (
     SimConfig,
     ldp_tail_report,
@@ -15,9 +15,17 @@ from ldpvol.mcsim import (
     simulate_logprice,
     simulate_vol,
 )
-from ldpvol.presets import bs_const, frac_heston, toy_sabr
+from ldpvol.presets import bs_const, frac_heston, make_model, toy_sabr
 from ldpvol.pricing import ExitDomain
-from ldpvol.volmap import GAUSSIAN, VolProcessSpec, cir_coefficients
+from ldpvol.volmap import (
+    FAMILIES,
+    FRACTIONAL,
+    GAUSSIAN,
+    VOLTERRA_SDE,
+    VolProcessSpec,
+    cir_coefficients,
+    ou_coefficients,
+)
 
 GRID = TimeGrid(1.0, 100)
 
@@ -49,14 +57,51 @@ def test_gaussian_vol_ito_isometry():
     assert abs(got - want) < 3 * se
 
 
+def _volterra_sde_spec():
+    def c_map(t, s, x):
+        return np.broadcast_to((0.5 * (t - s) ** -0.2)[:, None, None], x.shape[:-1] + (1, 1))
+
+    return VolProcessSpec(
+        family=VOLTERRA_SDE, d=1, m=1, volterra_a=lambda t, s, x: -x, volterra_c=c_map, y=[0.1]
+    )
+
+
 def test_vol_eps_zero_is_skeleton():
-    spec = frac_heston().vol
-    ens = simulate_vol(spec, 0.0, 50, GRID, seed=5)
+    # one scheme per family: the simulator without noise is the skeleton at
+    # zero control
     from ldpvol.paths import Control
     from ldpvol.volmap import hat_map
 
-    skel = hat_map(spec, Control.zero(GRID, 1)).values
-    assert np.max(np.abs(ens.paths - skel)) < 1e-12
+    specs = [make_model(name).vol for name in ("toy_sabr", "rough_gauss", "frac_heston",
+                                                "mixed_demo", "reflected_ou")]
+    specs.append(_volterra_sde_spec())
+    assert sorted(s.family for s in specs) == sorted(FAMILIES)
+    for spec in specs:
+        ens = simulate_vol(spec, 0.0, 50, GRID, seed=5)
+        skel = hat_map(spec, Control.zero(GRID, spec.m)).values
+        assert np.max(np.abs(ens.paths - skel)) < 1e-12, spec.family
+
+
+def test_ou_fractional_mean_unbiased():
+    # y_T = int_0^T v_s ds for an OU factor started at its mean 0: exact mean 0.
+    # The scheme must feed the coefficients the state itself, not its
+    # positive part.
+    drift, disp = ou_coefficients(1.5, 0.0, 0.4)
+    spec = VolProcessSpec(
+        family=FRACTIONAL,
+        d=1,
+        m=1,
+        k_dim=1,
+        drift_kernels=[brownian()],
+        u_map="identity",
+        aux_drift=drift,
+        aux_disp=disp,
+        v0=[0.0],
+    )
+    n = 20000
+    y_t = simulate_vol(spec, 1.0, n, GRID, seed=31).paths[:, -1, 0]
+    se = float(y_t.std()) / math.sqrt(n)
+    assert abs(float(y_t.mean())) < 4 * se
 
 
 def test_vol_scaling_coherence_toy():

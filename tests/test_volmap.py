@@ -143,6 +143,14 @@ def test_gamma_y_volterra_matches_hs_apply_oracle():
     assert np.max(np.abs(eta.values[:, 0] - oracle)) < 0.05 * max(1.0, np.max(np.abs(oracle)))
 
 
+def test_volterra_sweep_exact_on_linear_decay():
+    # a(t, s, x) = -x, c = 0, y0 = 1: y_i = 1 - dt * sum_{j<i} y_j = (1 - dt)^i
+    spec = VolProcessSpec(family=VOLTERRA_SDE, volterra_a=lambda t, s, x: -x, d=1, m=1, y=[1.0])
+    eta = gamma_y(spec, Control.zero(GRID, 1)).values[:, 0]
+    exact = (1.0 - GRID.dt) ** np.arange(GRID.n_steps + 1)
+    assert np.max(np.abs(eta - exact)) < 1e-13
+
+
 def test_mixed_is_sum_of_degenerate_families():
     rng = np.random.default_rng(7)
     drift, disp = cir_coefficients(1.0, 0.04, 0.3)
