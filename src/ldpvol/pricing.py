@@ -25,16 +25,22 @@ from .errors import (
 from .paths import Control, TimeGrid
 from .ratefn import (
     DEFAULT_TERMINAL_STEPS,
+    RESTART_KEYS,
     ModelSpec,
+    RateResult,
     inf_tail_result,
+    lbfgs,
     minimize_multistart,
     phi_batch,
+    phi_vjp,
 )
 
 PENALTY_STAGES = 6
 PENALTY_START = 10.0
 PENALTY_FACTOR = 10.0
 FEASIBILITY_TOL = 1e-6
+# solve diagnostics of a subproblem the zero path already satisfies
+_NO_SOLVE = {"iterations": 0, "restart_values": [], "restart_iterations": [], "gradient_evaluations": 0}
 
 
 # ---------------------------------------------------------------------------
@@ -200,6 +206,12 @@ def _require_assumption_b(model: ModelSpec, what: str):
         )
 
 
+def _restarts(res: RateResult) -> dict:
+    """Per-restart values, iterations and gradient evaluations of the final
+    terminal-rate solve."""
+    return {k: res.diagnostics[k] for k in RESTART_KEYS}
+
+
 def call_asymptote(
     model: ModelSpec, strike: float, horizon: float, n_steps: int | None = None, **kwargs
 ) -> AsymptoteReport:
@@ -226,6 +238,7 @@ def call_asymptote(
             "log_moneyness": k,
             "argmin_x": res.diagnostics.get("argmin_x"),
             "converged": res.converged,
+            **_restarts(res),
         },
     )
 
@@ -250,7 +263,7 @@ def implied_vol_limit(
             rate=0.0,
             limit_value=math.inf,
             minimizer_f=res.minimizer_f,
-            diagnostics={"degenerate": True},
+            diagnostics={"degenerate": True, **_restarts(res)},
         )
     limit = k / math.sqrt(2.0 * horizon * rate)
     return AsymptoteReport(
@@ -258,7 +271,7 @@ def implied_vol_limit(
         rate=rate,
         limit_value=limit,
         minimizer_f=res.minimizer_f,
-        diagnostics={"degenerate": False, "converged": res.converged},
+        diagnostics={"degenerate": False, "converged": res.converged, **_restarts(res)},
     )
 
 
@@ -270,8 +283,9 @@ def implied_vol_limit(
 class _JointControlProblem:
     """Energy of a joint (l, f) control pair plus a penalized constraint.
 
-    Subclasses provide ``violation_batch`` returning max(0, shortfall) for a
-    batch of flattened joint variables.
+    Subclasses provide ``shortfall`` (batched over functional paths phi,
+    positive when the constraint is violated) and ``shortfall_and_grad``
+    (one path: the shortfall and its gradient in phi).
     """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid):
@@ -298,8 +312,8 @@ class _JointControlProblem:
         l, f = self.split(z)
         return phi_batch(self.model, self.grid, l, f)
 
-    def violation_batch(self, z):  # pragma: no cover - abstract
-        raise NotImplementedError
+    def violation_batch(self, z):
+        return np.maximum(0.0, self.shortfall(self.phi_values(z)))
 
     def value_batch(self, z):
         return self.energies(z) + self.mu * self.violation_batch(z) ** 2
@@ -307,24 +321,35 @@ class _JointControlProblem:
     def value(self, z):
         return float(self.value_batch(np.asarray(z, float)))
 
-    def gradient(self, z):
-        from .ratefn import _fd_gradient
+    def value_and_grad(self, z):
+        z = np.asarray(z, float)
+        phi, pullback = phi_vjp(self.model, self.grid, *self.split(z))
+        short, short_phi = self.shortfall_and_grad(phi)
+        viol = max(float(short), 0.0)
+        value = float(self.energies(z) + self.mu * viol**2)
+        l_bar, f_bar = pullback(2.0 * self.mu * viol * short_phi)
+        return value, self.grid.dt * z + np.concatenate([l_bar.ravel(), f_bar.ravel()])
 
-        return _fd_gradient(self.value_batch, np.asarray(z, float))
+    def gradient(self, z):
+        return self.value_and_grad(z)[1]
 
 
 class _AsianProblem(_JointControlProblem):
     def __init__(self, model, grid, moneyness):
         super().__init__(model, grid)
         self.moneyness = float(moneyness)
+        # trapezoid weights of the time average
+        self.weights = np.full(grid.n_steps + 1, grid.dt / grid.horizon)
+        self.weights[[0, -1]] *= 0.5
 
-    def average_batch(self, z):
-        phi = self.phi_values(z)[..., 0]
-        ex = np.exp(phi)
-        return np.trapezoid(ex, dx=self.grid.dt, axis=-1) / self.grid.horizon
+    def shortfall(self, phi):
+        ex = np.exp(phi[..., 0])
+        return self.moneyness - np.trapezoid(ex, dx=self.grid.dt, axis=-1) / self.grid.horizon
 
-    def violation_batch(self, z):
-        return np.maximum(0.0, self.moneyness - self.average_batch(z))
+    def shortfall_and_grad(self, phi):
+        grad = np.zeros(phi.shape)
+        grad[:, 0] = -self.weights * np.exp(phi[:, 0])
+        return self.shortfall(phi), grad
 
 
 class _ExitFaceProblem(_JointControlProblem):
@@ -341,13 +366,19 @@ class _ExitFaceProblem(_JointControlProblem):
             raise DomainError("deadline excludes every positive grid node")
         self.window = window
 
-    def max_signed_distance_batch(self, z):
-        phi = self.phi_values(z)
-        sd = np.einsum("a,...na->...n", self.a, phi) - self.c
-        return np.max(sd[..., self.window], axis=-1)
+    def _signed_distance(self, phi):
+        return np.einsum("a,...na->...n", self.a, phi) - self.c
 
-    def violation_batch(self, z):
-        return np.maximum(0.0, -self.max_signed_distance_batch(z))
+    def shortfall(self, phi):
+        return -np.max(self._signed_distance(phi)[..., self.window], axis=-1)
+
+    def shortfall_and_grad(self, phi):
+        # the windowed max: its subgradient sits at the argmax
+        sd = self._signed_distance(phi)
+        top = np.flatnonzero(self.window)[np.argmax(sd[self.window])]
+        grad = np.zeros(phi.shape)
+        grad[top] = -self.a
+        return -sd[top], grad
 
 
 def _penalty_continuation(
@@ -357,27 +388,24 @@ def _penalty_continuation(
     seed: int = 0,
     maxiter: int = 400,
 ):
-    """Increase the penalty weight geometrically, warm-starting every stage."""
+    """Increase the penalty weight geometrically, warm-starting every stage.
+
+    Returns (z, info): the multistart's per-restart values and iteration
+    counts, and iteration and gradient-evaluation totals over all stages.
+    """
     problem.mu = PENALTY_START
     z, info = minimize_multistart(
         problem, problem.dim, problem.grid, 2 * problem.m,
         restarts=restarts, seed=seed, maxiter=maxiter,
     )
-    total_iter = info["iterations"]
+    info = {k: info[k] for k in ("iterations",) + RESTART_KEYS}
     for _ in range(stages - 1):
         problem.mu *= PENALTY_FACTOR
-        from scipy import optimize as _sopt
-
-        res = _sopt.minimize(
-            problem.value,
-            z,
-            jac=problem.gradient,
-            method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10},
-        )
+        res = lbfgs(problem, z, maxiter)
         z = res.x
-        total_iter += int(res.nit)
-    return z, total_iter
+        info["iterations"] += int(res.nit)
+        info["gradient_evaluations"] += int(res.njev)
+    return z, info
 
 
 def _polish_to_feasibility(problem, z, shortfall_fn):
@@ -455,7 +483,7 @@ def asian_asymptote(
             minimizer_l=Control.zero(grid, 1),
             diagnostics={"moneyness": moneyness, "converged": True, "shortfall": 0.0},
         )
-    z, iters = _penalty_continuation(problem, restarts=restarts, seed=seed)
+    z, info = _penalty_continuation(problem, restarts=restarts, seed=seed)
     z, shortfall = _polish_to_feasibility(
         problem, z, lambda zz: float(problem.violation_batch(np.asarray(zz, float)))
     )
@@ -471,7 +499,7 @@ def asian_asymptote(
             "moneyness": moneyness,
             "converged": bool(converged),
             "shortfall": shortfall,
-            "iterations": iters,
+            **info,
         },
     )
 
@@ -502,9 +530,9 @@ def exit_asymptote(
         problem = _ExitFaceProblem(model, grid, face, deadline)
         zero = np.zeros(problem.dim)
         if problem.violation_batch(zero) <= 0.0:
-            z, shortfall, iters = zero, 0.0, 0
+            z, shortfall, info = zero, 0.0, _NO_SOLVE
         else:
-            z, iters = _penalty_continuation(problem, restarts=restarts, seed=seed)
+            z, info = _penalty_continuation(problem, restarts=restarts, seed=seed)
             z, shortfall = _polish_to_feasibility(
                 problem,
                 z,
@@ -512,9 +540,9 @@ def exit_asymptote(
             )
         rate = float(problem.energies(z))
         ok = shortfall <= FEASIBILITY_TOL
-        per_face.append({"face": idx, "rate": rate, "converged": bool(ok)})
+        per_face.append({"face": idx, "rate": rate, "converged": bool(ok), **info})
         if ok and (best is None or rate < best[0]):
-            best = (rate, idx, z, problem, iters)
+            best = (rate, idx, z, problem, info)
     if best is None:
         zc = Control.zero(grid, model.m)
         return AsymptoteReport(
@@ -524,7 +552,7 @@ def exit_asymptote(
             minimizer_l=zc,
             diagnostics={"converged": False, "faces": per_face},
         )
-    rate, idx, z, problem, iters = best
+    rate, idx, z, problem, info = best
     l_dots, f_dots = problem.split(z)
     return AsymptoteReport(
         quantity="exit_prob",
@@ -535,7 +563,7 @@ def exit_asymptote(
             "converged": True,
             "best_face": idx,
             "faces": per_face,
-            "iterations": iters,
+            **info,
         },
     )
 

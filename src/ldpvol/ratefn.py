@@ -32,11 +32,18 @@ from .errors import (
     UnsupportedFormError,
 )
 from .paths import Control, PathFn, TimeGrid, energy
-from .volmap import VolProcessSpec, hat_map_batch, is_affine_in_control
+from .volmap import (
+    FD_STEP,
+    central_jac,
+    VolProcessSpec,
+    hat_map_batch,
+    hat_map_vjp,
+    perturbed,
+    reverse_cumsum,
+)
 
 _INFEASIBLE = 1e15
 _COND_LIMIT = 1e12
-_FD_STEP = 1e-6
 _VALUE_TIE_TOL = 1e-9
 
 DEFAULT_RESTARTS = 8
@@ -171,6 +178,19 @@ def _left_nodes(grid: TimeGrid) -> np.ndarray:
     return grid.nodes[:-1]
 
 
+def _coeff_jacs(t, u, *funcs):
+    """Each coefficient closure's values at the states u and its state
+    derivatives (state axis last), from one call on a perturbed stack."""
+    stack, h = perturbed(u)
+    return [central_jac(func(t, stack), h) for func in funcs]
+
+
+def _pad_last_node(u_bar):
+    """Adjoint of the left-node values u = hat[..., :-1, :] as a hat adjoint."""
+    pad = np.zeros(u_bar.shape[:-2] + (1, u_bar.shape[-1]))
+    return np.concatenate([u_bar, pad], axis=-2)
+
+
 def phi_functional(model: ModelSpec, l: Control, f: Control) -> PathFn:
     """Nodal path of the discretized drift/volatility functional.
 
@@ -183,6 +203,31 @@ def phi_functional(model: ModelSpec, l: Control, f: Control) -> PathFn:
     return PathFn(l.grid, vals)
 
 
+def _phi_drive(model: ModelSpec, l_dots, f_dots):
+    """The noise driving the price: rho_bar l + rho f (m = 1), else
+    cbar l + C f, per interval."""
+    if model.m == 1:
+        return model.rho_bar * l_dots[..., 0] + model.rho * f_dots[..., 0]
+    return np.einsum("ab,...nb->...na", model.cbar, l_dots) + np.einsum(
+        "ab,...nb->...na", model.C, f_dots
+    )
+
+
+def _phi_from(model: ModelSpec, grid: TimeGrid, b, sig, drive) -> np.ndarray:
+    """Cumulative sum of (b + sigma drive) dt; sig is the scalar vol for m = 1."""
+    if model.m == 1:
+        incr = ((b[..., 0] + sig * drive) * grid.dt)[..., None]
+    else:
+        incr = (b + np.einsum("...nab,...nb->...na", sig, drive)) * grid.dt
+    out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, model.m))
+    np.cumsum(incr, axis=-2, out=out[..., 1:, :])
+    return out
+
+
+def _sigma(model: ModelSpec):
+    return model.sigma_scalar if model.m == 1 else model.sigma_matrix
+
+
 def phi_batch(model: ModelSpec, grid: TimeGrid, l_dots, f_dots) -> np.ndarray:
     """Batched functional; dots have shape (..., n, m), output (..., n+1, m)."""
     l_dots = np.asarray(l_dots, float)
@@ -190,67 +235,57 @@ def phi_batch(model: ModelSpec, grid: TimeGrid, l_dots, f_dots) -> np.ndarray:
     hat = hat_map_batch(model.vol, f_dots, grid)
     tk = _left_nodes(grid)
     u = hat[..., :-1, :]
-    b = model.drift_values(tk, u)
-    if model.m == 1:
-        sv = model.sigma_scalar(tk, u)
-        drive = model.rho_bar * l_dots[..., 0] + model.rho * f_dots[..., 0]
-        incr = (b[..., 0] + sv * drive) * grid.dt
-        incr = incr[..., None]
-    else:
-        sig = model.sigma_matrix(tk, u)
-        drive = np.einsum("ab,...nb->...na", model.cbar, l_dots) + np.einsum(
-            "ab,...nb->...na", model.C, f_dots
-        )
-        incr = (b + np.einsum("...nab,...nb->...na", sig, drive)) * grid.dt
-    out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, model.m))
-    np.cumsum(incr, axis=-2, out=out[..., 1:, :])
-    return out
+    return _phi_from(
+        model, grid, model.drift_values(tk, u), _sigma(model)(tk, u),
+        _phi_drive(model, l_dots, f_dots),
+    )
 
 
-# ---------------------------------------------------------------------------
-# coefficient derivatives and affine control sensitivities
-# ---------------------------------------------------------------------------
+def phi_vjp(model: ModelSpec, grid: TimeGrid, l_dots, f_dots):
+    """``phi_batch`` and its vector-jacobian product in one forward pass.
 
-
-def _coeff_grad_u(func, t, u):
-    """Central differences of a coefficient closure in the state argument.
-
-    u: (n, d); returns (n, d) for scalar-valued closures, else (n, m, d).
+    Returns (phi, pullback) with pullback(phi_bar) = (l_bar, f_bar), the
+    gradients of <phi_bar, phi> in the two controls: a reverse cumulative
+    sum over the increments, their coefficient terms, then the skeleton's
+    adjoint for the coefficients' dependence on the volatility control.
     """
-    d = u.shape[-1]
-    cols = []
-    for a in range(d):
-        h = _FD_STEP * np.maximum(1.0, np.abs(u[..., a]))
-        up = u.copy()
-        um = u.copy()
-        up[..., a] += h
-        um[..., a] -= h
-        cols.append((np.asarray(func(t, up), float) - np.asarray(func(t, um), float)) / (2 * h))
-    return np.stack(cols, axis=-1)
+    l_dots = np.asarray(l_dots, float)
+    f_dots = np.asarray(f_dots, float)
+    hat, hat_pullback = hat_map_vjp(model.vol, f_dots, grid)
+    tk = _left_nodes(grid)
+    u = hat[..., :-1, :]
+    (b, b_u), (sig, sig_u) = _coeff_jacs(tk, u, model.drift_values, _sigma(model))
+    drive = _phi_drive(model, l_dots, f_dots)
+    phi = _phi_from(model, grid, b, sig, drive)
 
+    def pullback(phi_bar):
+        incr_bar = grid.dt * reverse_cumsum(phi_bar[..., 1:, :], -2)
+        u_bar = np.einsum("...na,...nad->...nd", incr_bar, b_u)
+        if model.m == 1:
+            ib = incr_bar[..., 0]
+            u_bar += (ib * drive)[..., None] * sig_u
+            drive_bar = (ib * sig)[..., None]
+            l_bar = model.rho_bar * drive_bar
+            f_bar = model.rho * drive_bar
+        else:
+            u_bar += np.einsum("...na,...nb,...nabd->...nd", incr_bar, drive, sig_u)
+            drive_bar = np.einsum("...nab,...na->...nb", sig, incr_bar)
+            l_bar = np.einsum("ab,...na->...nb", model.cbar, drive_bar)
+            f_bar = np.einsum("ab,...na->...nb", model.C, drive_bar)
+        return l_bar, f_bar + hat_pullback(_pad_last_node(u_bar))
 
-def _affine_control_jacobian(vol: VolProcessSpec, grid: TimeGrid) -> np.ndarray:
-    """J[c, i, j] = d hat_c(t_i) / d dot_j for affine scalar-control skeletons."""
-    if vol.m != 1:
-        raise UnsupportedFormError("affine jacobian implemented for m = 1 controls")
-    n = grid.n_steps
-    J = np.zeros((vol.d, n + 1, n))
-    if vol.family == "toy":
-        tri = np.tril(np.ones((n + 1, n)), -1)
-        J[0] = tri * grid.dt
-        return J
-    from . import kernels as _k
-
-    for c in range(vol.d):
-        kern = vol.noise_kernels[c][0]
-        if kern is not None:
-            J[c] = _k.pc_weights(kern, grid)
-    return J
+    return phi, pullback
 
 
 # ---------------------------------------------------------------------------
-# terminal rate objective (m = 1)
+# objectives: a batched value and one fused value-and-gradient
 # ---------------------------------------------------------------------------
+#
+# Every objective computes its exact discrete gradient by reverse mode
+# through the stages of its forward map (``value_and_grad``, one forward
+# pass per call); coefficient closures contribute their state derivatives
+# by central differences over the d state columns only (``_coeff_jacs``).
+# ``check_gradient`` is the finite-difference oracle for all of them.
 
 
 class TerminalObjective:
@@ -264,29 +299,23 @@ class TerminalObjective:
         self.x = float(x)
         self.n = grid.n_steps
         self.tk = _left_nodes(grid)
-        self.affine = is_affine_in_control(model.vol)
-        self._jac = (
-            _affine_control_jacobian(model.vol, grid)[:, :-1, :] if self.affine else None
-        )
-        self._hat0 = hat_map_batch(model.vol, np.zeros((self.n, 1)), grid)
 
     # -- pieces -------------------------------------------------------
-    def _terms(self, dots):
-        """dots: (..., n); returns (numer, i_sig2, b, sv, u)."""
+    def _coefficients(self, dots):
+        """Drift and scalar vol at the left nodes of the skeleton, (..., n)."""
         hat = hat_map_batch(self.model.vol, dots[..., None], self.grid)
         u = hat[..., :-1, :]
-        b = self.model.drift_values(self.tk, u)[..., 0]
-        sv = self.model.sigma_scalar(self.tk, u)
+        return self.model.drift_values(self.tk, u)[..., 0], self.model.sigma_scalar(self.tk, u)
+
+    def _integrals(self, dots, b, sv):
+        """(x - int b - rho int sigma fdot, int sigma^2) on the grid."""
         dt = self.grid.dt
         i_b = dt * np.sum(b, axis=-1)
         i_sf = dt * np.sum(sv * dots, axis=-1)
         i_s2 = dt * np.sum(sv**2, axis=-1)
-        numer = self.x - i_b - self.model.rho * i_sf
-        return numer, i_s2, b, sv, u
+        return self.x - i_b - self.model.rho * i_sf, i_s2
 
-    def value_batch(self, dots):
-        dots = np.asarray(dots, float)
-        numer, i_s2, _, _, _ = self._terms(dots)
+    def _value(self, dots, numer, i_s2):
         dt = self.grid.dt
         en = 0.5 * dt * np.sum(dots**2, axis=-1)
         rb2 = self.model.rho_bar**2
@@ -298,37 +327,35 @@ class TerminalObjective:
         miss = np.abs(numer) > 1e-9 * max(1.0, abs(self.x))
         return np.where(degenerate & miss, _INFEASIBLE, ratio + en)
 
+    def value_batch(self, dots):
+        dots = np.asarray(dots, float)
+        return self._value(dots, *self._integrals(dots, *self._coefficients(dots)))
+
     def value(self, dots):
         return float(self.value_batch(np.asarray(dots, float)))
 
-    def gradient(self, dots):
-        if self.affine:
-            return self._gradient_affine(np.asarray(dots, float))
-        return _fd_gradient(self.value_batch, np.asarray(dots, float))
-
-    def _gradient_affine(self, dots):
-        numer, i_s2, b, sv, u = self._terms(dots)
-        if i_s2 <= 0.0:
-            return _fd_gradient(self.value_batch, dots)
+    def value_and_grad(self, dots):
+        dots = np.asarray(dots, float)
+        hat, pullback = hat_map_vjp(self.model.vol, dots[:, None], self.grid)
+        u = hat[:-1]
+        (b, b_u), (sv, s_u) = _coeff_jacs(
+            self.tk, u, self.model.drift_values, self.model.sigma_scalar
+        )
+        numer, i_s2 = self._integrals(dots, b[:, 0], sv)
+        value = float(self._value(dots, numer, i_s2))
         dt = self.grid.dt
+        if not i_s2 > 0.0:  # the value is constant or the energy alone
+            return value, (np.zeros_like(dots) if value >= _INFEASIBLE else dt * dots)
         rho = self.model.rho
         rb2 = self.model.rho_bar**2
-        b_u = _coeff_grad_u(self.model.drift_values, self.tk, u)[..., 0, :]
-        s_u = _coeff_grad_u(self.model.sigma_scalar, self.tk, u)
-        # node-weight vectors contracted against d hat / d dots
-        w_b = dt * b_u  # (n, d)
-        w_sf = dt * s_u * dots[:, None]  # (n, d)
-        w_s2 = 2.0 * dt * sv[:, None] * s_u  # (n, d)
-        J = self._jac  # (d, n, n_dots)
-        dIb = np.einsum("nc,cnj->j", w_b, J)
-        dIsf = np.einsum("nc,cnj->j", w_sf, J) + dt * sv
-        dIs2 = np.einsum("nc,cnj->j", w_s2, J)
-        g = (
-            numer / (rb2 * i_s2) * (-dIb - rho * dIsf)
-            - 0.5 * numer**2 / (rb2 * i_s2**2) * dIs2
-            + dt * dots
-        )
-        return g
+        g_b = -numer / (rb2 * i_s2)  # d value / d int b
+        g_s2 = -0.5 * numer**2 / (rb2 * i_s2**2)  # d value / d int sigma^2
+        u_bar = dt * (g_b * b_u[:, 0, :] + (g_b * rho * dots + 2.0 * g_s2 * sv)[:, None] * s_u)
+        grad = dt * dots + g_b * rho * dt * sv + pullback(_pad_last_node(u_bar))[:, 0]
+        return value, grad
+
+    def gradient(self, dots):
+        return self.value_and_grad(dots)[1]
 
 
 class TerminalObjectiveOrthogonal:
@@ -350,16 +377,9 @@ class TerminalObjectiveOrthogonal:
         self.tk = _left_nodes(grid)
         self.mix = model.cbar_inv @ model.C  # applied inside the rotation
 
-    def value_batch(self, dots):
-        dots = np.asarray(dots, float)
-        m = self.model.m
-        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, m))
-        hat = hat_map_batch(self.model.vol, flat, self.grid)
-        u = hat[..., :-1, :]
+    def _value(self, flat, b, xi, O):
+        """(value, numer, int xi^2, rot) from the coefficients at the nodes."""
         dt = self.grid.dt
-        b = self.model.drift_values(self.tk, u)
-        xi = np.asarray(self.model.xi(self.tk, u), float)
-        O = np.asarray(self.model.o_map(self.tk, u), float)
         rot = np.einsum("...nab,bc,...nc->...na", O, self.mix, flat)
         i_b = dt * np.sum(b, axis=-2)
         i_v = dt * np.sum(xi[..., None] * rot, axis=-2)
@@ -370,13 +390,47 @@ class TerminalObjectiveOrthogonal:
         miss = np.sqrt(nn) > 1e-9 * max(1.0, float(np.linalg.norm(self.x)))
         with np.errstate(divide="ignore", invalid="ignore"):
             ratio = np.where(i_x2 > 0.0, 0.5 * nn / np.maximum(i_x2, 1e-300), 0.0)
-        return np.where((i_x2 <= 0.0) & miss, _INFEASIBLE, ratio + en)
+        return np.where((i_x2 <= 0.0) & miss, _INFEASIBLE, ratio + en), numer, i_x2, rot
+
+    def value_batch(self, dots):
+        dots = np.asarray(dots, float)
+        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, self.model.m))
+        u = hat_map_batch(self.model.vol, flat, self.grid)[..., :-1, :]
+        xi = np.asarray(self.model.xi(self.tk, u), float)
+        O = np.asarray(self.model.o_map(self.tk, u), float)
+        return self._value(flat, self.model.drift_values(self.tk, u), xi, O)[0]
 
     def value(self, dots):
         return float(self.value_batch(np.asarray(dots, float)))
 
+    def value_and_grad(self, dots):
+        dots = np.asarray(dots, float)
+        flat = dots.reshape(self.grid.n_steps, self.model.m)
+        hat, pullback = hat_map_vjp(self.model.vol, flat, self.grid)
+        u = hat[:-1]
+        (b, b_u), (xi, xi_u), (O, O_u) = _coeff_jacs(
+            self.tk, u, self.model.drift_values, self.model.xi, self.model.o_map
+        )
+        value, numer, i_x2, rot = self._value(flat, b, xi, O)
+        value = float(value)
+        dt = self.grid.dt
+        if not i_x2 > 0.0:
+            return value, (np.zeros_like(dots) if value >= _INFEASIBLE else dt * dots)
+        g_n = -dt * numer / i_x2  # d value / d (b + xi rot) at each node, (m,)
+        xi_bar = rot @ g_n - dt * float(numer @ numer) / i_x2**2 * xi
+        rot_bar = xi[:, None] * g_n
+        mixed = flat @ self.mix.T
+        u_bar = (
+            np.einsum("nad,a->nd", b_u, g_n)
+            + xi_bar[:, None] * xi_u
+            + np.einsum("na,nb,nabd->nd", rot_bar, mixed, O_u)
+        )
+        f_bar = np.einsum("nab,na->nb", O, rot_bar) @ self.mix
+        grad = dt * flat + f_bar + pullback(_pad_last_node(u_bar))
+        return value, grad.ravel()
+
     def gradient(self, dots):
-        return _fd_gradient(self.value_batch, np.asarray(dots, float))
+        return self.value_and_grad(dots)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -400,15 +454,16 @@ class PathRateObjective:
     def residual_l_dots(self, f_dots):
         """Eliminated auxiliary control along the target path, (n, m)."""
         f_dots = np.asarray(f_dots, float)
-        hat = hat_map_batch(self.model.vol, f_dots, self.grid)
-        u = hat[..., :-1, :]
-        b = self.model.drift_values(self.tk, u)
+        u = hat_map_batch(self.model.vol, f_dots, self.grid)[..., :-1, :]
+        return self._residual(
+            f_dots, self.model.drift_values(self.tk, u), _sigma(self.model)(self.tk, u)
+        )
+
+    def _residual(self, f_dots, b, sig):
         if self.model.m == 1:
-            sv = self.model.sigma_scalar(self.tk, u)
-            self._check_scalar_vol(sv)
-            resid = self.g_dots[..., 0] - b[..., 0] - sv * self.model.rho * f_dots[..., 0]
-            return (resid / (sv * self.model.rho_bar))[..., None]
-        sig = self.model.sigma_matrix(self.tk, u)
+            self._check_scalar_vol(sig)
+            resid = self.g_dots[..., 0] - b[..., 0] - sig * self.model.rho * f_dots[..., 0]
+            return (resid / (sig * self.model.rho_bar))[..., None]
         rhs = self.g_dots - b - np.einsum(
             "...nab,bc,...nc->...na", sig, self.model.C, f_dots
         )
@@ -428,38 +483,57 @@ class PathRateObjective:
                 "scalar volatility vanishes along the skeleton"
             )
 
-    def value_batch(self, dots):
-        dots = np.asarray(dots, float)
-        m = self.model.m
-        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, m))
-        l_dots = self.residual_l_dots(flat)
-        dt = self.grid.dt
-        return 0.5 * dt * (
+    def _value(self, flat, l_dots):
+        return 0.5 * self.grid.dt * (
             np.sum(l_dots**2, axis=(-1, -2)) + np.sum(flat**2, axis=(-1, -2))
         )
+
+    def value_batch(self, dots):
+        dots = np.asarray(dots, float)
+        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, self.model.m))
+        return self._value(flat, self.residual_l_dots(flat))
 
     def value(self, dots):
         return float(self.value_batch(np.asarray(dots, float)))
 
+    def value_and_grad(self, dots):
+        dots = np.asarray(dots, float)
+        m = self.model.m
+        flat = dots.reshape(self.grid.n_steps, m)
+        hat, pullback = hat_map_vjp(self.model.vol, flat, self.grid)
+        u = hat[:-1]
+        (b, b_u), (sig, sig_u) = _coeff_jacs(
+            self.tk, u, self.model.drift_values, _sigma(self.model)
+        )
+        l_dots = self._residual(flat, b, sig)
+        value = float(self._value(flat, l_dots))
+        l_bar = self.grid.dt * l_dots
+        if m == 1:
+            rb = self.model.rho_bar
+            rhs_bar = l_bar[:, 0] / (sig * rb)  # adjoint of the residual
+            sig_bar = -rhs_bar * (l_dots[:, 0] * rb + self.model.rho * flat[:, 0])
+            u_bar = -rhs_bar[:, None] * b_u[:, 0, :] + sig_bar[:, None] * sig_u
+            f_bar = -(rhs_bar * sig * self.model.rho)[:, None]
+        else:
+            sol = l_dots @ self.model.cbar.T  # sigma^-1 of the residual
+            c_f = flat @ self.model.C.T
+            sol_bar = l_bar @ self.model.cbar_inv
+            rhs_bar = np.linalg.solve(np.swapaxes(sig, -1, -2), sol_bar[..., None])[..., 0]
+            sig_bar = -rhs_bar[:, :, None] * (sol + c_f)[:, None, :]
+            u_bar = -np.einsum("na,nad->nd", rhs_bar, b_u) + np.einsum(
+                "nab,nabd->nd", sig_bar, sig_u
+            )
+            f_bar = -np.einsum("nab,na->nb", sig, rhs_bar) @ self.model.C
+        grad = self.grid.dt * flat + f_bar + pullback(_pad_last_node(u_bar))
+        return value, grad.ravel()
+
     def gradient(self, dots):
-        return _fd_gradient(self.value_batch, np.asarray(dots, float))
+        return self.value_and_grad(dots)[1]
 
 
 # ---------------------------------------------------------------------------
-# finite differences and the multi-start driver
+# the finite-difference oracle and the multi-start driver
 # ---------------------------------------------------------------------------
-
-
-def _fd_gradient(value_batch, x, step=_FD_STEP):
-    """Central differences through one batched objective call."""
-    n = x.size
-    h = step * np.maximum(1.0, np.abs(x))
-    batch = np.broadcast_to(x, (2 * n, n)).copy()
-    idx = np.arange(n)
-    batch[idx, idx] += h
-    batch[n + idx, idx] -= h
-    vals = value_batch(batch)
-    return (vals[:n] - vals[n:]) / (2.0 * h)
 
 
 def check_gradient(objective, x):
@@ -468,7 +542,7 @@ def check_gradient(objective, x):
     g = np.asarray(objective.gradient(x), float)
     ref = np.empty_like(g)
     for j in range(x.size):
-        h = _FD_STEP * max(1.0, abs(x[j]))
+        h = FD_STEP * max(1.0, abs(x[j]))
         xp = x.copy()
         xm = x.copy()
         xp[j] += h
@@ -476,6 +550,17 @@ def check_gradient(objective, x):
         ref[j] = (objective.value(xp) - objective.value(xm)) / (2 * h)
     scale = max(float(np.max(np.abs(ref))), 1e-8)
     return float(np.max(np.abs(g - ref))) / scale
+
+
+def lbfgs(objective, x0, maxiter: int):
+    """One L-BFGS solve on the objective's fused value and gradient."""
+    return _sopt.minimize(
+        objective.value_and_grad,
+        x0,
+        jac=True,
+        method="L-BFGS-B",
+        options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10},
+    )
 
 
 def minimize_multistart(
@@ -491,22 +576,20 @@ def minimize_multistart(
 
     Returns (best_x, info).  Ties in value are broken toward the smaller
     control energy, which makes the reported minimizer deterministic.
+    ``info`` carries the final value and iteration count of every start, in
+    start order, and the number of gradient evaluations.
     """
     rng = np.random.default_rng(seed)
     scale = math.sqrt(2.0 / (control_dim * grid.horizon))
     starts = [np.zeros(dim)]
     starts += [rng.normal(scale=scale, size=dim) for _ in range(restarts)]
     best = None
-    total_iter = 0
+    values, iterations, n_grad = [], [], 0
     for x0 in starts:
-        res = _sopt.minimize(
-            objective.value,
-            x0,
-            jac=objective.gradient,
-            method="L-BFGS-B",
-            options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10},
-        )
-        total_iter += int(res.nit)
+        res = lbfgs(objective, x0, maxiter)
+        values.append(float(res.fun))
+        iterations.append(int(res.nit))
+        n_grad += int(res.njev)
         cand_energy = 0.5 * grid.dt * float(np.sum(res.x**2))
         cand = (float(res.fun), cand_energy, res)
         if best is None:
@@ -518,12 +601,18 @@ def minimize_multistart(
             best = cand
     res = best[2]
     info = {
-        "iterations": total_iter,
+        "iterations": sum(iterations),
         "restarts": restarts,
         "gradient_norm": float(np.max(np.abs(np.asarray(objective.gradient(res.x))))),
         "converged": bool(res.success) and best[0] < _INFEASIBLE / 2,
+        "restart_values": values,
+        "restart_iterations": iterations,
+        "gradient_evaluations": n_grad + 1,
     }
     return res.x, info
+
+
+RESTART_KEYS = ("restart_values", "restart_iterations", "gradient_evaluations")
 
 
 def _result_from(objective, x, info, grid, m):
@@ -537,6 +626,7 @@ def _result_from(objective, x, info, grid, m):
         restarts=info["restarts"],
         gradient_norm=info["gradient_norm"],
         converged=info["converged"],
+        diagnostics={k: info[k] for k in RESTART_KEYS},
     )
 
 
@@ -634,13 +724,9 @@ def inf_tail_result(
     def rate_at(xv):
         return itilde_terminal(model, xv, grid=grid, restarts=restarts, seed=seed).value
 
-    scale = math.sqrt(
-        max(
-            TerminalObjective(model, grid, k)._terms(np.zeros(grid.n_steps))[1]
-            / grid.horizon,
-            1e-12,
-        )
-    )
+    obj, zero = TerminalObjective(model, grid, k), np.zeros(grid.n_steps)
+    i_s2 = obj._integrals(zero, *obj._coefficients(zero))[1]
+    scale = math.sqrt(max(i_s2 / grid.horizon, 1e-12))
     hi = k + 10.0 * scale * math.sqrt(grid.horizon)
     sres = _sopt.minimize_scalar(
         rate_at, bounds=(k, hi), method="bounded", options={"xatol": 1e-5 * max(1.0, abs(k))}

@@ -42,6 +42,7 @@ from .errors import (
 from .paths import Control, PathFn, TimeGrid, reflect_values
 
 BLOWUP_LIMIT = 1e9
+FD_STEP = 1e-6  # relative step of the coefficient closures' state derivatives
 
 GAUSSIAN = "gaussian"
 MIXED = "mixed"
@@ -188,13 +189,59 @@ def _check_blowup(arr, what):
         raise DivergenceError(f"{what} exceeded the blow-up threshold {BLOWUP_LIMIT:g}")
 
 
-def _euler(spec, incr, grid, start, reflected=False):
+@functools.lru_cache(maxsize=None)
+def _offsets(d, ndim):
+    """Rows 0, e_1..e_d, -e_1..-e_d, shaped to broadcast against (..., d)."""
+    rows = np.concatenate([np.zeros((1, d)), np.eye(d), -np.eye(d)])
+    return rows.reshape((2 * d + 1,) + (1,) * (ndim - 1) + (d,))
+
+
+def perturbed(x):
+    """``x`` stacked with its 2 d central-difference perturbations.
+
+    Returns (stack, h): stack[0] = x, stack[a + 1] and stack[d + a + 1] move
+    column a by +h and -h, h = FD_STEP * max(1, |x|).  A coefficient closure
+    called once on the stack yields its values and its state derivatives
+    (``central_jac``): loops keep one closure call per step.
+    """
+    h = FD_STEP * np.maximum(1.0, np.abs(x))
+    return x + _offsets(x.shape[-1], x.ndim) * h, h
+
+
+def central_jac(vals, h):
+    """(val, jac) from closure values on a ``perturbed`` stack, with
+    jac[..., a] = d val / d x[..., a] by central differences."""
+    vals = np.asarray(vals, float)
+    d = h.shape[-1]
+    shape = h.shape[:-1] + (1,) * (vals.ndim - h.ndim)  # h per column, against val
+    cols = [
+        (vals[1 + a] - vals[1 + d + a]) / (2.0 * h[..., a].reshape(shape)) for a in range(d)
+    ]
+    return vals[0], cols[0][..., None] if d == 1 else np.stack(cols, axis=-1)
+
+
+def reverse_cumsum(a, axis):
+    """Reverse cumulative sum: the adjoint of np.cumsum along ``axis`` < 0."""
+    rev = (Ellipsis, slice(None, None, -1)) + (slice(None),) * (-1 - axis)
+    return np.cumsum(a[rev], axis=axis)[rev]
+
+
+def _new_minima(vals):
+    """Nodes (axis -2) where the running minimum of min(vals, 0) is set."""
+    run = np.minimum.accumulate(np.minimum(vals, 0.0), axis=-2)
+    prev = np.concatenate([np.zeros_like(run[..., :1, :]), run[..., :-1, :]], axis=-2)
+    return vals < prev
+
+
+def _euler(spec, incr, grid, start, reflected=False, tape=None):
     """Explicit Euler for dV = b(t, V) dt + s(t, V) dZ; (..., n+1, len(start)).
 
     With ``reflected`` the coefficients read the state reflected at zero
     (the running-minimum compensator subtracted), as the reflected family's
     state equation does.  Coefficients see the state itself: square-root
-    dispersions take the positive part in their own closure.
+    dispersions take the positive part in their own closure.  With a
+    ``tape`` list, each closure call also sees the perturbed states and the
+    step records what ``_euler_vjp`` reads.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -206,13 +253,50 @@ def _euler(spec, incr, grid, start, reflected=False):
     run_min = np.minimum(cur, 0.0)
     for j in range(n):
         arg = cur - run_min if reflected else cur
-        drift = spec.aux_drift(nodes[j], arg)
-        disp = spec.aux_disp(nodes[j], arg)
+        if tape is None:
+            drift = spec.aux_drift(nodes[j], arg)
+            disp = spec.aux_disp(nodes[j], arg)
+        else:
+            stack, h = perturbed(arg)
+            drift_s = np.asarray(spec.aux_drift(nodes[j], stack), float)
+            disp_s = np.asarray(spec.aux_disp(nodes[j], stack), float)
+            tape.append((h, drift_s, disp_s))
+            drift, disp = drift_s[0], disp_s[0]
         cur = cur + drift * dt + np.einsum("...km,...m->...k", disp, incr[..., j, :])
         if reflected:
             run_min = np.minimum(run_min, cur)
         out[..., j + 1, :] = cur
     return out
+
+
+def _euler_vjp(spec, incr, grid, out, tape, out_bar, reflected=False):
+    """Adjoint of ``_euler``: out_bar (..., n+1, k) -> incr_bar (..., n, m).
+
+    One backward pass over the steps; with ``reflected``, the adjoint of
+    the running-minimum compensator is carried back to the node that set
+    the minimum (the argmin of the running minimum).
+    """
+    n = grid.n_steps
+    h = np.stack([rec[0] for rec in tape])
+    _, drift_v = central_jac(np.stack([rec[1] for rec in tape], axis=1), h)
+    disp, disp_v = central_jac(np.stack([rec[2] for rec in tape], axis=1), h)
+    # step axis first: d (cur_{j+1} - cur_j) / d arg_j is step_v[j]
+    incr_n = np.moveaxis(incr, -2, 0)
+    step_v = grid.dt * drift_v + np.einsum("j...kma,j...m->j...ka", disp_v, incr_n)
+    ext = np.moveaxis(out_bar, -2, 0)
+    new = np.moveaxis(_new_minima(out), -2, 0) if reflected else None
+    lams = np.empty(ext[1:].shape)  # adjoint of cur_{j+1}
+    lam = ext[n]
+    carry = 0.0
+    for j in reversed(range(n)):
+        lams[j] = lam
+        arg_bar = (lam[..., None, :] @ step_v[j])[..., 0, :]
+        lam = lam + ext[j] + arg_bar
+        if reflected:
+            carry = carry - arg_bar
+            lam = lam + np.where(new[j], carry, 0.0)
+            carry = np.where(new[j], 0.0, carry)
+    return np.moveaxis(np.einsum("j...km,j...k->j...m", disp, lams), 0, -2)
 
 
 def _gaussian_part(spec, incr, grid, noise_table):
@@ -230,9 +314,29 @@ def _gaussian_part(spec, incr, grid, noise_table):
     return out
 
 
-def _fractional_part(spec, incr, grid):
-    psi = _euler(spec, incr, grid, spec.v0)
-    u = spec.u_callable()(psi[..., :-1, :])  # left node values, (..., n, d)
+def _gaussian_vjp(spec, out_bar, grid, noise_table, incr_shape):
+    incr_bar = np.zeros(incr_shape)
+    for i in range(spec.d):
+        for j in range(spec.m):
+            kern = spec.noise_kernels[i][j]
+            if kern is None:
+                continue
+            if kern.kind == _k.BROWNIAN:
+                incr_bar[..., j] += reverse_cumsum(out_bar[..., 1:, i], -1)
+            else:
+                incr_bar[..., j] += np.ascontiguousarray(out_bar[..., i]) @ noise_table(kern, grid)
+    return incr_bar
+
+
+def _fractional_part(spec, incr, grid, tape=None):
+    aux = None if tape is None else tape.setdefault("aux", [])
+    psi = _euler(spec, incr, grid, spec.v0, tape=aux)
+    if tape is None:
+        u = spec.u_callable()(psi[..., :-1, :])  # left node values, (..., n, d)
+    else:
+        stack, h = perturbed(psi[..., :-1, :])
+        u, tape["u_psi"] = central_jac(spec.u_callable()(stack), h)
+        tape["psi"] = psi
     out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, spec.d))
     for i in range(spec.d):
         kern = spec.drift_kernels[i]
@@ -241,36 +345,85 @@ def _fractional_part(spec, incr, grid):
     return out
 
 
-def _volterra_sweep(spec, incr, grid):
+def _fractional_vjp(spec, incr, grid, tape, out_bar):
+    u_bar = np.zeros(out_bar.shape[:-2] + (grid.n_steps, spec.d))
+    for i in range(spec.d):
+        kern = spec.drift_kernels[i]
+        if kern is not None:
+            u_bar[..., i] = np.ascontiguousarray(out_bar[..., i]) @ _k.pc_weights(kern, grid)
+    psi = tape["psi"]
+    psi_bar = np.zeros(psi.shape)
+    psi_bar[..., :-1, :] = np.einsum("...nd,...ndk->...nk", u_bar, tape["u_psi"])
+    return _euler_vjp(spec, incr, grid, psi, tape["aux"], psi_bar)
+
+
+def _volterra_sweep(spec, incr, grid, tape=None):
     """Forward sweep of the discretized Volterra equation.
 
     Node i reads only nodes j < i, so one causal pass solves the system
-    exactly; no fixed-point iteration is needed.
+    exactly; no fixed-point iteration is needed.  With a ``tape`` dict the
+    coefficient calls also see the perturbed states, and their values fill
+    the lower triangle of (node i, node j) tables for ``_volterra_vjp``.
     """
     n = grid.n_steps
     dt = grid.dt
+    d = spec.d
     nodes = grid.nodes
     lead = incr.shape[:-2]
-    eta = np.empty(lead + (n + 1, spec.d))
+    eta = np.empty(lead + (n + 1, d))
     eta[..., 0, :] = spec.y
+    if tape is not None:
+        width = (2 * d + 1,) + lead + (n, n, d)
+        tape["h"] = np.ones(lead + (n, n, d))
+        tape["a"] = None if spec.volterra_a is None else np.zeros(width)
+        tape["c"] = None if spec.volterra_c is None else np.zeros(width + (spec.m,))
     for i in range(1, n + 1):
         s = nodes[:i]
         x = eta[..., :i, :]
-        acc = np.broadcast_to(spec.y, lead + (spec.d,)).copy()
+        if tape is not None:
+            x, tape["h"][..., i - 1, :i, :] = perturbed(x)
+        acc = np.broadcast_to(spec.y, lead + (d,)).copy()
         if spec.volterra_a is not None:
-            acc = acc + dt * np.sum(spec.volterra_a(nodes[i], s, x), axis=-2)
+            av = spec.volterra_a(nodes[i], s, x)
+            if tape is not None:
+                tape["a"][..., i - 1, :i, :] = av
+                av = tape["a"][0, ..., i - 1, :i, :]
+            acc = acc + dt * np.sum(av, axis=-2)
         if spec.volterra_c is not None:
             cv = spec.volterra_c(nodes[i], s, x)
+            if tape is not None:
+                tape["c"][..., i - 1, :i, :, :] = cv
+                cv = tape["c"][0, ..., i - 1, :i, :, :]
             acc = acc + np.einsum("...jkm,...jm->...k", cv, incr[..., :i, :])
         eta[..., i, :] = acc
     return eta
 
 
-def vol_state(spec: VolProcessSpec, incr: np.ndarray, grid: TimeGrid, noise_table) -> np.ndarray:
+def _volterra_vjp(spec, incr, grid, tape, eta_bar):
+    """Backward causal sweep: node i hands its adjoint to every node j < i
+    it read, through the coefficients' state derivatives."""
+    jac = 0.0  # jac[..., i-1, j] = d eta_i / d eta_j
+    if tape["a"] is not None:
+        jac = grid.dt * central_jac(tape["a"], tape["h"])[1]
+    if tape["c"] is not None:
+        cv, c_x = central_jac(tape["c"], tape["h"])
+        jac = jac + np.einsum("...ijkma,...jm->...ijka", c_x, incr)
+    lam = np.array(eta_bar, float)
+    for i in reversed(range(1, grid.n_steps + 1)):
+        lam[..., :i, :] += np.einsum("...k,...jka->...ja", lam[..., i, :], jac[..., i - 1, :i, :, :])
+    if tape["c"] is None:
+        return np.zeros(incr.shape)
+    return np.einsum("...ik,...ijkm->...jm", lam[..., 1:, :], cv)
+
+
+def vol_state(
+    spec: VolProcessSpec, incr: np.ndarray, grid: TimeGrid, noise_table, tape=None
+) -> np.ndarray:
     """The volatility equation on the grid, before the output map.
 
     incr has shape (..., n, m); returns (..., n+1, d).  No blow-up checks:
-    the skeleton raises on them, the simulator excludes the paths.
+    the skeleton raises on them, the simulator excludes the paths.  A
+    ``tape`` dict receives what ``vol_state_vjp`` reads.
     """
     if spec.family == TOY:
         out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, 1))
@@ -279,16 +432,44 @@ def vol_state(spec: VolProcessSpec, incr: np.ndarray, grid: TimeGrid, noise_tabl
     if spec.family == GAUSSIAN:
         return spec.y + _gaussian_part(spec, incr, grid, noise_table)
     if spec.family == FRACTIONAL:
-        return spec.y + _fractional_part(spec, incr, grid)
+        return spec.y + _fractional_part(spec, incr, grid, tape)
     if spec.family == MIXED:
         return (
             spec.y
             + _gaussian_part(spec, incr, grid, noise_table)
-            + _fractional_part(spec, incr, grid)
+            + _fractional_part(spec, incr, grid, tape)
         )
     if spec.family == VOLTERRA_SDE:
-        return _volterra_sweep(spec, incr, grid)
-    return _euler(spec, incr, grid, spec.y, reflected=True)
+        return _volterra_sweep(spec, incr, grid, tape)
+    aux = None if tape is None else tape.setdefault("aux", [])
+    out = _euler(spec, incr, grid, spec.y, reflected=True, tape=aux)
+    if tape is not None:
+        tape["state"] = out
+    return out
+
+
+def vol_state_vjp(spec: VolProcessSpec, incr, grid, noise_table, tape, vals_bar) -> np.ndarray:
+    """Vector-jacobian product of ``vol_state``: d <vals_bar, vals> / d incr.
+
+    ``tape`` is the dict a ``vol_state`` call on the same arguments filled.
+    Each family runs its forward stages backwards: a reverse cumulative sum
+    (toy family, Brownian kernels), the transposed weight table (Gaussian
+    noise and fractional drift convolutions), a backward Euler recursion
+    (auxiliary and reflected states), or a backward causal sweep
+    (volterra_sde).  Shapes (..., n+1, d) -> (..., n, m).
+    """
+    if spec.family == TOY:
+        return reverse_cumsum(vals_bar[..., 1:, :], -2)
+    if spec.family == VOLTERRA_SDE:
+        return _volterra_vjp(spec, incr, grid, tape, vals_bar)
+    if spec.family == REFLECTED:
+        return _euler_vjp(spec, incr, grid, tape["state"], tape["aux"], vals_bar, reflected=True)
+    out = np.zeros(incr.shape)
+    if spec.family in (GAUSSIAN, MIXED):
+        out += _gaussian_vjp(spec, vals_bar, grid, noise_table, incr.shape)
+    if spec.family in (FRACTIONAL, MIXED):
+        out += _fractional_vjp(spec, incr, grid, tape, vals_bar)
+    return out
 
 
 def output_map(spec: VolProcessSpec, vals: np.ndarray) -> np.ndarray:
@@ -296,6 +477,20 @@ def output_map(spec: VolProcessSpec, vals: np.ndarray) -> np.ndarray:
     if spec.reflect:
         vals = np.moveaxis(reflect_values(np.moveaxis(vals, -2, -1)), -1, -2)
     return vals
+
+
+def _reflect_vjp(vals, out_bar):
+    """Adjoint of the reflection in ``output_map``: the compensator at node i
+    is the state at the node that set the running minimum, so its adjoint
+    goes back to that node."""
+    new = _new_minima(vals)
+    vals_bar = np.array(out_bar, float)
+    carry = 0.0
+    for i in reversed(range(vals.shape[-2])):
+        carry = carry - out_bar[..., i, :]
+        vals_bar[..., i, :] += np.where(new[..., i, :], carry, 0.0)
+        carry = np.where(new[..., i, :], 0.0, carry)
+    return vals_bar
 
 
 # ---------------------------------------------------------------------------
@@ -318,14 +513,16 @@ def solve_psi(spec: VolProcessSpec, control: Control) -> PathFn:
     return PathFn(control.grid, vals)
 
 
-def gamma_y_batch(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid) -> np.ndarray:
-    """Solution of the controlled Volterra equation, before the output map."""
+def _checked_dots(spec, dots, grid):
     dots = np.asarray(dots, float)
     if dots.shape[-2:] != (grid.n_steps, spec.m):
         raise DimensionError(
             f"control must have shape (..., {grid.n_steps}, {spec.m}), got {dots.shape}"
         )
-    vals = vol_state(spec, dots * grid.dt, grid, cell_means)
+    return dots
+
+
+def _checked_state(spec, vals):
     if spec.family in (TOY, GAUSSIAN):
         return vals
     if spec.family == VOLTERRA_SDE and not np.all(np.isfinite(vals)):
@@ -337,6 +534,12 @@ def gamma_y_batch(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid) -> np.
     return vals
 
 
+def gamma_y_batch(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid) -> np.ndarray:
+    """Solution of the controlled Volterra equation, before the output map."""
+    dots = _checked_dots(spec, dots, grid)
+    return _checked_state(spec, vol_state(spec, dots * grid.dt, grid, cell_means))
+
+
 def gamma_y(spec: VolProcessSpec, control: Control) -> PathFn:
     return PathFn(control.grid, gamma_y_batch(spec, control.dot_values, control.grid))
 
@@ -345,14 +548,32 @@ def hat_map_batch(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid) -> np.
     return output_map(spec, gamma_y_batch(spec, dots, grid))
 
 
+def hat_map_vjp(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid):
+    """``hat_map_batch`` and its vector-jacobian product in one forward pass.
+
+    Returns (hat, pullback) with pullback(hat_bar) = d <hat_bar, hat> / d dots,
+    shapes (..., n+1, d) -> (..., n, m).
+    """
+    dots = _checked_dots(spec, dots, grid)
+    incr = dots * grid.dt
+    tape = {}
+    vals = _checked_state(spec, vol_state(spec, incr, grid, cell_means, tape))
+
+    def pullback(hat_bar):
+        if spec.reflect:
+            hat_bar = _reflect_vjp(vals, hat_bar)
+        return grid.dt * vol_state_vjp(spec, incr, grid, cell_means, tape, hat_bar)
+
+    return output_map(spec, vals), pullback
+
+
 def hat_map(spec: VolProcessSpec, control: Control) -> PathFn:
     """Skeleton of the volatility process driven by the control."""
     return PathFn(control.grid, hat_map_batch(spec, control.dot_values, control.grid))
 
 
 def is_affine_in_control(spec: VolProcessSpec) -> bool:
-    """True when the skeleton map is affine in the control (closed-form
-    gradients are then available downstream)."""
+    """True when the skeleton map is affine in the control."""
     return spec.family in (GAUSSIAN, TOY) and not spec.reflect
 
 
