@@ -13,9 +13,11 @@ matter how blocks are scheduled across workers.
 
 from __future__ import annotations
 
+import functools
 import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -129,27 +131,31 @@ def _block_sizes(n_paths: int):
     return sizes
 
 
-def _draw_increments(rng, size, n, m, dt, antithetic):
-    """(size, n, m) Brownian increments for driver and pricing noise."""
-    if antithetic:
-        half = (size + 1) // 2
-        z1 = rng.standard_normal((half, n, m))
-        z2 = rng.standard_normal((half, n, m))
-        z1 = np.concatenate([z1, -z1], axis=0)[:size]
-        z2 = np.concatenate([z2, -z2], axis=0)[:size]
-    else:
-        z1 = rng.standard_normal((size, n, m))
-        z2 = rng.standard_normal((size, n, m))
+def _draw_increments(rng, size, n, m, dt, antithetic, need_dw=True):
+    """(size, n, m) Brownian increments for driver and pricing noise; the
+    pricing noise is drawn second, and not at all without ``need_dw``."""
+
+    def draw():
+        if not antithetic:
+            return rng.standard_normal((size, n, m)) * s
+        z = rng.standard_normal(((size + 1) // 2, n, m))
+        return np.concatenate([z, -z], axis=0)[:size] * s
+
     s = math.sqrt(dt)
-    return z1 * s, z2 * s
+    db = draw()
+    return db, draw() if need_dw else None
 
 
-def _run_blocks(block_fn, entries, n_paths, grid, m, seed, antithetic, workers=1):
+def _run_blocks(
+    block_fn, entries, n_paths, grid, m, seed, antithetic, workers=1, need_dw=True
+):
     """The block scheduler: ``block_fn(epsilon, db, dw)`` on every block of
     every ``(ladder index, epsilon)`` entry, on at most one thread pool.
 
     Returns one list of block results per entry, in block order; each block
     draws from its own substream, so results do not depend on ``workers``.
+    Block functions that never read the pricing noise pass ``need_dw=False``
+    and get ``dw = None``; the driver noise ``db`` is drawn first either way.
     """
     sizes = _block_sizes(int(n_paths))
     tasks = [(li, eps, b, size) for li, eps in entries for b, size in enumerate(sizes)]
@@ -157,7 +163,7 @@ def _run_blocks(block_fn, entries, n_paths, grid, m, seed, antithetic, workers=1
     def run(task):
         li, eps, b, size = task
         db, dw = _draw_increments(
-            _block_rng(seed, li, b), size, grid.n_steps, m, grid.dt, antithetic
+            _block_rng(seed, li, b), size, grid.n_steps, m, grid.dt, antithetic, need_dw
         )
         return block_fn(float(eps), db, dw)
 
@@ -208,7 +214,7 @@ def simulate_vol(
         return vals[ok], int(np.sum(~ok))
 
     (results,) = _run_blocks(
-        block, [(0, epsilon)], n_paths, grid, spec.m, int(seed), antithetic
+        block, [(0, epsilon)], n_paths, grid, spec.m, int(seed), antithetic, need_dw=False
     )
     return VolEnsemble(
         np.concatenate([r[0] for r in results], axis=0), sum(r[1] for r in results)
@@ -293,11 +299,49 @@ def simulate_logprice(
 # ---------------------------------------------------------------------------
 
 
+class _Moments(NamedTuple):
+    """Payoff count, sum, mean, sum of squared deviations and hit count."""
+
+    n: int
+    total: float
+    mean: float
+    m2: float
+    hits: int
+
+    @staticmethod
+    def of(vals) -> "_Moments":
+        vals = np.asarray(vals, float)
+        if vals.size == 0:
+            return _Moments(0, 0.0, 0.0, 0.0, 0)
+        mean = float(np.mean(vals))
+        return _Moments(
+            vals.size, float(np.sum(vals)), mean, float(np.sum((vals - mean) ** 2)),
+            int(np.count_nonzero(vals)),
+        )
+
+    def merge(self, other: "_Moments") -> "_Moments":
+        """Pairwise update of Chan, Golub & LeVeque: no E[X^2] - E[X]^2."""
+        if other.n == 0:
+            return self
+        if self.n == 0:
+            return other
+        n = self.n + other.n
+        delta = other.mean - self.mean
+        return _Moments(
+            n,
+            self.total + other.total,
+            self.mean + delta * other.n / n,
+            self.m2 + other.m2 + delta**2 * self.n * other.n / n,
+            self.hits + other.hits,
+        )
+
+
 def _reduce_report(cfg, quantity, per_eps_stats, reference_rate, diagnostics=None):
     rows = []
-    for eps, (payoff_sum, sq_sum, n_eff) in zip(cfg.epsilon_ladder, per_eps_stats):
-        mean = payoff_sum / n_eff if n_eff else 0.0
-        var = max(sq_sum / n_eff - mean**2, 0.0) if n_eff else 0.0
+    for eps, mom in zip(cfg.epsilon_ladder, per_eps_stats):
+        n_eff = mom.n
+        mean = mom.total / n_eff if n_eff else 0.0
+        var = mom.m2 / n_eff if n_eff else 0.0
         se = math.sqrt(var / n_eff) if n_eff else math.inf
         zero = mean <= 0.0
         eps_log = math.inf if zero else -eps * math.log(mean)
@@ -321,27 +365,23 @@ def _reduce_report(cfg, quantity, per_eps_stats, reference_rate, diagnostics=Non
         quantity=quantity,
         rows=rows,
         reference_rate=reference_rate,
-        diagnostics=diagnostics or {},
+        diagnostics={**(diagnostics or {}), "hits": [mom.hits for mom in per_eps_stats]},
     )
 
 
 def _per_eps_payoff_stats(cfg, payoff_fn, need_paths=False):
-    """(sum, sum of squares, path count) of the payoff per ladder entry,
-    reduced over blocks in block order."""
+    """Payoff ``_Moments`` per ladder entry, merged over blocks in block order
+    (the estimate is the plain sum over the count, as before the merge)."""
 
     def block(eps, db, dw):
         x, paths, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, need_paths)
-        vals = payoff_fn(x[ok], paths[ok] if need_paths else None)
-        return float(np.sum(vals)), float(np.sum(np.asarray(vals) ** 2)), int(np.sum(ok))
+        return _Moments.of(payoff_fn(x[ok], paths[ok] if need_paths else None))
 
     per_entry = _run_blocks(
         block, list(enumerate(cfg.epsilon_ladder)), cfg.n_paths, cfg.grid,
         cfg.model.vol.m, cfg.seed, cfg.antithetic, cfg.max_workers,
     )
-    return [
-        (sum(r[0] for r in res), sum(r[1] for r in res), sum(r[2] for r in res))
-        for res in per_entry
-    ]
+    return [functools.reduce(_Moments.merge, res) for res in per_entry]
 
 
 def ldp_tail_report(cfg: SimConfig, k: float, reference_rate: float | None = None) -> McReport:

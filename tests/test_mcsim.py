@@ -8,7 +8,11 @@ from ldpvol import TimeGrid
 from ldpvol.errors import ConvergenceError, DomainError
 from ldpvol.kernels import brownian, riemann_liouville, slice_variance
 from ldpvol.mcsim import (
+    BLOCK_SIZE,
     SimConfig,
+    _block_rng,
+    _per_eps_payoff_stats,
+    _vol_block,
     ldp_tail_report,
     mc_call_report,
     mc_exit_report,
@@ -156,6 +160,46 @@ def test_determinism_and_repartitioning():
     r1 = ldp_tail_report(cfg1, 0.1, reference_rate=0.0)
     r2 = ldp_tail_report(cfg2, 0.1, reference_rate=0.0)
     assert r1.rows[0].estimate == r2.rows[0].estimate
+
+
+def test_simulate_vol_skips_unused_price_noise():
+    # the driver noise is the first fill of each block's substream, so the
+    # ensemble is bit-identical whether or not the price noise is drawn
+    spec = toy_sabr().vol
+    grid = TimeGrid(1.0, 20)
+    n_paths, seed, eps = 3000, 19, 0.3
+    ens = simulate_vol(spec, eps, n_paths, grid, seed)
+    db = _block_rng(seed, 0, 0).standard_normal((n_paths, grid.n_steps, 1)) * math.sqrt(grid.dt)
+    np.testing.assert_array_equal(ens.paths, _vol_block(spec, db, grid, eps))
+
+
+def test_moment_merge_survives_large_offset():
+    # a payoff of a large constant plus small noise: E[X^2] - E[X]^2 cancels
+    # to nothing, the per-block (n, mean, M2) merge keeps the variance (its
+    # own floor is the rounding of the block means, ulp(offset) ~ 2e-9 here)
+    cfg = _cfg(bs_const(), ladder=(0.5,), n_paths=2 * BLOCK_SIZE + 1000, grid=TimeGrid(1.0, 10), seed=5)
+    offset = 1e7
+    (mom,) = _per_eps_payoff_stats(cfg, lambda x, paths: offset + x[:, 0])
+    vals = offset + simulate_logprice(cfg, 0.5).terminal[:, 0]
+    exact = float(np.var(vals))
+    naive = float(np.sum(vals**2)) / vals.size - (float(np.sum(vals)) / vals.size) ** 2
+    assert abs(naive - exact) > 0.1 * exact
+    assert mom.n == vals.size and mom.hits == vals.size
+    assert mom.m2 / mom.n == pytest.approx(exact, rel=1e-10)
+    # the report's standard error is built on the merged variance
+    rep = ldp_tail_report(cfg, 0.1, reference_rate=0.125)
+    assert rep.diagnostics["hits"] == [round(rep.rows[0].estimate * rep.rows[0].n_effective)]
+
+
+def test_moment_merge_worker_independent():
+    m = toy_sabr()
+    reps = [
+        mc_call_report(_cfg(m, ladder=(0.3,), n_paths=BLOCK_SIZE + 5000, seed=3, grid=TimeGrid(1.0, 10), max_workers=w), 1.05, reference_rate=0.0)
+        for w in (1, 2)
+    ]
+    assert reps[0].rows[0].estimate == reps[1].rows[0].estimate
+    assert reps[0].rows[0].std_error == reps[1].rows[0].std_error
+    assert reps[0].diagnostics["hits"] == reps[1].diagnostics["hits"]
 
 
 def test_grid_refinement_weak_consistency():

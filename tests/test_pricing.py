@@ -9,7 +9,7 @@ from ldpvol.errors import (
     DomainError,
     UnsupportedDomainError,
 )
-from ldpvol.presets import bs_const, frac_heston, reflected_ou, toy_sabr
+from ldpvol.presets import bs_const, frac_heston, reflected_ou, rough_gauss, toy_sabr
 from ldpvol.pricing import (
     ExitDomain,
     asian_asymptote,
@@ -294,3 +294,46 @@ def test_asian_vanishing_sigma_threshold():
     limit = 1.0 * (math.exp(0.05) - 1.0) / 0.05
     with pytest.raises(DomainError):
         asian_asymptote(m, limit * 0.999, 1.0, n_steps=40)
+
+
+# ---------------------------------------------------------------------------
+# gradient oracle of the constrained problems
+# ---------------------------------------------------------------------------
+
+
+def _joint_problems(model, grid):
+    from ldpvol.pricing import _AsianProblem, _ExitFaceProblem
+
+    half = ExitDomain("half_space", normal=[1.0], offset=0.17)
+    box = ExitDomain("box", lower=[-0.2], upper=[0.25])
+    yield "asian", _AsianProblem(model, grid, 1.05)
+    for idx, face in enumerate(half.faces() + box.faces()):
+        yield f"exit_face{idx}", _ExitFaceProblem(model, grid, face, 0.9)
+
+
+@pytest.mark.parametrize("mu", [10.0, 1e4])
+@pytest.mark.parametrize("factory", [bs_const, rough_gauss], ids=lambda f: f.__name__)
+def test_joint_problem_gradient_oracle(factory, mu):
+    from ldpvol.ratefn import check_gradient
+
+    grid = TimeGrid(1.0, 40)
+    rng = np.random.default_rng(99)
+    for name, prob in _joint_problems(factory(), grid):
+        prob.mu = mu
+        scale = math.sqrt(2.0 / (2 * prob.m * grid.horizon))  # restart size
+        for _ in range(2):
+            z = rng.normal(scale=scale, size=prob.dim)
+            assert check_gradient(prob, z) < 1e-5, name
+
+
+def test_pricer_diagnostics_carry_restarts():
+    rep = asian_asymptote(bs_const(), 1.05, 1.0, n_steps=40, restarts=2)
+    assert len(rep.diagnostics["restart_values"]) == 3
+    assert len(rep.diagnostics["restart_iterations"]) == 3
+    assert rep.diagnostics["gradient_evaluations"] >= rep.diagnostics["iterations"]
+    dom = ExitDomain("box", lower=[-0.2], upper=[0.25])
+    rep = exit_asymptote(bs_const(), dom, deadline=1.0, n_steps=40, restarts=1)
+    assert all(len(face["restart_values"]) == 2 for face in rep.diagnostics["faces"])
+    assert len(rep.diagnostics["restart_values"]) == 2
+    call = call_asymptote(toy_sabr(), 1.105, 1.0, n_steps=40, restarts=2)
+    assert len(call.diagnostics["restart_values"]) == 3

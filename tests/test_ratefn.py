@@ -10,15 +10,17 @@ from ldpvol.errors import (
     UnsupportedFormError,
 )
 from ldpvol.paths import Control, energy
-from ldpvol.presets import bs_const, frac_heston, rough_gauss, toy_sabr
+from ldpvol.presets import bs_const, frac_heston, reflected_ou, rough_gauss, toy_sabr
 from ldpvol.ratefn import (
     ModelSpec,
+    PathRateObjective,
     TerminalObjective,
     TerminalObjectiveOrthogonal,
     check_gradient,
     inf_tail,
     inf_tail_result,
     itilde_terminal,
+    minimize_multistart,
     phi_functional,
     qtilde_path,
 )
@@ -331,3 +333,86 @@ def test_inf_tail_correlated_searches_x():
     m = bs_const(rho=-0.5)
     # constant sigma: rate (x)^2/(2 s^2) increasing for x >= k > 0 regardless
     assert inf_tail(m, 0.1, grid=TimeGrid(1.0, 100)) == pytest.approx(0.125, rel=1e-4)
+
+
+# ---------------------------------------------------------------------------
+# gradient oracle: every objective class against central differences
+# ---------------------------------------------------------------------------
+
+
+def _volterra_model():
+    """volterra_sde vol: a(t,s,x) = -x, c(t,s,x) = 0.5 (t-s)^-0.2."""
+    from ldpvol.volmap import VOLTERRA_SDE
+
+    def c_map(t, s, x):
+        c = 0.5 * (t - s) ** -0.2
+        return np.broadcast_to(c[:, None, None], x.shape[:-1] + (1, 1))
+
+    vol = VolProcessSpec(
+        family=VOLTERRA_SDE, volterra_a=lambda t, s, x: -x, volterra_c=c_map
+    )
+    return ModelSpec(m=1, vol=vol, sigma=lambda t, u: 0.2 * np.exp(u[..., 0]), rho=-0.3)
+
+
+def _restart_controls(grid, m, count=3, seed=2718):
+    """Random controls of the size minimize_multistart restarts from."""
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(2.0 / (m * grid.horizon))
+    return [rng.normal(scale=scale, size=grid.n_steps * m) for _ in range(count)]
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [bs_const, toy_sabr, rough_gauss, frac_heston, reflected_ou, _volterra_model],
+    ids=lambda f: f.__name__.strip("_"),
+)
+def test_terminal_gradient_oracle(factory):
+    grid = TimeGrid(1.0, 40)
+    obj = TerminalObjective(factory(), grid, 0.1)
+    for x in _restart_controls(grid, 1):
+        assert check_gradient(obj, x) < 1e-5
+
+
+def test_orthogonal_gradient_oracle():
+    from ldpvol.presets import mixed_demo
+
+    grid = TimeGrid(1.0, 40)
+    obj = TerminalObjectiveOrthogonal(mixed_demo(), grid, np.array([0.05, 0.05]))
+    for x in _restart_controls(grid, 2):
+        assert check_gradient(obj, x) < 1e-5
+
+
+@pytest.mark.parametrize("factory", [bs_const, rough_gauss], ids=lambda f: f.__name__)
+def test_path_gradient_oracle(factory):
+    grid = TimeGrid(1.0, 40)
+    obj = PathRateObjective(factory(), PathFn(grid, 0.1 * grid.nodes))
+    for x in _restart_controls(grid, 1):
+        assert check_gradient(obj, x) < 1e-5
+
+
+def test_value_and_grad_matches_value():
+    # the fused evaluation L-BFGS sees reports the same value as value()
+    grid = TimeGrid(1.0, 40)
+    for factory in (toy_sabr, rough_gauss, frac_heston):
+        obj = TerminalObjective(factory(), grid, 0.1)
+        for x in _restart_controls(grid, 1):
+            assert obj.value_and_grad(x)[0] == obj.value(x)
+
+
+# ---------------------------------------------------------------------------
+# per-restart observability
+# ---------------------------------------------------------------------------
+
+
+def test_multistart_reports_every_restart():
+    grid = TimeGrid(1.0, 40)
+    obj = TerminalObjective(rough_gauss(), grid, 0.1)
+    x, info = minimize_multistart(obj, grid.n_steps, grid, 1, restarts=3, seed=2)
+    assert len(info["restart_values"]) == len(info["restart_iterations"]) == 4
+    assert sum(info["restart_iterations"]) == info["iterations"]
+    assert info["gradient_evaluations"] > info["iterations"]
+    best = min(info["restart_values"])
+    assert obj.value(x) == pytest.approx(best, rel=1e-9, abs=1e-12)
+    res = itilde_terminal(rough_gauss(), 0.1, grid=grid, restarts=3, seed=2)
+    assert res.diagnostics["restart_values"] == info["restart_values"]
+    assert res.value == pytest.approx(min(res.diagnostics["restart_values"]), rel=1e-9)
