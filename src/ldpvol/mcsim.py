@@ -8,7 +8,9 @@ exactly on every grid row.  One block scheduler (``_run_blocks``) serves
 every entry point and opens at most one thread pool per call.  Randomness is
 counter-based: every fixed-size block of paths owns a Philox substream keyed
 by (seed, ladder index, block index), so estimates are bit-identical no
-matter how blocks are scheduled across workers.
+matter how blocks are scheduled across workers.  Payoff moments are merged
+per block, in block order, from (count, mean, sum of squared deviations)
+(Chan, Golub & LeVeque), and each report carries its hit counts.
 """
 
 from __future__ import annotations

@@ -5,7 +5,10 @@ All quantities are leading-order exponential decay rates (and, for the
 implied volatility, the limit itself); vanishing corrections are not modeled.
 Constrained path problems are solved by an exterior quadratic penalty with
 geometric continuation on the penalty weight, followed by a feasibility
-polish along the found ray.
+polish along the found ray.  Their gradients are reverse mode through the
+functional (``ratefn.phi_vjp``) and the constraint: the trapezoid average of
+exp(phi) for Asian options, and the windowed maximum of the signed distance
+for exits, whose subgradient sits at the argmax.
 """
 
 from __future__ import annotations
@@ -40,7 +43,9 @@ PENALTY_START = 10.0
 PENALTY_FACTOR = 10.0
 FEASIBILITY_TOL = 1e-6
 # solve diagnostics of a subproblem the zero path already satisfies
-_NO_SOLVE = {"iterations": 0, "restart_values": [], "restart_iterations": [], "gradient_evaluations": 0}
+_NO_SOLVE = {
+    "iterations": 0, "restart_values": [], "restart_iterations": [], "gradient_evaluations": 0
+}
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,15 @@ For m > 1 the terminal rate is available only for models declared in
 rotation-times-scalar form: sigma = xi(t, u) * O(t, u) @ inv(cbar), with
 ``xi`` scalar-valued and ``o_map`` orthogonal; supply ``xi`` and ``o_map``
 instead of ``sigma``.
+
+Gradients are exact for the discretized objective and come from one
+mechanism: reverse mode through the explicit stages of the forward map
+(``phi_vjp`` and ``volmap.hat_map_vjp``).  Each objective's
+``value_and_grad`` runs one forward pass and one backward pass, and L-BFGS
+takes both from it.  The only finite differences are the state derivatives
+of the coefficient closures, central differences over the d state columns
+evaluated in the same closure calls as the forward pass, and
+``check_gradient``, the oracle every objective is tested against.
 """
 
 from __future__ import annotations
@@ -34,8 +43,8 @@ from .errors import (
 from .paths import Control, PathFn, TimeGrid, energy
 from .volmap import (
     FD_STEP,
-    central_jac,
     VolProcessSpec,
+    central_jac,
     hat_map_batch,
     hat_map_vjp,
     perturbed,

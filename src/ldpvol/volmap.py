@@ -11,6 +11,16 @@ The skeleton entry points (``solve_psi_batch``, ``gamma_y_batch``,
 ``hat_map_batch``) add the blow-up checks; the simulator excludes such paths
 instead.
 
+``hat_map_vjp`` returns the skeleton together with its vector-jacobian
+product, which runs each stage backwards (``vol_state_vjp``): a reverse
+cumulative sum for the toy family and Brownian kernels, the transposed weight
+table for the other kernels, a backward Euler recursion (the reflection's
+adjoint follows the argmin of the running minimum) and a backward causal
+sweep for ``volterra_sde``.  Coefficient closures enter through their state
+derivatives, central differences over the state columns only: the forward
+pass calls each closure once per step on the state stacked with its
+perturbations (``perturbed``, ``central_jac``).
+
 Coefficient closures must be numpy-vectorized: they receive arrays with
 arbitrary leading batch axes and broadcast over them.  Signatures:
 
@@ -204,7 +214,9 @@ def perturbed(x):
     called once on the stack yields its values and its state derivatives
     (``central_jac``): loops keep one closure call per step.
     """
-    h = FD_STEP * np.maximum(1.0, np.abs(x))
+    h = np.abs(x)
+    np.maximum(h, 1.0, out=h)
+    h *= FD_STEP
     return x + _offsets(x.shape[-1], x.ndim) * h, h
 
 
@@ -214,16 +226,18 @@ def central_jac(vals, h):
     vals = np.asarray(vals, float)
     d = h.shape[-1]
     shape = h.shape[:-1] + (1,) * (vals.ndim - h.ndim)  # h per column, against val
+    if d == 1:
+        return vals[0], ((vals[1] - vals[2]) / (2.0 * h.reshape(shape)))[..., None]
     cols = [
         (vals[1 + a] - vals[1 + d + a]) / (2.0 * h[..., a].reshape(shape)) for a in range(d)
     ]
-    return vals[0], cols[0][..., None] if d == 1 else np.stack(cols, axis=-1)
+    return vals[0], np.stack(cols, axis=-1)
 
 
 def reverse_cumsum(a, axis):
     """Reverse cumulative sum: the adjoint of np.cumsum along ``axis`` < 0."""
     rev = (Ellipsis, slice(None, None, -1)) + (slice(None),) * (-1 - axis)
-    return np.cumsum(a[rev], axis=axis)[rev]
+    return a[rev].cumsum(axis=axis)[rev]
 
 
 def _new_minima(vals):
@@ -269,7 +283,7 @@ def _euler(spec, incr, grid, start, reflected=False, tape=None):
     return out
 
 
-def _euler_vjp(spec, incr, grid, out, tape, out_bar, reflected=False):
+def _euler_vjp(incr, grid, out, tape, out_bar, reflected=False):
     """Adjoint of ``_euler``: out_bar (..., n+1, k) -> incr_bar (..., n, m).
 
     One backward pass over the steps; with ``reflected``, the adjoint of
@@ -354,7 +368,7 @@ def _fractional_vjp(spec, incr, grid, tape, out_bar):
     psi = tape["psi"]
     psi_bar = np.zeros(psi.shape)
     psi_bar[..., :-1, :] = np.einsum("...nd,...ndk->...nk", u_bar, tape["u_psi"])
-    return _euler_vjp(spec, incr, grid, psi, tape["aux"], psi_bar)
+    return _euler_vjp(incr, grid, psi, tape["aux"], psi_bar)
 
 
 def _volterra_sweep(spec, incr, grid, tape=None):
@@ -410,7 +424,8 @@ def _volterra_vjp(spec, incr, grid, tape, eta_bar):
         jac = jac + np.einsum("...ijkma,...jm->...ijka", c_x, incr)
     lam = np.array(eta_bar, float)
     for i in reversed(range(1, grid.n_steps + 1)):
-        lam[..., :i, :] += np.einsum("...k,...jka->...ja", lam[..., i, :], jac[..., i - 1, :i, :, :])
+        row = jac[..., i - 1, :i, :, :]
+        lam[..., :i, :] += np.einsum("...k,...jka->...ja", lam[..., i, :], row)
     if tape["c"] is None:
         return np.zeros(incr.shape)
     return np.einsum("...ik,...ijkm->...jm", lam[..., 1:, :], cv)
@@ -463,7 +478,7 @@ def vol_state_vjp(spec: VolProcessSpec, incr, grid, noise_table, tape, vals_bar)
     if spec.family == VOLTERRA_SDE:
         return _volterra_vjp(spec, incr, grid, tape, vals_bar)
     if spec.family == REFLECTED:
-        return _euler_vjp(spec, incr, grid, tape["state"], tape["aux"], vals_bar, reflected=True)
+        return _euler_vjp(incr, grid, tape["state"], tape["aux"], vals_bar, reflected=True)
     out = np.zeros(incr.shape)
     if spec.family in (GAUSSIAN, MIXED):
         out += _gaussian_vjp(spec, vals_bar, grid, noise_table, incr.shape)

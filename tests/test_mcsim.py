@@ -169,7 +169,8 @@ def test_simulate_vol_skips_unused_price_noise():
     grid = TimeGrid(1.0, 20)
     n_paths, seed, eps = 3000, 19, 0.3
     ens = simulate_vol(spec, eps, n_paths, grid, seed)
-    db = _block_rng(seed, 0, 0).standard_normal((n_paths, grid.n_steps, 1)) * math.sqrt(grid.dt)
+    z = _block_rng(seed, 0, 0).standard_normal((n_paths, grid.n_steps, 1))
+    db = z * math.sqrt(grid.dt)
     np.testing.assert_array_equal(ens.paths, _vol_block(spec, db, grid, eps))
 
 
@@ -177,7 +178,9 @@ def test_moment_merge_survives_large_offset():
     # a payoff of a large constant plus small noise: E[X^2] - E[X]^2 cancels
     # to nothing, the per-block (n, mean, M2) merge keeps the variance (its
     # own floor is the rounding of the block means, ulp(offset) ~ 2e-9 here)
-    cfg = _cfg(bs_const(), ladder=(0.5,), n_paths=2 * BLOCK_SIZE + 1000, grid=TimeGrid(1.0, 10), seed=5)
+    cfg = _cfg(
+        bs_const(), ladder=(0.5,), n_paths=2 * BLOCK_SIZE + 1000, grid=TimeGrid(1.0, 10), seed=5
+    )
     offset = 1e7
     (mom,) = _per_eps_payoff_stats(cfg, lambda x, paths: offset + x[:, 0])
     vals = offset + simulate_logprice(cfg, 0.5).terminal[:, 0]
@@ -193,10 +196,12 @@ def test_moment_merge_survives_large_offset():
 
 def test_moment_merge_worker_independent():
     m = toy_sabr()
-    reps = [
-        mc_call_report(_cfg(m, ladder=(0.3,), n_paths=BLOCK_SIZE + 5000, seed=3, grid=TimeGrid(1.0, 10), max_workers=w), 1.05, reference_rate=0.0)
+    cfgs = [
+        _cfg(m, ladder=(0.3,), n_paths=BLOCK_SIZE + 5000, seed=3, grid=TimeGrid(1.0, 10),
+             max_workers=w)
         for w in (1, 2)
     ]
+    reps = [mc_call_report(cfg, 1.05, reference_rate=0.0) for cfg in cfgs]
     assert reps[0].rows[0].estimate == reps[1].rows[0].estimate
     assert reps[0].rows[0].std_error == reps[1].rows[0].std_error
     assert reps[0].diagnostics["hits"] == reps[1].diagnostics["hits"]
