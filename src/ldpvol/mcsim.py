@@ -3,8 +3,11 @@ that -eps * log(probabilities / prices) approach the computed decay rates.
 
 Volatility paths come from the skeleton's own scheme (``volmap.vol_state``)
 driven by ``sqrt(eps) * dB``; the Gaussian convolution uses the per-cell
-root-mean-square weights, which reproduce the slice variance of the kernel
-exactly on every grid row.  One block scheduler (``_run_blocks``) serves
+root-mean-square weights, which reproduce the slice variance of the kernel on
+every grid row, exactly for the Brownian, Riemann-Liouville and logarithmic
+kernels and up to the trapezoid rule on K^2 for Molchan-Golosov and tabulated
+ones.  Exit runs keep a running hit flag per path, not whole paths.  One
+block scheduler (``_run_blocks``) serves
 every entry point and opens at most one thread pool per call.  Randomness is
 counter-based: every fixed-size block of paths owns a Philox substream keyed
 by (seed, ladder index, block index), so estimates are bit-identical no
@@ -185,7 +188,7 @@ def _run_blocks(
 
 def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
     """The skeleton's scheme driven by sqrt(eps) dB, Gaussian part on the
-    variance-exact rms_weights."""
+    root-mean-square rms_weights."""
     incr = math.sqrt(epsilon) * db
     return output_map(spec, vol_state(spec, incr, grid, _k.rms_weights))
 
@@ -228,9 +231,9 @@ def simulate_vol(
 # ---------------------------------------------------------------------------
 
 
-def _logprice_block(model: ModelSpec, grid, epsilon, db, dw, keep_paths=False):
-    """Terminal log-price displacement X_T - x0 per path, the whole
-    displacement path (size, n+1, m) when ``keep_paths``, and the finite mask."""
+def _logprice_block(model: ModelSpec, grid, epsilon, db, dw, watch=None):
+    """Terminal log-price displacement X_T - x0 per path and the finite mask;
+    ``watch(k, x)`` sees the displacement at every node k = 1..n on the way."""
     spec = model.vol
     vol_paths = _vol_block(spec, db, grid, epsilon)
     size = db.shape[0]
@@ -240,7 +243,6 @@ def _logprice_block(model: ModelSpec, grid, epsilon, db, dw, keep_paths=False):
     sqeps = math.sqrt(epsilon)
     m = model.m
     x = np.zeros((size, m))
-    paths = np.zeros((size, n + 1, m)) if keep_paths else None
     scalar = m == 1
     for k in range(n):
         u = vol_paths[:, k, :]
@@ -259,10 +261,10 @@ def _logprice_block(model: ModelSpec, grid, epsilon, db, dw, keep_paths=False):
             x += (b - 0.5 * epsilon * quad) * dt + sqeps * np.einsum(
                 "bij,bj->bi", sig, noise
             )
-        if keep_paths:
-            paths[:, k + 1, :] = x
+        if watch is not None:
+            watch(k + 1, x)
     ok = np.all(np.isfinite(x), axis=1) & (np.max(np.abs(x), axis=1) < BLOWUP_LIMIT)
-    return x, paths, ok
+    return x, ok
 
 
 @dataclass
@@ -282,7 +284,13 @@ def simulate_logprice(
     """
 
     def block(eps, db, dw):
-        x, paths, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, keep_paths)
+        size = (db.shape[0], cfg.grid.n_steps + 1, cfg.model.m)
+        paths = np.zeros(size) if keep_paths else None
+
+        def keep(k, x):
+            paths[:, k, :] = x
+
+        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, keep if keep_paths else None)
         return x[ok], paths[ok] if keep_paths else None, int(np.sum(~ok))
 
     (results,) = _run_blocks(
@@ -371,13 +379,20 @@ def _reduce_report(cfg, quantity, per_eps_stats, reference_rate, diagnostics=Non
     )
 
 
-def _per_eps_payoff_stats(cfg, payoff_fn, need_paths=False):
+def _per_eps_payoff_stats(cfg, payoff_fn, watcher=None):
     """Payoff ``_Moments`` per ladder entry, merged over blocks in block order
-    (the estimate is the plain sum over the count, as before the merge)."""
+    (the estimate is the plain sum over the count, as before the merge).
+
+    ``payoff_fn(x, seen)`` gets the finite paths' terminal displacements and,
+    with a ``watcher``, their rows of what it saw on the way:
+    ``watcher(size)`` returns ``(seen, watch)``, ``watch(k, x)`` runs at
+    every node.
+    """
 
     def block(eps, db, dw):
-        x, paths, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, need_paths)
-        return _Moments.of(payoff_fn(x[ok], paths[ok] if need_paths else None))
+        seen, watch = watcher(db.shape[0]) if watcher else (None, None)
+        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, watch)
+        return _Moments.of(payoff_fn(x[ok], None if seen is None else seen[ok]))
 
     per_entry = _run_blocks(
         block, list(enumerate(cfg.epsilon_ladder)), cfg.n_paths, cfg.grid,
@@ -441,14 +456,17 @@ def mc_exit_report(
     window = cfg.grid.nodes <= deadline + 1e-12
     window[0] = False
 
-    def exited(x, paths):
-        flags = np.zeros(paths.shape[0], dtype=bool)
-        for a, c in faces:
-            sd = np.einsum("a,bna->bn", a, paths) - c
-            flags |= np.any(sd[:, window] >= 0.0, axis=1)
-        return flags.astype(float)
+    def watcher(size):
+        hit = np.zeros(size, dtype=bool)  # a running flag, not whole paths
 
-    stats = _per_eps_payoff_stats(cfg, exited, need_paths=True)
+        def watch(k, x):
+            if window[k]:
+                for a, c in faces:
+                    hit[:] |= x @ a - c >= 0.0
+
+        return hit, watch
+
+    stats = _per_eps_payoff_stats(cfg, lambda x, hit: hit.astype(float), watcher)
     return _reduce_report(
         cfg, "exit_probability", stats, reference_rate, {"deadline": deadline}
     )

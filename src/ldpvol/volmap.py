@@ -185,7 +185,9 @@ class VolProcessSpec:
 # ``sqrt(eps) * dB``.  The only other input the two callers choose is the
 # Gaussian noise table ``noise_table(kernel, grid)``, weights per unit
 # increment: ``cell_means`` (cell-averaged kernel) for the skeleton and the
-# variance-exact ``kernels.rms_weights`` for simulation.
+# root-mean-square ``kernels.rms_weights`` for simulation, which reproduce
+# the slice variance exactly for closed-form kernels and approximately
+# (trapezoid on K^2 inside) for Molchan-Golosov and tabulated ones.
 
 
 @functools.lru_cache(maxsize=128)

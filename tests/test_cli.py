@@ -229,3 +229,16 @@ def test_rate_path_command(tmp_path, capsys):
     obj = json.loads(out)
     assert obj["value"] == pytest.approx(0.125, rel=1e-6)
     assert obj["minimizer_l"] is not None
+
+
+def test_frac_heston_restart_seed_105_converges(capsys):
+    # this restart seed once ended at the right value with a gradient norm
+    # just above L-BFGS's gtol and exited 3
+    rates = {}
+    for seed in ("0", "105"):
+        code, out, _ = run_cli(
+            capsys, "rate-terminal", "--preset", "frac_heston", "--x", "0.1", "--seed", seed
+        )
+        assert code == EXIT_OK
+        rates[seed] = json.loads(out)["value"]
+    assert rates["105"] == pytest.approx(rates["0"], rel=1e-9)

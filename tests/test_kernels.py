@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sint
+from scipy.special import beta as beta_fn
 from scipy.special import gamma
 
 from ldpvol.errors import AdmissibilityError, DimensionError, InvalidKernelError
@@ -243,3 +244,112 @@ def test_kernel_spec_json_roundtrip():
     for k in ALL_PRESET_KERNELS:
         k2 = KernelSpec.from_json_obj(k.to_json_obj())
         assert k2 == k
+
+
+def _mg_mpmath(h, t, s):
+    """Explicit integral form at 40 digits; for H > 1/2 the inner integral is
+    taken after v = (u - s)^(H - 1/2), which removes its endpoint singularity."""
+    mp = pytest.importorskip("mpmath")
+    mp.mp.dps = 40
+    h, t, s = mp.mpf(h), mp.mpf(t), mp.mpf(s)
+    if h < 0.5:
+        pref = mp.sqrt(2 * h / ((1 - 2 * h) * mp.beta(h + 0.5, 1 - 2 * h)))
+        inner = mp.quad(lambda u: u ** (h - 1.5) * (u - s) ** (h - 0.5), [s, t])
+        return pref * (
+            (t / s) ** (h - 0.5) * (t - s) ** (h - 0.5) - (h - 0.5) * s ** (0.5 - h) * inner
+        )
+    b = h - 0.5
+    pref = mp.sqrt(h * (2 * h - 1) / mp.beta(b, 2 - 2 * h))
+    inner = mp.quad(lambda v: (s + v ** (1 / b)) ** b, [0, (t - s) ** b]) / b
+    return pref * s ** (0.5 - h) * inner
+
+
+@pytest.mark.parametrize("h", [0.05, 0.3, 0.49, 0.4999, 0.5001, 0.505, 0.7, 0.95])
+def test_mg_closed_form_matches_mpmath(h):
+    k = molchan_golosov(h)
+    for t, s in [(1.0, 1 / 400), (1.0, 1 - 1 / 400), (0.5, 0.2)]:
+        ref = float(_mg_mpmath(h, t, s))
+        assert abs(eval_kernel(k, t, s) - ref) <= 1e-13 * abs(ref)
+
+
+def _scalar_quad(f, a, b, points=None):
+    val, _ = sint.quad(f, a, b, points=points, epsabs=0.0, epsrel=1e-13, limit=400)
+    return val
+
+
+def _mg_tables_by_scalar_quad(h, grid):
+    """The Molchan-Golosov cell scheme cell by cell with scalar adaptive
+    quadrature: exact moments on the band of 4 cells at either end of a row
+    (quad_weights) and on the first cell (rms_weights), trapezoid inside, the
+    diagonal cell of rms_weights from K ~ pref (t-s)^(H-1/2) for H < 1/2."""
+    k = molchan_golosov(h)
+    n, dt, nodes = grid.n_steps, grid.dt, grid.nodes
+    K = np.array([[eval_kernel(k, t, s) if 0 < s < t else 0.0 for s in nodes] for t in nodes])
+    W = np.zeros((n + 1, n + 1))
+    R = np.zeros((n + 1, n))
+    for i in range(1, n + 1):
+        t = nodes[i]
+        f = lambda s: eval_kernel(k, t, s)
+        for j in range(i):
+            a, b = nodes[j], nodes[j + 1]
+            mid = [0.5 * (a + b)] if i == 1 else None
+            if j < 4 or i - 1 - j < 4:
+                m0 = _scalar_quad(f, a, b, mid)
+                m1 = _scalar_quad(lambda s: f(s) * (s - a), a, b, mid)
+                W[i, j] += m0 - m1 / dt
+                W[i, j + 1] += m1 / dt
+            else:
+                W[i, j] += dt / 2 * K[i, j]
+                W[i, j + 1] += dt / 2 * K[i, j + 1]
+            if j == 0:
+                cell = _scalar_quad(lambda s: f(s) ** 2, a, b, mid)
+            elif j == i - 1 and h < 0.5:
+                pref2 = 2 * h / ((1 - 2 * h) * beta_fn(h + 0.5, 1 - 2 * h))
+                cell = pref2 * dt ** (2 * h) / (2 * h)
+            else:
+                cell = dt / 2 * (K[i, j] ** 2 + K[i, j + 1] ** 2)
+            R[i, j] = math.sqrt(cell / dt)
+    M = np.tril(W[:, :n], -1)
+    M[np.arange(1, n + 1), np.arange(n)] += np.diag(W)[1:]
+    return W, M, R
+
+
+@pytest.mark.parametrize("h", [0.3, 0.7])
+def test_mg_tables_match_scalar_quadrature(h):
+    from ldpvol.kernels import pc_weights, quad_weights, rms_weights
+
+    grid = TimeGrid(1.0, 16)
+    k = molchan_golosov(h)
+    for got, want in zip(
+        (quad_weights(k, grid), pc_weights(k, grid), rms_weights(k, grid)),
+        _mg_tables_by_scalar_quad(h, grid),
+    ):
+        assert got.shape == want.shape
+        assert np.all((got == 0.0) == (want == 0.0))
+        nz = want != 0.0
+        assert np.max(np.abs(got[nz] - want[nz]) / np.abs(want[nz])) <= 1e-8
+
+
+def test_tabulated_tables_equal_scalar_loop():
+    from ldpvol.kernels import pc_weights, quad_weights, rms_weights
+
+    tt = np.linspace(0.0, 1.0, 41)
+    k = tabulated(tt, tt, np.exp(-np.subtract.outer(tt, tt) ** 2))
+    grid = TimeGrid(1.0, 50)
+    n, dt, nodes = grid.n_steps, grid.dt, grid.nodes
+    rows = np.zeros((n + 1, n + 1))
+    for i in range(1, n + 1):
+        for j in range(i):
+            rows[i, j] = eval_kernel(k, nodes[i], nodes[j])
+    W = np.zeros((n + 1, n + 1))
+    M = np.zeros((n + 1, n))
+    R = np.zeros((n + 1, n))
+    for i in range(1, n + 1):
+        for j in range(i):
+            W[i, j] += dt / 2 * rows[i, j]
+            W[i, j + 1] += dt / 2 * rows[i, j + 1]
+        M[i, :i] = dt / 2 * (rows[i, :i] + rows[i, 1 : i + 1])
+        R[i, :i] = np.sqrt(dt / 2 * (rows[i, :i] ** 2 + rows[i, 1 : i + 1] ** 2) / dt)
+    assert np.array_equal(quad_weights(k, grid), W)
+    assert np.array_equal(pc_weights(k, grid), M)
+    assert np.array_equal(rms_weights(k, grid), R)

@@ -364,3 +364,36 @@ def test_report_json_csv(tmp_path):
     lines = f.read_text().strip().splitlines()
     assert lines[0].startswith("epsilon,")
     assert len(lines) == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("case", ["half_space", "box"])
+def test_exit_report_equals_kept_paths(case, workers):
+    # the running hit flag reproduces the exit frequencies taken from whole
+    # kept paths, bit for bit, over two blocks and two ladder entries
+    from ldpvol.presets import mixed_demo
+
+    if case == "half_space":
+        model = bs_const()
+        dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
+    else:
+        model = mixed_demo()
+        x0 = np.asarray(model.x0, float)
+        dom = ExitDomain("box", lower=x0 - 0.2, upper=x0 + 0.15)
+    grid = TimeGrid(1.0, 20)
+    cfg = _cfg(model, ladder=(0.5, 0.2), n_paths=BLOCK_SIZE + 500, seed=31, grid=grid,
+               max_workers=workers)
+    rep = mc_exit_report(cfg, dom, 0.8, reference_rate=0.0)
+    faces = [(a, c - float(a @ model.x0)) for a, c in dom.faces()]
+    window = grid.nodes <= 0.8 + 1e-12
+    window[0] = False
+    for li, (eps, row) in enumerate(zip(cfg.epsilon_ladder, rep.rows)):
+        paths = simulate_logprice(cfg, eps, keep_paths=True, ladder_index=li).paths
+        flags = np.zeros(paths.shape[0], dtype=bool)
+        for a, c in faces:
+            sd = np.einsum("a,bna->bn", a, paths) - c
+            flags |= np.any(sd[:, window] >= 0.0, axis=1)
+        assert row.n_effective == paths.shape[0]
+        assert rep.diagnostics["hits"][li] == int(np.sum(flags))
+        assert 0 < np.sum(flags) < paths.shape[0]
+        assert row.estimate == float(np.sum(flags.astype(float))) / paths.shape[0]
