@@ -589,11 +589,6 @@ def hat_map(spec: VolProcessSpec, control: Control) -> PathFn:
     return PathFn(control.grid, hat_map_batch(spec, control.dot_values, control.grid))
 
 
-def is_affine_in_control(spec: VolProcessSpec) -> bool:
-    """True when the skeleton map is affine in the control."""
-    return spec.family in (GAUSSIAN, TOY) and not spec.reflect
-
-
 # ---------------------------------------------------------------------------
 # named coefficient helpers for serializable model files
 # ---------------------------------------------------------------------------

@@ -274,7 +274,7 @@ def test_exit_toy_joint_control_beats_frozen_volatility():
 
 
 def test_inf_tail_correlated_matches_scan():
-    # the bounded 1-D search over the tail agrees with a coarse dense scan
+    # the one terminal solve at k is no worse than a coarse dense scan of the tail
     from ldpvol.presets import rough_gauss
     from ldpvol.ratefn import inf_tail_result, itilde_terminal
 

@@ -325,8 +325,47 @@ def test_inf_tail_constant_sigma():
 
 
 def test_inf_tail_attained_zero():
-    m = bs_const(r=0.05)
-    assert inf_tail(m, 0.02, grid=GRID) == 0.0  # drift alone reaches 0.05 > 0.02
+    for rho in (0.0, -0.5):
+        m = bs_const(r=0.05, rho=rho)
+        assert inf_tail(m, 0.02, grid=GRID) == 0.0  # drift alone reaches 0.05 > 0.02
+
+
+def test_inf_tail_correlated_closed_form():
+    # constant coefficients: the rate at x is (x - r)^2 / (2 sigma^2) for any rho
+    m = bs_const(r=0.05, rho=-0.5, sigma0=0.2)
+    v, res = inf_tail_result(m, 0.06, grid=GRID)
+    assert v == pytest.approx(0.01**2 / (2 * 0.2**2), rel=1e-6)
+    assert res.diagnostics["argmin_x"] == 0.06
+
+
+def _bounded_search_inf_tail(model, k, grid, restarts):
+    """The tail infimum by a bounded scalar search over x >= k, then the min
+    with the rate at k: the algorithm one terminal solve at k replaces."""
+    from scipy.optimize import minimize_scalar
+
+    def rate_at(x):
+        return itilde_terminal(model, x, grid=grid, restarts=restarts).value
+
+    obj, zero = TerminalObjective(model, grid, k), np.zeros(grid.n_steps)
+    i_s2 = obj._integrals(zero, *obj._coefficients(zero))[1]
+    scale = math.sqrt(max(i_s2 / grid.horizon, 1e-12))
+    hi = k + 10.0 * scale * math.sqrt(grid.horizon)
+    sres = minimize_scalar(
+        rate_at, bounds=(k, hi), method="bounded", options={"xatol": 1e-5 * max(1.0, abs(k))}
+    )
+    return min(rate_at(k), float(sres.fun))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: bs_const(rho=-0.5), toy_sabr, rough_gauss, frac_heston, reflected_ou],
+    ids=["bs_const_rho-0.5", "toy_sabr", "rough_gauss", "frac_heston", "reflected_ou"],
+)
+def test_inf_tail_matches_bounded_search(make):
+    model, grid, k = make(), TimeGrid(1.0, 30), 0.1
+    v, res = inf_tail_result(model, k, grid=grid, restarts=2)
+    assert v == pytest.approx(_bounded_search_inf_tail(model, k, grid, 2), rel=1e-9)
+    assert res.diagnostics["argmin_x"] == k
 
 
 def test_inf_tail_correlated_searches_x():

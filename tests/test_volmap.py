@@ -14,7 +14,6 @@ from ldpvol.volmap import (
     cir_coefficients,
     gamma_y,
     hat_map,
-    is_affine_in_control,
     ou_coefficients,
     solve_psi,
 )
@@ -188,7 +187,6 @@ def test_mixed_is_sum_of_degenerate_families():
 
 def test_gaussian_hat_affine_in_control():
     spec = gaussian_spec(d=1, m=2, kern=riemann_liouville(0.3))
-    assert is_affine_in_control(spec)
     rng = np.random.default_rng(5)
     f = rng.normal(size=(100, 2))
     g = rng.normal(size=(100, 2))
