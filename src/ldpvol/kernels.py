@@ -437,7 +437,11 @@ def rms_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
     slice variance of the kernel on every row: exactly where the cell
     integrals of K^2 are closed form (Brownian, Riemann-Liouville,
     logarithmic), up to the trapezoid rule on the interior cells for the
-    Molchan-Golosov and tabulated kernels.
+    Molchan-Golosov and tabulated kernels.  The diagonal cell j = i - 1 takes
+    the left limit K(t_i, t_i-), not the Volterra zero: closed form for
+    Molchan-Golosov with H < 1/2, the batched cell rule for H > 1/2 (as on
+    the first cell), and the table's value at (t_i, t_i) for tabulated
+    kernels.
     """
     n = grid.n_steps
     dt = grid.dt
@@ -457,12 +461,18 @@ def rms_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
     else:  # trapezoid rule on K^2
         rows = _row_values(kernel, grid)
         cell = dt / 2 * (rows[i, j] ** 2 + rows[i, j + 1] ** 2)
-    if kind == MOLCHAN_GOLOSOV:
+    diag = j == i - 1
+    if kind == TABULATED:
+        t = grid.nodes[i[diag]]
+        cell[diag] = dt / 2 * (rows[i[diag], j[diag]] ** 2 + _table_value(kernel.table, t, t) ** 2)
+    elif kind == MOLCHAN_GOLOSOV:
         h = kernel.hurst
         if h < 0.5:  # diagonal behaviour K ~ pref * (t-s)^(H-1/2)
-            cell[j == i - 1] = _mg_prefactor(h) ** 2 * dt ** (2 * h) / (2 * h)
-        first = j == 0
-        cell[first] = _mg_cell_moments(h, grid, i[first], j[first])[2]
+            cell[diag] = _mg_prefactor(h) ** 2 * dt ** (2 * h) / (2 * h)
+            exact = j == 0
+        else:
+            exact = (j == 0) | diag
+        cell[exact] = _mg_cell_moments(h, grid, i[exact], j[exact])[2]
     R[i, j] = np.sqrt(np.maximum(cell, 0.0) / dt)
     return R
 

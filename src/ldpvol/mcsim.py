@@ -5,13 +5,18 @@ Volatility paths come from the skeleton's own scheme (``volmap.vol_state``)
 driven by ``sqrt(eps) * dB``; the Gaussian convolution uses the per-cell
 root-mean-square weights, which reproduce the slice variance of the kernel on
 every grid row, exactly for the Brownian, Riemann-Liouville and logarithmic
-kernels and up to the trapezoid rule on K^2 for Molchan-Golosov and tabulated
-ones.  Exit runs keep a running hit flag per path, not whole paths.  One
-block scheduler (``_run_blocks``) serves
-every entry point and opens at most one thread pool per call.  Randomness is
-counter-based: every fixed-size block of paths owns a Philox substream keyed
-by (seed, ladder index, block index), so estimates are bit-identical no
-matter how blocks are scheduled across workers.  Payoff moments are merged
+kernels and up to the trapezoid rule on the interior cells of K^2 for
+Molchan-Golosov and tabulated ones.  Exit runs keep a running hit flag per
+path, not whole paths.  One block scheduler (``_run_blocks``) serves every
+entry point and opens at most one thread pool per call.  Every fixed-size
+block of paths owns an SFC64 substream keyed by
+``SeedSequence([seed, ladder index, block index])``, so estimates are
+bit-identical no matter how blocks are scheduled across workers; SFC64's
+256-bit state carries a 64-bit counter, and SeedSequence-hashed starting
+states make overlap between substreams negligible in practice.  Normals are
+drawn straight into one pair of buffers per worker thread, reused for every
+block the thread runs, and scaled in place; antithetic blocks draw the first
+half and write its negation into the rest.  Payoff moments are merged
 per block, in block order, from (count, mean, sum of squared deviations)
 (Chan, Golub & LeVeque), and each report carries its hit counts.
 """
@@ -20,6 +25,7 @@ from __future__ import annotations
 
 import functools
 import math
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -35,6 +41,7 @@ from .volmap import VolProcessSpec, output_map, vol_state
 
 BLOCK_SIZE = 1 << 15
 BLOWUP_LIMIT = 1e9
+RNG_SCHEME = "SFC64(SeedSequence([seed, ladder index, block index]))"
 
 
 @dataclass
@@ -119,11 +126,15 @@ class McReport:
 
 
 def _block_rng(seed: int, ladder_index: int, block_index: int) -> np.random.Generator:
-    key = np.array(
-        [np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64((ladder_index << 32) | block_index)],
-        dtype=np.uint64,
-    )
-    return np.random.Generator(np.random.Philox(key=key))
+    """The substream of one block: SFC64 seeded by
+    ``SeedSequence([seed mod 2^64, ladder index, block index])``.
+
+    SeedSequence hashes the whole key into the 256-bit SFC64 state, whose
+    64-bit counter alone guarantees a period of at least 2^64 draws, so the
+    substreams of distinct keys do not overlap in practice.
+    """
+    ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, ladder_index, block_index])
+    return np.random.Generator(np.random.SFC64(ss))
 
 
 def _block_sizes(n_paths: int):
@@ -136,19 +147,18 @@ def _block_sizes(n_paths: int):
     return sizes
 
 
-def _draw_increments(rng, size, n, m, dt, antithetic, need_dw=True):
-    """(size, n, m) Brownian increments for driver and pricing noise; the
-    pricing noise is drawn second, and not at all without ``need_dw``."""
+def _draw_increments(rng, out, dt, antithetic):
+    """Fill ``out`` (size, n, m) with Brownian increments of variance dt.
 
-    def draw():
-        if not antithetic:
-            return rng.standard_normal((size, n, m)) * s
-        z = rng.standard_normal(((size + 1) // 2, n, m))
-        return np.concatenate([z, -z], axis=0)[:size] * s
-
+    Antithetic blocks draw the first ceil(size/2) rows and write their
+    negation into the rest, as ``concatenate([z, -z])[:size]`` would.
+    """
     s = math.sqrt(dt)
-    db = draw()
-    return db, draw() if need_dw else None
+    size = out.shape[0]
+    half = (size + 1) // 2 if antithetic else size
+    rng.standard_normal(out=out[:half])
+    out[:half] *= s
+    np.negative(out[: size - half], out=out[half:])
 
 
 def _run_blocks(
@@ -159,17 +169,26 @@ def _run_blocks(
 
     Returns one list of block results per entry, in block order; each block
     draws from its own substream, so results do not depend on ``workers``.
-    Block functions that never read the pricing noise pass ``need_dw=False``
-    and get ``dw = None``; the driver noise ``db`` is drawn first either way.
+    The driver noise ``db`` is drawn first, then the pricing noise ``dw``;
+    block functions that never read the pricing noise pass ``need_dw=False``
+    and get ``dw = None``.  ``db`` and ``dw`` are views of buffers that each
+    worker thread reuses for every block it runs, so a block function must
+    not return a view of them.
     """
     sizes = _block_sizes(int(n_paths))
     tasks = [(li, eps, b, size) for li, eps in entries for b, size in enumerate(sizes)]
+    shape = (sizes[0], grid.n_steps, m)
+    local = threading.local()
 
     def run(task):
         li, eps, b, size = task
-        db, dw = _draw_increments(
-            _block_rng(seed, li, b), size, grid.n_steps, m, grid.dt, antithetic, need_dw
-        )
+        if not hasattr(local, "bufs"):
+            local.bufs = [np.empty(shape) for _ in range(2 if need_dw else 1)]
+        rng = _block_rng(seed, li, b)
+        views = [buf[:size] for buf in local.bufs]  # db, then dw
+        for v in views:
+            _draw_increments(rng, v, grid.dt, antithetic)
+        db, dw = views if need_dw else (views[0], None)
         return block_fn(float(eps), db, dw)
 
     if workers > 1 and len(tasks) > 1:
@@ -375,7 +394,14 @@ def _reduce_report(cfg, quantity, per_eps_stats, reference_rate, diagnostics=Non
         quantity=quantity,
         rows=rows,
         reference_rate=reference_rate,
-        diagnostics={**(diagnostics or {}), "hits": [mom.hits for mom in per_eps_stats]},
+        diagnostics={
+            **(diagnostics or {}),
+            "hits": [mom.hits for mom in per_eps_stats],
+            "provenance": {
+                "rng": RNG_SCHEME, "seed": cfg.seed, "block_size": BLOCK_SIZE,
+                "workers": cfg.max_workers,
+            },
+        },
     )
 
 

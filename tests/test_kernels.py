@@ -11,6 +11,7 @@ from scipy.special import gamma
 from ldpvol.errors import AdmissibilityError, DimensionError, InvalidKernelError
 from ldpvol.kernels import (
     KernelSpec,
+    _table_value,
     brownian,
     eval_kernel,
     hs_apply,
@@ -240,6 +241,27 @@ def test_rms_weights_reproduce_slice_variance():
             assert abs(var - want) <= tol * max(want, 1e-12)
 
 
+@pytest.mark.parametrize("n", [16, 50])
+def test_rms_weights_diagonal_cell_keeps_row_variance(n):
+    # K(t, s) stays near a nonzero value up to s = t (tabulated, MG H near
+    # 1/2) or falls steeply only next to it (MG H > 1/2): the diagonal cell
+    # must not take the Volterra zero at s = t
+    from ldpvol.kernels import rms_weights
+
+    tt = np.linspace(0.0, 1.0, 41)
+    grid = TimeGrid(1.0, n)
+    for kern in (
+        molchan_golosov(0.7),
+        molchan_golosov(0.5001),
+        tabulated(tt, tt, np.exp(-np.subtract.outer(tt, tt) ** 2)),
+    ):
+        R = rms_weights(kern, grid)
+        for i in range(1, n + 1):
+            var = float(np.sum(R[i] ** 2)) * grid.dt
+            want = slice_variance(kern, grid.nodes[i])
+            assert abs(var - want) <= 5e-3 * want, (kern.kind, kern.hurst, i)
+
+
 def test_kernel_spec_json_roundtrip():
     for k in ALL_PRESET_KERNELS:
         k2 = KernelSpec.from_json_obj(k.to_json_obj())
@@ -280,8 +302,9 @@ def _scalar_quad(f, a, b, points=None):
 def _mg_tables_by_scalar_quad(h, grid):
     """The Molchan-Golosov cell scheme cell by cell with scalar adaptive
     quadrature: exact moments on the band of 4 cells at either end of a row
-    (quad_weights) and on the first cell (rms_weights), trapezoid inside, the
-    diagonal cell of rms_weights from K ~ pref (t-s)^(H-1/2) for H < 1/2."""
+    (quad_weights) and on the first cell (rms_weights), trapezoid inside; the
+    diagonal cell of rms_weights from K ~ pref (t-s)^(H-1/2) for H < 1/2 and
+    by exact quadrature of K^2 for H > 1/2."""
     k = molchan_golosov(h)
     n, dt, nodes = grid.n_steps, grid.dt, grid.nodes
     K = np.array([[eval_kernel(k, t, s) if 0 < s < t else 0.0 for s in nodes] for t in nodes])
@@ -301,9 +324,9 @@ def _mg_tables_by_scalar_quad(h, grid):
             else:
                 W[i, j] += dt / 2 * K[i, j]
                 W[i, j + 1] += dt / 2 * K[i, j + 1]
-            if j == 0:
+            if j == 0 or (j == i - 1 and h > 0.5):
                 cell = _scalar_quad(lambda s: f(s) ** 2, a, b, mid)
-            elif j == i - 1 and h < 0.5:
+            elif j == i - 1:
                 pref2 = 2 * h / ((1 - 2 * h) * beta_fn(h + 0.5, 1 - 2 * h))
                 cell = pref2 * dt ** (2 * h) / (2 * h)
             else:
@@ -349,7 +372,9 @@ def test_tabulated_tables_equal_scalar_loop():
             W[i, j] += dt / 2 * rows[i, j]
             W[i, j + 1] += dt / 2 * rows[i, j + 1]
         M[i, :i] = dt / 2 * (rows[i, :i] + rows[i, 1 : i + 1])
-        R[i, :i] = np.sqrt(dt / 2 * (rows[i, :i] ** 2 + rows[i, 1 : i + 1] ** 2) / dt)
+        # the diagonal end of K^2 takes the table's value at (t_i, t_i)
+        ends = np.append(rows[i, 1:i], _table_value(k.table, nodes[i], nodes[i]))
+        R[i, :i] = np.sqrt(dt / 2 * (rows[i, :i] ** 2 + ends**2) / dt)
     assert np.array_equal(quad_weights(k, grid), W)
     assert np.array_equal(pc_weights(k, grid), M)
     assert np.array_equal(rms_weights(k, grid), R)

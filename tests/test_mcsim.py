@@ -9,8 +9,11 @@ from ldpvol.errors import ConvergenceError, DomainError
 from ldpvol.kernels import brownian, riemann_liouville, slice_variance
 from ldpvol.mcsim import (
     BLOCK_SIZE,
+    RNG_SCHEME,
     SimConfig,
     _block_rng,
+    _draw_increments,
+    _logprice_block,
     _per_eps_payoff_stats,
     _vol_block,
     ldp_tail_report,
@@ -172,6 +175,81 @@ def test_simulate_vol_skips_unused_price_noise():
     z = _block_rng(seed, 0, 0).standard_normal((n_paths, grid.n_steps, 1))
     db = z * math.sqrt(grid.dt)
     np.testing.assert_array_equal(ens.paths, _vol_block(spec, db, grid, eps))
+
+
+def test_block_rng_is_seedsequence_keyed_sfc64():
+    for seed, li, b in [(0, 0, 0), (19, 2, 5), (2**40 + 3, 7, 123)]:
+        ref = np.random.Generator(
+            np.random.SFC64(np.random.SeedSequence([seed % 2**64, li, b]))
+        )
+        np.testing.assert_array_equal(
+            _block_rng(seed, li, b).standard_normal(64), ref.standard_normal(64)
+        )
+    # the seed enters modulo 2^64
+    np.testing.assert_array_equal(
+        _block_rng(-1, 1, 2).standard_normal(64), _block_rng(2**64 - 1, 1, 2).standard_normal(64)
+    )
+    firsts = {
+        _block_rng(5, li, b).standard_normal()
+        for li in range(4) for b in range(8)
+    }
+    assert len(firsts) == 32
+
+
+def test_antithetic_fill_matches_concatenation():
+    size, n, m, dt = 1001, 7, 2, 0.01
+    out = np.full((size + 50, n, m), np.nan)
+    _draw_increments(_block_rng(3, 1, 4), out[:size], dt, antithetic=True)
+    z = _block_rng(3, 1, 4).standard_normal(((size + 1) // 2, n, m))
+    want = np.concatenate([z, -z], axis=0)[:size] * math.sqrt(dt)
+    np.testing.assert_array_equal(out[:size], want)
+    assert np.all(np.isnan(out[size:]))  # rows past the block stay untouched
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_blocks_do_not_alias_reused_buffers(workers):
+    # every block of a three-block run, kept whole, equals the same block
+    # rebuilt from freshly allocated increments: no result shares memory
+    # with the per-worker draw buffers that later blocks overwrite
+    model = toy_sabr()
+    grid = TimeGrid(1.0, 10)
+    eps = 0.3
+    cfg = _cfg(model, ladder=(eps,), n_paths=2 * BLOCK_SIZE + 1000, seed=12, grid=grid,
+               max_workers=workers)
+    got = simulate_logprice(cfg, eps, keep_paths=True)
+    assert got.n_excluded == 0
+    start = 0
+    s = math.sqrt(grid.dt)
+    for b, size in enumerate([BLOCK_SIZE, BLOCK_SIZE, 1000]):
+        rng = _block_rng(cfg.seed, 0, b)
+        db = rng.standard_normal((size, grid.n_steps, 1)) * s
+        dw = rng.standard_normal((size, grid.n_steps, 1)) * s
+        paths = np.zeros((size, grid.n_steps + 1, 1))
+
+        def keep(k, x):
+            paths[:, k, :] = x
+
+        x, ok = _logprice_block(model, grid, eps, db, dw, keep)
+        assert np.all(ok)
+        np.testing.assert_array_equal(got.terminal[start : start + size], x)
+        np.testing.assert_array_equal(got.paths[start : start + size], paths)
+        start += size
+    assert start == got.terminal.shape[0]
+
+
+def test_reports_carry_provenance_and_match_across_workers():
+    reps = [
+        ldp_tail_report(_cfg(bs_const(), ladder=(0.4, 0.2), n_paths=BLOCK_SIZE + 3000, seed=41,
+                             grid=TimeGrid(1.0, 10), max_workers=w), 0.1, reference_rate=0.125)
+        for w in (1, 2)
+    ]
+    for w, rep in zip((1, 2), reps):
+        assert rep.to_json_obj()["diagnostics"]["provenance"] == {
+            "rng": RNG_SCHEME, "seed": 41, "block_size": BLOCK_SIZE, "workers": w,
+        }
+    assert RNG_SCHEME == "SFC64(SeedSequence([seed, ladder index, block index]))"
+    assert [r.to_json_obj() for r in reps[0].rows] == [r.to_json_obj() for r in reps[1].rows]
+    assert reps[0].diagnostics["hits"] == reps[1].diagnostics["hits"]
 
 
 def test_moment_merge_survives_large_offset():
