@@ -20,7 +20,8 @@ logarithmic
     t < 1, so grids must have horizon < 1.
 tabulated
     Values sampled on a rectangular (t, s) grid; bilinear interpolation below
-    the diagonal, zero above it.
+    the diagonal, zero above it.  The grid tables take the interpolated value
+    on the diagonal, the kernel's left limit there.
 
 Every evaluator enforces the Volterra property K(t, s) = 0 for s >= t.
 Quadrature rules integrate the kernel factor exactly on cells touching a
@@ -261,7 +262,8 @@ def _kind(kernel: KernelSpec) -> str:
 @functools.lru_cache(maxsize=128)
 def _row_values(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """K(t_i, t_j) for j < i, zero elsewhere.  Left-limit value on the
-    diagonal for the non-singular power kernels, so H = 1/2 matches brownian."""
+    diagonal for the non-singular power kernels, so H = 1/2 matches brownian,
+    and for tabulated kernels, whose left limit is the table's value there."""
     n = grid.n_steps
     nodes = grid.nodes
     kind = _kind(kernel)
@@ -291,11 +293,13 @@ def _row_values(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
         for i in range(1, n + 1):
             out[i, :i] = vals[i - 1 :: -1]
         return out
-    i, j = np.tril_indices(n + 1, -1)
     if kind == TABULATED:
+        i, j = np.tril_indices(n + 1)
         out[i, j] = _table_value(kernel.table, nodes[i], nodes[j])
+        out[0, 0] = 0.0
         return out
     # Molchan-Golosov, H != 1/2: the s = 0 column keeps the scalar convention
+    i, j = np.tril_indices(n + 1, -1)
     i, j = i[j > 0], j[j > 0]
     out[i, j] = _mg_values(kernel.hurst, nodes[j], nodes[i] - nodes[j])
     out[1:, 0] = 0.0 if kernel.hurst < 0.5 else np.inf
@@ -440,7 +444,7 @@ def rms_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
     Molchan-Golosov and tabulated kernels.  The diagonal cell j = i - 1 takes
     the left limit K(t_i, t_i-), not the Volterra zero: closed form for
     Molchan-Golosov with H < 1/2, the batched cell rule for H > 1/2 (as on
-    the first cell), and the table's value at (t_i, t_i) for tabulated
+    the first cell), and the diagonal of ``_row_values`` for tabulated
     kernels.
     """
     n = grid.n_steps
@@ -461,12 +465,9 @@ def rms_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
     else:  # trapezoid rule on K^2
         rows = _row_values(kernel, grid)
         cell = dt / 2 * (rows[i, j] ** 2 + rows[i, j + 1] ** 2)
-    diag = j == i - 1
-    if kind == TABULATED:
-        t = grid.nodes[i[diag]]
-        cell[diag] = dt / 2 * (rows[i[diag], j[diag]] ** 2 + _table_value(kernel.table, t, t) ** 2)
-    elif kind == MOLCHAN_GOLOSOV:
+    if kind == MOLCHAN_GOLOSOV:
         h = kernel.hurst
+        diag = j == i - 1
         if h < 0.5:  # diagonal behaviour K ~ pref * (t-s)^(H-1/2)
             cell[diag] = _mg_prefactor(h) ** 2 * dt ** (2 * h) / (2 * h)
             exact = j == 0

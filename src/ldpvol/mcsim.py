@@ -6,7 +6,10 @@ driven by ``sqrt(eps) * dB``; the Gaussian convolution uses the per-cell
 root-mean-square weights, which reproduce the slice variance of the kernel on
 every grid row, exactly for the Brownian, Riemann-Liouville and logarithmic
 kernels and up to the trapezoid rule on the interior cells of K^2 for
-Molchan-Golosov and tabulated ones.  Exit runs keep a running hit flag per
+Molchan-Golosov and tabulated ones.  Log-prices run the functional's step
+(``ratefn._phi_increment``) at every node, Ito term included, driven by
+sqrt(eps) (rho_bar dW + rho dB) / dt.  Exit runs take their faces and window
+from ``pricing``, as the exit rate does, and keep a running hit flag per
 path, not whole paths.  One block scheduler (``_run_blocks``) serves every
 entry point and opens at most one thread pool per call.  Every fixed-size
 block of paths owns an SFC64 substream keyed by
@@ -35,12 +38,11 @@ import numpy as np
 from . import kernels as _k
 from .errors import ConvergenceError, DimensionError, DomainError
 from .paths import TimeGrid
-from .pricing import ExitDomain
-from .ratefn import ModelSpec
-from .volmap import VolProcessSpec, output_map, vol_state
+from .pricing import ExitDomain, exit_window
+from .ratefn import ModelSpec, _phi_drive, _phi_increment
+from .volmap import BLOWUP_LIMIT, VolProcessSpec, output_map, vol_state
 
 BLOCK_SIZE = 1 << 15
-BLOWUP_LIMIT = 1e9
 RNG_SCHEME = "SFC64(SeedSequence([seed, ladder index, block index]))"
 
 
@@ -205,6 +207,11 @@ def _run_blocks(
 # ---------------------------------------------------------------------------
 
 
+def _finite_rows(a):
+    """Rows (paths) whose values are all finite and below ``BLOWUP_LIMIT``."""
+    return np.all(np.abs(a) < BLOWUP_LIMIT, axis=tuple(range(1, a.ndim)))
+
+
 def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
     """The skeleton's scheme driven by sqrt(eps) dB, Gaussian part on the
     root-mean-square rms_weights."""
@@ -232,9 +239,7 @@ def simulate_vol(
 
     def block(eps, db, dw):
         vals = _vol_block(spec, db, grid, eps)
-        ok = np.all(np.abs(vals) < BLOWUP_LIMIT, axis=(1, 2)) & np.all(
-            np.isfinite(vals), axis=(1, 2)
-        )
+        ok = _finite_rows(vals)
         return vals[ok], int(np.sum(~ok))
 
     (results,) = _run_blocks(
@@ -253,37 +258,17 @@ def simulate_vol(
 def _logprice_block(model: ModelSpec, grid, epsilon, db, dw, watch=None):
     """Terminal log-price displacement X_T - x0 per path and the finite mask;
     ``watch(k, x)`` sees the displacement at every node k = 1..n on the way."""
-    spec = model.vol
-    vol_paths = _vol_block(spec, db, grid, epsilon)
-    size = db.shape[0]
-    n = grid.n_steps
-    dt = grid.dt
-    nodes = grid.nodes
-    sqeps = math.sqrt(epsilon)
-    m = model.m
-    x = np.zeros((size, m))
-    scalar = m == 1
-    for k in range(n):
+    vol_paths = _vol_block(model.vol, db, grid, epsilon)
+    scale = math.sqrt(epsilon) / grid.dt
+    x = np.zeros((db.shape[0], model.m))
+    for k, t in enumerate(grid.nodes[:-1]):
         u = vol_paths[:, k, :]
-        b = model.drift_values(nodes[k], u)
-        if scalar:
-            sv = model.sigma_scalar(nodes[k], u)
-            noise = model.rho_bar * dw[:, k, 0] + model.rho * db[:, k, 0]
-            incr = (b[:, 0] - 0.5 * epsilon * sv**2) * dt + sqeps * sv * noise
-            x[:, 0] += incr
-        else:
-            sig = model.sigma_matrix(nodes[k], u)
-            quad = np.einsum("bij,bij->bi", sig, sig)  # diag of sigma sigma'
-            noise = np.einsum("ab,kb->ka", model.cbar, dw[:, k, :]) + np.einsum(
-                "ab,kb->ka", model.C, db[:, k, :]
-            )
-            x += (b - 0.5 * epsilon * quad) * dt + sqeps * np.einsum(
-                "bij,bj->bi", sig, noise
-            )
+        b, sig = model.drift_values(t, u), model.sigma_values(t, u)
+        drive = scale * _phi_drive(model, dw[:, k], db[:, k])
+        x += _phi_increment(model, b, sig, drive, grid.dt, epsilon)
         if watch is not None:
             watch(k + 1, x)
-    ok = np.all(np.isfinite(x), axis=1) & (np.max(np.abs(x), axis=1) < BLOWUP_LIMIT)
-    return x, ok
+    return x, _finite_rows(x)
 
 
 @dataclass
@@ -468,6 +453,7 @@ def mc_exit_report(
     model = cfg.model
     if domain.dim != model.m:
         raise DimensionError("domain dimension must equal m")
+    window = exit_window(cfg.grid, deadline)
     if reference_rate is None:
         from .pricing import exit_asymptote
 
@@ -478,9 +464,7 @@ def mc_exit_report(
             horizon=cfg.grid.horizon,
             n_steps=min(cfg.grid.n_steps, 100),
         ).rate
-    faces = [(a, c - float(a @ model.x0)) for a, c in domain.faces()]
-    window = cfg.grid.nodes <= deadline + 1e-12
-    window[0] = False
+    faces = domain.shifted_faces(model.x0)
 
     def watcher(size):
         hit = np.zeros(size, dtype=bool)  # a running flag, not whole paths

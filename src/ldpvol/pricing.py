@@ -109,6 +109,10 @@ class ExitDomain:
             raise UnsupportedDomainError("box has no finite faces")
         return out
 
+    def shifted_faces(self, x0) -> list[tuple[np.ndarray, float]]:
+        """(a, c - a.x0): the faces with the start point x0 at the origin."""
+        return [(a, c - float(a @ x0)) for a, c in self.faces()]
+
     def strictly_outside(self, x) -> bool:
         x = np.asarray(x, float)
         return any(float(a @ x) - c > 0.0 for a, c in self.faces())
@@ -166,6 +170,14 @@ class ExitDomain:
             normal=obj.get("normal"),
             offset=obj.get("offset"),
         )
+
+
+def exit_window(grid: TimeGrid, deadline: float) -> np.ndarray:
+    """Mask of the grid nodes in (0, deadline], the nodes where an exit counts."""
+    window = (grid.nodes > 0.0) & (grid.nodes <= deadline + 1e-12)
+    if not np.any(window):
+        raise DomainError("deadline excludes every positive grid node")
+    return window
 
 
 @dataclass
@@ -362,14 +374,8 @@ class _ExitFaceProblem(_JointControlProblem):
 
     def __init__(self, model, grid, face, deadline):
         super().__init__(model, grid)
-        a, c = face
-        self.a = np.asarray(a, float)
-        self.c = float(c)
-        window = grid.nodes <= deadline + 1e-12
-        window[0] = False  # exit happens on (0, t]
-        if not np.any(window):
-            raise DomainError("deadline excludes every positive grid node")
-        self.window = window
+        self.a, self.c = face  # (unit normal, offset), see ExitDomain.shifted_faces
+        self.window = exit_window(grid, deadline)
 
     def _signed_distance(self, phi):
         return np.einsum("a,...na->...n", self.a, phi) - self.c
@@ -530,8 +536,7 @@ def exit_asymptote(
     grid = TimeGrid(horizon, n_steps or DEFAULT_TERMINAL_STEPS)
     best = None
     per_face = []
-    for idx, (a, c) in enumerate(domain.faces()):
-        face = (a, c - float(a @ model.x0))  # shift to start at the origin
+    for idx, face in enumerate(domain.shifted_faces(model.x0)):
         problem = _ExitFaceProblem(model, grid, face, deadline)
         zero = np.zeros(problem.dim)
         if problem.violation_batch(zero) <= 0.0:

@@ -1,10 +1,11 @@
 """Sample-path and terminal rate functions, minimized over discretized controls.
 
 All time integrals of model coefficients use the left-endpoint rule on the
-grid.  On piecewise-linear controls this is exactly the discretized
-drift/volatility functional that the rest of the library (simulation,
-constrained pricing problems) shares, so values are internally consistent,
-and constant-coefficient oracles are reproduced without discretization error.
+grid.  One log-price step (``_phi_increment``) serves the drift/volatility
+functional, its cumulative sum at eps = 0 driven by the controls, and the
+Monte Carlo simulator, driven by sqrt(eps) times the noise over dt.  The
+functional is exact on piecewise-linear controls, so constant-coefficient
+oracles are reproduced without discretization error.
 
 Model coefficient closures must be numpy-vectorized:
 
@@ -15,7 +16,7 @@ Model coefficient closures must be numpy-vectorized:
 For m > 1 the terminal rate is available only for models declared in
 rotation-times-scalar form: sigma = xi(t, u) * O(t, u) @ inv(cbar), with
 ``xi`` scalar-valued and ``o_map`` orthogonal; supply ``xi`` and ``o_map``
-instead of ``sigma``.
+instead of ``sigma``.  ``ModelSpec.sigma_values`` evaluates either form.
 
 Gradients are exact for the discretized objective and come from one
 mechanism: reverse mode through the explicit stages of the forward map
@@ -124,20 +125,13 @@ class ModelSpec:
             return np.full(np.shape(u)[:-1] + (self.m,), self.r)
         return np.asarray(self.drift(t, u), float)
 
-    def sigma_scalar(self, t, u):
-        """(...,) scalar volatility, m = 1 only."""
-        if self.m != 1:
-            raise UnsupportedFormError("sigma_scalar is for m = 1 models")
-        if self.sigma is not None:
-            return np.asarray(self.sigma(t, u), float)
-        return np.asarray(self.xi(t, u), float) * self.cbar_inv[0, 0]
-
-    def sigma_matrix(self, t, u):
-        """(..., m, m) volatility matrix covering both declarations."""
-        if self.m == 1:
-            return self.sigma_scalar(t, u)[..., None, None]
-        if self.orthogonal_scalar:
+    def sigma_values(self, t, u):
+        """(...,) scalar vol for m = 1, (..., m, m) matrices for m > 1; given
+        both forms, m = 1 uses ``sigma`` and m > 1 the rotation-times-scalar."""
+        if self.orthogonal_scalar and (self.m > 1 or self.sigma is None):
             xi = np.asarray(self.xi(t, u), float)
+            if self.m == 1:
+                return xi * self.cbar_inv[0, 0]
             O = np.asarray(self.o_map(t, u), float)
             return xi[..., None, None] * (O @ self.cbar_inv)
         return np.asarray(self.sigma(t, u), float)
@@ -222,19 +216,25 @@ def _phi_drive(model: ModelSpec, l_dots, f_dots):
     )
 
 
+def _phi_increment(model: ModelSpec, b, sig, drive, dt, epsilon=0.0):
+    """One log-price step, (b - eps/2 diag(sigma sigma') + sigma drive) dt.
+
+    b is (..., m); sig and drive are (...,) for m = 1, else (..., m, m) and
+    (..., m).  Returns (..., m)."""
+    if model.m > 1:
+        ito = np.einsum("...ab,...ab->...a", sig, sig) if epsilon else 0.0
+        return (b - (0.5 * epsilon) * ito + np.einsum("...ab,...b->...a", sig, drive)) * dt
+    if epsilon:  # sigma (drive - eps sigma / 2) is sigma drive - eps sigma^2 / 2
+        drive = drive - (0.5 * epsilon) * sig
+    return ((drive * sig + b[..., 0]) * dt)[..., None]
+
+
 def _phi_from(model: ModelSpec, grid: TimeGrid, b, sig, drive) -> np.ndarray:
-    """Cumulative sum of (b + sigma drive) dt; sig is the scalar vol for m = 1."""
-    if model.m == 1:
-        incr = ((b[..., 0] + sig * drive) * grid.dt)[..., None]
-    else:
-        incr = (b + np.einsum("...nab,...nb->...na", sig, drive)) * grid.dt
+    """Nodal path of the functional: the cumulative sum of its eps = 0 steps."""
+    incr = _phi_increment(model, b, sig, drive, grid.dt)
     out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, model.m))
     np.cumsum(incr, axis=-2, out=out[..., 1:, :])
     return out
-
-
-def _sigma(model: ModelSpec):
-    return model.sigma_scalar if model.m == 1 else model.sigma_matrix
 
 
 def phi_batch(model: ModelSpec, grid: TimeGrid, l_dots, f_dots) -> np.ndarray:
@@ -245,7 +245,7 @@ def phi_batch(model: ModelSpec, grid: TimeGrid, l_dots, f_dots) -> np.ndarray:
     tk = _left_nodes(grid)
     u = hat[..., :-1, :]
     return _phi_from(
-        model, grid, model.drift_values(tk, u), _sigma(model)(tk, u),
+        model, grid, model.drift_values(tk, u), model.sigma_values(tk, u),
         _phi_drive(model, l_dots, f_dots),
     )
 
@@ -263,7 +263,7 @@ def phi_vjp(model: ModelSpec, grid: TimeGrid, l_dots, f_dots):
     hat, hat_pullback = hat_map_vjp(model.vol, f_dots, grid)
     tk = _left_nodes(grid)
     u = hat[..., :-1, :]
-    (b, b_u), (sig, sig_u) = _coeff_jacs(tk, u, model.drift_values, _sigma(model))
+    (b, b_u), (sig, sig_u) = _coeff_jacs(tk, u, model.drift_values, model.sigma_values)
     drive = _phi_drive(model, l_dots, f_dots)
     phi = _phi_from(model, grid, b, sig, drive)
 
@@ -313,7 +313,7 @@ class TerminalObjective:
         """Drift and scalar vol at the left nodes of the skeleton, (..., n)."""
         hat = hat_map_batch(self.model.vol, dots[..., None], self.grid)
         u = hat[..., :-1, :]
-        return self.model.drift_values(self.tk, u)[..., 0], self.model.sigma_scalar(self.tk, u)
+        return self.model.drift_values(self.tk, u)[..., 0], self.model.sigma_values(self.tk, u)
 
     def _integrals(self, dots, b, sv):
         """(x - int b - rho int sigma fdot, int sigma^2) on the grid."""
@@ -347,7 +347,7 @@ class TerminalObjective:
         hat, pullback = hat_map_vjp(self.model.vol, dots[:, None], self.grid)
         u = hat[:-1]
         (b, b_u), (sv, s_u) = _coeff_jacs(
-            self.tk, u, self.model.drift_values, self.model.sigma_scalar
+            self.tk, u, self.model.drift_values, self.model.sigma_values
         )
         numer, i_s2 = self._integrals(dots, b[:, 0], sv)
         value = float(self._value(dots, numer, i_s2))
@@ -464,7 +464,7 @@ class PathRateObjective:
         f_dots = np.asarray(f_dots, float)
         u = hat_map_batch(self.model.vol, f_dots, self.grid)[..., :-1, :]
         return self._residual(
-            f_dots, self.model.drift_values(self.tk, u), _sigma(self.model)(self.tk, u)
+            f_dots, self.model.drift_values(self.tk, u), self.model.sigma_values(self.tk, u)
         )
 
     def _residual(self, f_dots, b, sig):
@@ -511,7 +511,7 @@ class PathRateObjective:
         hat, pullback = hat_map_vjp(self.model.vol, flat, self.grid)
         u = hat[:-1]
         (b, b_u), (sig, sig_u) = _coeff_jacs(
-            self.tk, u, self.model.drift_values, _sigma(self.model)
+            self.tk, u, self.model.drift_values, self.model.sigma_values
         )
         l_dots = self._residual(flat, b, sig)
         value = float(self._value(flat, l_dots))

@@ -212,15 +212,12 @@ def test_tabulated_interpolation_and_volterra():
     k = tabulated(tt, tt, vals)
     assert eval_kernel(k, 0.9, 0.3) == pytest.approx(1.2, rel=1e-12)
     assert eval_kernel(k, 0.3, 0.9) == 0.0
-    # trapezoid with the zero-above-diagonal convention loses half a cell of
-    # mass at the diagonal node; the gap shrinks with the grid
+    # the diagonal cell takes the table's left limit, not the Volterra zero,
+    # so the trapezoid rule is exact for a kernel linear in s
     exact = 1.5  # int_0^1 (1+s) ds
-    gaps = []
     for n in (20, 40):
         got = hs_apply(k, np.ones(n + 1), TimeGrid(1.0, n))[-1]
-        gaps.append(exact - got)
-    assert gaps[0] == pytest.approx(0.05, abs=1e-10)
-    assert gaps[1] < gaps[0]
+        assert abs(exact - got) <= 1e-12
 
 
 def test_rms_weights_reproduce_slice_variance():
@@ -260,6 +257,27 @@ def test_rms_weights_diagonal_cell_keeps_row_variance(n):
             var = float(np.sum(R[i] ** 2)) * grid.dt
             want = slice_variance(kern, grid.nodes[i])
             assert abs(var - want) <= 5e-3 * want, (kern.kind, kern.hurst, i)
+
+
+@pytest.mark.parametrize("n", [16, 50])
+def test_tabulated_quad_weights_keep_diagonal_cell(n):
+    # hs_apply of f = 1 and the cell masses integrate the bilinear table over
+    # [0, t_i]; the diagonal cell must not take the Volterra zero at s = t_i
+    from ldpvol.kernels import pc_weights
+
+    tt = np.linspace(0.0, 1.0, 41)
+    k = tabulated(tt, tt, np.exp(-np.subtract.outer(tt, tt) ** 2))
+    grid = TimeGrid(1.0, n)
+    got = hs_apply(k, np.ones(n + 1), grid)
+    masses = np.sum(pc_weights(k, grid), axis=1)
+    for i in range(1, n + 1):
+        t = grid.nodes[i]
+        want, _ = sint.quad(
+            lambda s: float(_table_value(k.table, t, s)), 0.0, t,
+            points=tt[(tt > 0.0) & (tt < t)], limit=200,
+        )
+        assert abs(got[i] - want) <= 1e-3 * want, i
+        assert abs(masses[i] - want) <= 1e-3 * want, i
 
 
 def test_kernel_spec_json_roundtrip():
@@ -364,6 +382,8 @@ def test_tabulated_tables_equal_scalar_loop():
     for i in range(1, n + 1):
         for j in range(i):
             rows[i, j] = eval_kernel(k, nodes[i], nodes[j])
+        # the diagonal end of every cell takes the table's value at (t_i, t_i)
+        rows[i, i] = _table_value(k.table, nodes[i], nodes[i])
     W = np.zeros((n + 1, n + 1))
     M = np.zeros((n + 1, n))
     R = np.zeros((n + 1, n))
@@ -372,9 +392,7 @@ def test_tabulated_tables_equal_scalar_loop():
             W[i, j] += dt / 2 * rows[i, j]
             W[i, j + 1] += dt / 2 * rows[i, j + 1]
         M[i, :i] = dt / 2 * (rows[i, :i] + rows[i, 1 : i + 1])
-        # the diagonal end of K^2 takes the table's value at (t_i, t_i)
-        ends = np.append(rows[i, 1:i], _table_value(k.table, nodes[i], nodes[i]))
-        R[i, :i] = np.sqrt(dt / 2 * (rows[i, :i] ** 2 + ends**2) / dt)
+        R[i, :i] = np.sqrt(dt / 2 * (rows[i, :i] ** 2 + rows[i, 1 : i + 1] ** 2) / dt)
     assert np.array_equal(quad_weights(k, grid), W)
     assert np.array_equal(pc_weights(k, grid), M)
     assert np.array_equal(rms_weights(k, grid), R)

@@ -22,12 +22,14 @@ from ldpvol.mcsim import (
     simulate_logprice,
     simulate_vol,
 )
-from ldpvol.presets import bs_const, frac_heston, make_model, toy_sabr
+from ldpvol.presets import PRESETS, bs_const, frac_heston, make_model, toy_sabr
 from ldpvol.pricing import ExitDomain
+from ldpvol.ratefn import _phi_drive, _phi_from, phi_batch
 from ldpvol.volmap import (
     FAMILIES,
     FRACTIONAL,
     GAUSSIAN,
+    MIXED,
     VOLTERRA_SDE,
     VolProcessSpec,
     cir_coefficients,
@@ -151,6 +153,40 @@ def test_logprice_eps_zero_deterministic_drift():
         cfg = _cfg(m, ladder=(0.5,), n_paths=64)
     s = simulate_logprice(cfg, 0.0)
     np.testing.assert_allclose(s.terminal[:, 0], 0.03, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_logprice_block_runs_the_functional_step(name):
+    # driven by control increments at eps = 1, the simulated path is the
+    # functional with drift b - diag(sigma sigma')/2 on the simulated vol path
+    model = make_model(name)
+    grid = TimeGrid(1.0, 30)
+    n, m, dt = grid.n_steps, model.m, grid.dt
+    l_dots, f_dots = np.random.default_rng(5).normal(size=(2, 3, n, m))
+    path = np.zeros((3, n + 1, m))
+
+    def keep(k, x):
+        path[:, k, :] = x
+
+    x, ok = _logprice_block(model, grid, 1.0, f_dots * dt, l_dots * dt, keep)
+    assert np.all(ok)
+    np.testing.assert_array_equal(x, path[:, -1])
+    tk = grid.nodes[:-1]
+    u = _vol_block(model.vol, f_dots * dt, grid, 1.0)[:, :-1]
+    sig = model.sigma_values(tk, u)
+    half_quad = 0.5 * (sig[..., None] ** 2 if m == 1 else np.einsum("...ab,...ab->...a", sig, sig))
+    b = model.drift_values(tk, u) - half_quad
+    want = _phi_from(model, grid, b, sig, _phi_drive(model, l_dots, f_dots))
+    np.testing.assert_allclose(path, want, rtol=0.0, atol=1e-12)
+    if model.vol.family not in (GAUSSIAN, MIXED):
+        # no noise table (rms_weights here, pc_weights in the skeleton) is
+        # read, so the vol path is the skeleton's and the Ito term is all
+        # that separates the path from phi
+        ito = np.zeros_like(path)
+        ito[:, 1:] = np.cumsum(half_quad * dt, axis=1)
+        np.testing.assert_allclose(
+            path + ito, phi_batch(model, grid, l_dots, f_dots), rtol=0.0, atol=1e-12
+        )
 
 
 def test_determinism_and_repartitioning():
@@ -401,6 +437,31 @@ def test_exit_report_boundary_at_start():
     finer = _cfg(m, ladder=(0.2,), n_paths=2000, seed=19, grid=TimeGrid(1.0, 400))
     rep2 = mc_exit_report(finer, dom, 1.0, reference_rate=0.0)
     assert rep2.rows[0].estimate >= rep.rows[0].estimate
+
+
+def test_exit_report_empty_window_raises_before_drawing(monkeypatch, tmp_path, capsys):
+    # a deadline before the first positive node leaves no node to exit at
+    import json
+
+    from ldpvol import mcsim
+    from ldpvol.cli import EXIT_CONFIG, main
+
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths were drawn")
+
+    monkeypatch.setattr(mcsim, "_run_blocks", no_draws)
+    dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
+    cfg = _cfg(bs_const(), n_paths=2000, grid=TimeGrid(1.0, 10))
+    with pytest.raises(DomainError):
+        mc_exit_report(cfg, dom, 0.05, reference_rate=0.125)
+    sim = {
+        "model": {"preset": "bs_const"}, "quantity": "exit", "epsilon_ladder": [0.4],
+        "n_paths": 2000, "horizon": 1.0, "n_steps": 10, "seed": 1,
+        "domain": dom.to_json_obj(), "deadline": 0.05, "reference_rate": 0.125,
+    }
+    (tmp_path / "sim.json").write_text(json.dumps(sim))
+    assert main(["mc-verify", "--config", str(tmp_path / "sim.json")]) == EXIT_CONFIG
+    assert json.loads(capsys.readouterr().err)["error"] == "DomainError"
 
 
 def test_exit_report_far_boundary_zero_hits():
