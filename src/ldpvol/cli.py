@@ -302,7 +302,7 @@ def _cmd_mc_verify(args):
         cfg_obj = json.load(fh)
     model = model_from_json_obj(cfg_obj["model"])
     grid = TimeGrid(cfg_obj.get("horizon", 1.0), cfg_obj.get("n_steps", 200))
-    workers = args.workers or cfg_obj.get("max_workers") or _default_workers()
+    workers = args.workers if args.workers is not None else cfg_obj.get("max_workers")
     cfg = SimConfig(
         model=model,
         epsilon_ladder=cfg_obj["epsilon_ladder"],
@@ -310,7 +310,7 @@ def _cmd_mc_verify(args):
         grid=grid,
         seed=cfg_obj.get("seed", 0),
         antithetic=bool(cfg_obj.get("antithetic", False)),
-        max_workers=int(workers),
+        max_workers=_default_workers() if workers is None else workers,
     )
     quantity = cfg_obj.get("quantity", "tail")
     ref = cfg_obj.get("reference_rate")

@@ -11,17 +11,22 @@ Molchan-Golosov and tabulated ones.  Log-prices run the functional's step
 sqrt(eps) (rho_bar dW + rho dB) / dt.  Exit runs take their faces and window
 from ``pricing``, as the exit rate does, and keep a running hit flag per
 path, not whole paths.  One block scheduler (``_run_blocks``) serves every
-entry point and opens at most one thread pool per call.  Every fixed-size
-block of paths owns an SFC64 substream keyed by
-``SeedSequence([seed, ladder index, block index])``, so estimates are
-bit-identical no matter how blocks are scheduled across workers; SFC64's
-256-bit state carries a 64-bit counter, and SeedSequence-hashed starting
-states make overlap between substreams negligible in practice.  Normals are
-drawn straight into one pair of buffers per worker thread, reused for every
-block the thread runs, and scaled in place; antithetic blocks draw the first
-half and write its negation into the rest.  Payoff moments are merged
-per block, in block order, from (count, mean, sum of squared deviations)
-(Chan, Golub & LeVeque), and each report carries its hit counts.
+entry point and opens at most one thread pool per call, which runs blocks in
+parallel (a one-block run uses one thread).  Every fixed-size block of paths
+owns an SFC64 substream keyed by ``SeedSequence([seed, 0, block index])``;
+its noise is drawn once and the whole epsilon ladder runs on it, as
+X^eps = Phi(sqrt(eps) W) is one family driven by one W (common random
+numbers).  Rows of a ladder report are therefore correlated across epsilon,
+while each row is unbiased and its standard error is honest on its own.
+Estimates are bit-identical no matter how blocks are scheduled across
+workers; SFC64's 256-bit state carries a 64-bit counter, and
+SeedSequence-hashed starting states make overlap between substreams
+negligible in practice.  Normals are drawn straight into one pair of buffers
+per worker thread, reused for every block the thread runs, and scaled in
+place; antithetic blocks draw the first half and write its negation into the
+rest.  Payoff moments are merged per block, in block order, from (count,
+mean, sum of squared deviations) (Chan, Golub & LeVeque), and each report
+carries its hit counts.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ from .ratefn import ModelSpec, _phi_drive, _phi_increment
 from .volmap import BLOWUP_LIMIT, VolProcessSpec, output_map, vol_state
 
 BLOCK_SIZE = 1 << 15
-RNG_SCHEME = "SFC64(SeedSequence([seed, ladder index, block index]))"
+RNG_SCHEME = "SFC64(SeedSequence([seed, 0, block index])), one draw per block for the whole ladder"
 
 
 @dataclass
@@ -71,6 +76,9 @@ class SimConfig:
 
             warnings.warn("fewer than 1000 paths: estimator noise will dominate")
         self.seed = int(self.seed)
+        self.max_workers = int(self.max_workers)
+        if self.max_workers < 1:
+            raise DomainError("max_workers must be positive")
 
 
 @dataclass
@@ -127,26 +135,16 @@ class McReport:
 # ---------------------------------------------------------------------------
 
 
-def _block_rng(seed: int, ladder_index: int, block_index: int) -> np.random.Generator:
+def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     """The substream of one block: SFC64 seeded by
-    ``SeedSequence([seed mod 2^64, ladder index, block index])``.
+    ``SeedSequence([seed mod 2^64, 0, block index])``.
 
     SeedSequence hashes the whole key into the 256-bit SFC64 state, whose
     64-bit counter alone guarantees a period of at least 2^64 draws, so the
     substreams of distinct keys do not overlap in practice.
     """
-    ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, ladder_index, block_index])
+    ss = np.random.SeedSequence([seed & 0xFFFFFFFFFFFFFFFF, 0, block_index])
     return np.random.Generator(np.random.SFC64(ss))
-
-
-def _block_sizes(n_paths: int):
-    sizes = []
-    done = 0
-    while done < n_paths:
-        take = min(BLOCK_SIZE, n_paths - done)
-        sizes.append(take)
-        done += take
-    return sizes
 
 
 def _draw_increments(rng, out, dt, antithetic):
@@ -164,42 +162,40 @@ def _draw_increments(rng, out, dt, antithetic):
 
 
 def _run_blocks(
-    block_fn, entries, n_paths, grid, m, seed, antithetic, workers=1, need_dw=True
+    block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, need_dw=True
 ):
-    """The block scheduler: ``block_fn(epsilon, db, dw)`` on every block of
-    every ``(ladder index, epsilon)`` entry, on at most one thread pool.
+    """The block scheduler: draw each block's noise once, then run
+    ``block_fn(epsilon, db, dw)`` on it for every epsilon in order.
 
-    Returns one list of block results per entry, in block order; each block
-    draws from its own substream, so results do not depend on ``workers``.
-    The driver noise ``db`` is drawn first, then the pricing noise ``dw``;
-    block functions that never read the pricing noise pass ``need_dw=False``
-    and get ``dw = None``.  ``db`` and ``dw`` are views of buffers that each
-    worker thread reuses for every block it runs, so a block function must
-    not return a view of them.
+    Returns one sequence of block results per epsilon, in block order.  All
+    epsilons share each block's increments (common random numbers); each
+    block draws from its own substream, so results do not depend on
+    ``workers``, and the pool runs blocks, so a one-block run uses one
+    thread.  The driver noise ``db`` is drawn first, then the pricing noise
+    ``dw``; block functions that never read the pricing noise pass
+    ``need_dw=False`` and get ``dw = None``.  ``db`` and ``dw`` are views of
+    buffers that each worker thread reuses for every block and epsilon, so a
+    block function must neither write to them nor return a view of them.
     """
-    sizes = _block_sizes(int(n_paths))
-    tasks = [(li, eps, b, size) for li, eps in entries for b, size in enumerate(sizes)]
+    n_paths = int(n_paths)
+    sizes = [min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)]
     shape = (sizes[0], grid.n_steps, m)
     local = threading.local()
 
-    def run(task):
-        li, eps, b, size = task
+    def run(b):
         if not hasattr(local, "bufs"):
             local.bufs = [np.empty(shape) for _ in range(2 if need_dw else 1)]
-        rng = _block_rng(seed, li, b)
-        views = [buf[:size] for buf in local.bufs]  # db, then dw
+        rng = _block_rng(seed, b)
+        views = [buf[: sizes[b]] for buf in local.bufs]  # db, then dw
         for v in views:
             _draw_increments(rng, v, grid.dt, antithetic)
         db, dw = views if need_dw else (views[0], None)
-        return block_fn(float(eps), db, dw)
+        return [block_fn(float(eps), db, dw) for eps in epsilons]
 
-    if workers > 1 and len(tasks) > 1:
+    if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run, tasks))
-    else:
-        results = [run(t) for t in tasks]
-    k = len(sizes)
-    return [results[i * k : (i + 1) * k] for i in range(len(entries))]
+            return list(zip(*ex.map(run, range(len(sizes)))))
+    return list(zip(*map(run, range(len(sizes)))))
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +239,7 @@ def simulate_vol(
         return vals[ok], int(np.sum(~ok))
 
     (results,) = _run_blocks(
-        block, [(0, epsilon)], n_paths, grid, spec.m, int(seed), antithetic, need_dw=False
+        block, [epsilon], n_paths, grid, spec.m, int(seed), antithetic, need_dw=False
     )
     return VolEnsemble(
         np.concatenate([r[0] for r in results], axis=0), sum(r[1] for r in results)
@@ -278,9 +274,7 @@ class LogPriceSamples:
     paths: np.ndarray | None = None
 
 
-def simulate_logprice(
-    cfg: SimConfig, epsilon: float, keep_paths: bool = False, ladder_index: int = 0
-) -> LogPriceSamples:
+def simulate_logprice(cfg: SimConfig, epsilon: float, keep_paths: bool = False) -> LogPriceSamples:
     """Terminal displacement samples for one epsilon (optionally full paths).
 
     The same Brownian driver feeds the volatility path and the correlated
@@ -298,7 +292,7 @@ def simulate_logprice(
         return x[ok], paths[ok] if keep_paths else None, int(np.sum(~ok))
 
     (results,) = _run_blocks(
-        block, [(ladder_index, epsilon)], cfg.n_paths, cfg.grid, cfg.model.vol.m,
+        block, [epsilon], cfg.n_paths, cfg.grid, cfg.model.vol.m,
         cfg.seed, cfg.antithetic, cfg.max_workers,
     )
     return LogPriceSamples(
@@ -406,7 +400,7 @@ def _per_eps_payoff_stats(cfg, payoff_fn, watcher=None):
         return _Moments.of(payoff_fn(x[ok], None if seen is None else seen[ok]))
 
     per_entry = _run_blocks(
-        block, list(enumerate(cfg.epsilon_ladder)), cfg.n_paths, cfg.grid,
+        block, cfg.epsilon_ladder, cfg.n_paths, cfg.grid,
         cfg.model.vol.m, cfg.seed, cfg.antithetic, cfg.max_workers,
     )
     return [functools.reduce(_Moments.merge, res) for res in per_entry]

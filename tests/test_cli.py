@@ -208,6 +208,25 @@ def test_mc_verify_round_trip(tmp_path, capsys):
     assert len(lines) == 3
 
 
+@pytest.mark.parametrize("workers", ["-2", "0"])
+def test_mc_verify_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, workers):
+    # a nonpositive --workers is rejected, not replaced by the config's or
+    # the environment's worker count
+    monkeypatch.setenv("LDPVOL_WORKERS", "2")
+    cfg = {
+        "model": {"preset": "bs_const"}, "quantity": "tail", "epsilon_ladder": [0.4],
+        "n_paths": 2000, "n_steps": 10, "seed": 7, "k": 0.1, "reference_rate": 0.125,
+        "max_workers": 2,
+    }
+    (tmp_path / "sim.json").write_text(json.dumps(cfg))
+    code, out, err = run_cli(
+        capsys, "mc-verify", "--config", str(tmp_path / "sim.json"), "--workers", workers
+    )
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_rate_path_command(tmp_path, capsys):
     from ldpvol import TimeGrid, PathFn
     from ldpvol.paths import path_to_csv

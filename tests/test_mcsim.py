@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -14,7 +15,9 @@ from ldpvol.mcsim import (
     _block_rng,
     _draw_increments,
     _logprice_block,
+    _Moments,
     _per_eps_payoff_stats,
+    _reduce_report,
     _vol_block,
     ldp_tail_report,
     mc_call_report,
@@ -52,6 +55,9 @@ def test_simconfig_validation():
         _cfg(bs_const(), ladder=(1.5,))
     with pytest.warns(UserWarning):
         _cfg(bs_const(), n_paths=10)
+    for w in (0, -2):
+        with pytest.raises(DomainError):
+            _cfg(bs_const(), max_workers=w)
 
 
 def test_gaussian_vol_ito_isometry():
@@ -208,35 +214,32 @@ def test_simulate_vol_skips_unused_price_noise():
     grid = TimeGrid(1.0, 20)
     n_paths, seed, eps = 3000, 19, 0.3
     ens = simulate_vol(spec, eps, n_paths, grid, seed)
-    z = _block_rng(seed, 0, 0).standard_normal((n_paths, grid.n_steps, 1))
+    z = _block_rng(seed, 0).standard_normal((n_paths, grid.n_steps, 1))
     db = z * math.sqrt(grid.dt)
     np.testing.assert_array_equal(ens.paths, _vol_block(spec, db, grid, eps))
 
 
 def test_block_rng_is_seedsequence_keyed_sfc64():
-    for seed, li, b in [(0, 0, 0), (19, 2, 5), (2**40 + 3, 7, 123)]:
+    for seed, b in [(0, 0), (19, 5), (2**40 + 3, 123)]:
         ref = np.random.Generator(
-            np.random.SFC64(np.random.SeedSequence([seed % 2**64, li, b]))
+            np.random.SFC64(np.random.SeedSequence([seed % 2**64, 0, b]))
         )
         np.testing.assert_array_equal(
-            _block_rng(seed, li, b).standard_normal(64), ref.standard_normal(64)
+            _block_rng(seed, b).standard_normal(64), ref.standard_normal(64)
         )
     # the seed enters modulo 2^64
     np.testing.assert_array_equal(
-        _block_rng(-1, 1, 2).standard_normal(64), _block_rng(2**64 - 1, 1, 2).standard_normal(64)
+        _block_rng(-1, 2).standard_normal(64), _block_rng(2**64 - 1, 2).standard_normal(64)
     )
-    firsts = {
-        _block_rng(5, li, b).standard_normal()
-        for li in range(4) for b in range(8)
-    }
+    firsts = {_block_rng(5, b).standard_normal() for b in range(32)}
     assert len(firsts) == 32
 
 
 def test_antithetic_fill_matches_concatenation():
     size, n, m, dt = 1001, 7, 2, 0.01
     out = np.full((size + 50, n, m), np.nan)
-    _draw_increments(_block_rng(3, 1, 4), out[:size], dt, antithetic=True)
-    z = _block_rng(3, 1, 4).standard_normal(((size + 1) // 2, n, m))
+    _draw_increments(_block_rng(3, 4), out[:size], dt, antithetic=True)
+    z = _block_rng(3, 4).standard_normal(((size + 1) // 2, n, m))
     want = np.concatenate([z, -z], axis=0)[:size] * math.sqrt(dt)
     np.testing.assert_array_equal(out[:size], want)
     assert np.all(np.isnan(out[size:]))  # rows past the block stay untouched
@@ -257,7 +260,7 @@ def test_blocks_do_not_alias_reused_buffers(workers):
     start = 0
     s = math.sqrt(grid.dt)
     for b, size in enumerate([BLOCK_SIZE, BLOCK_SIZE, 1000]):
-        rng = _block_rng(cfg.seed, 0, b)
+        rng = _block_rng(cfg.seed, b)
         db = rng.standard_normal((size, grid.n_steps, 1)) * s
         dw = rng.standard_normal((size, grid.n_steps, 1)) * s
         paths = np.zeros((size, grid.n_steps + 1, 1))
@@ -283,7 +286,113 @@ def test_reports_carry_provenance_and_match_across_workers():
         assert rep.to_json_obj()["diagnostics"]["provenance"] == {
             "rng": RNG_SCHEME, "seed": 41, "block_size": BLOCK_SIZE, "workers": w,
         }
-    assert RNG_SCHEME == "SFC64(SeedSequence([seed, ladder index, block index]))"
+    assert RNG_SCHEME == (
+        "SFC64(SeedSequence([seed, 0, block index])), one draw per block for the whole ladder"
+    )
+    assert [r.to_json_obj() for r in reps[0].rows] == [r.to_json_obj() for r in reps[1].rows]
+    assert reps[0].diagnostics["hits"] == reps[1].diagnostics["hits"]
+
+
+def _row(model, grid, eps, moms, quantity="tail_probability"):
+    """The report row and hit count at one epsilon from per-block
+    ``_Moments``, merged and reduced as the report does it."""
+    cfg = _cfg(model, ladder=(eps,), n_paths=1000, grid=grid)
+    mom = functools.reduce(_Moments.merge, moms)
+    return _reduce_report(cfg, quantity, [mom], 0.0).rows[0], mom.hits
+
+
+def test_ladder_draws_each_block_once(monkeypatch):
+    # a four-entry ladder fills db and dw once per block, not once per
+    # (epsilon, block); simulate_vol fills db alone
+    from ldpvol import mcsim
+
+    calls = []
+
+    def counting(*args):
+        calls.append(1)
+        _draw_increments(*args)
+
+    monkeypatch.setattr(mcsim, "_draw_increments", counting)
+    grid = TimeGrid(1.0, 5)
+    n_paths = 2 * BLOCK_SIZE + 100  # three blocks
+    cfg = _cfg(bs_const(), ladder=(0.4, 0.2, 0.1, 0.05), n_paths=n_paths, grid=grid)
+    ldp_tail_report(cfg, 0.1, reference_rate=0.125)
+    assert len(calls) == 2 * 3
+    calls.clear()
+    simulate_vol(toy_sabr().vol, 0.3, n_paths, grid, 1)
+    assert len(calls) == 3
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ladder_rows_equal_single_epsilon_runs(workers):
+    # row k of a tail and of a call ladder report is simulate_logprice at
+    # eps_k on the same seed, bit for bit: the ladder shares each block's
+    # noise and no entry's block function writes to it (the call payoff, with
+    # s0 = 1, is continuous, so any write shows; exit rows:
+    # test_exit_report_equals_kept_paths)
+    model = toy_sabr()
+    grid = TimeGrid(1.0, 10)
+    cfg = _cfg(model, ladder=(0.4, 0.2, 0.1, 0.05), n_paths=BLOCK_SIZE + 2000, seed=7,
+               grid=grid, max_workers=workers)
+    k, strike = 0.05, 1.05
+    payoffs = {
+        "tail_probability": (ldp_tail_report(cfg, k, reference_rate=0.0),
+                             lambda x: (x >= k).astype(float)),
+        "call_price": (mc_call_report(cfg, strike, reference_rate=0.0),
+                       lambda x: np.maximum(np.exp(x) - strike, 0.0)),
+    }
+    for li, eps in enumerate(cfg.epsilon_ladder):
+        sim = simulate_logprice(cfg, eps)
+        assert sim.n_excluded == 0
+        for quantity, (rep, payoff) in payoffs.items():
+            moms = [_Moments.of(payoff(sim.terminal[start : start + BLOCK_SIZE, 0]))
+                    for start in (0, BLOCK_SIZE)]
+            want, hits = _row(model, grid, eps, moms, quantity)
+            assert rep.rows[li].to_json_obj() == want.to_json_obj()
+            assert rep.diagnostics["hits"][li] == hits
+
+
+def test_first_row_keeps_the_single_epsilon_key():
+    # row 0 of a ladder is drawn from SeedSequence([seed, 0, block index]),
+    # the key every single-epsilon run has used
+    model = bs_const()
+    grid = TimeGrid(1.0, 10)
+    seed, k = 2**40 + 9, 0.1
+    cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=BLOCK_SIZE + 1000, seed=seed, grid=grid)
+    rep = ldp_tail_report(cfg, k, reference_rate=0.0)
+    moms = []
+    s = math.sqrt(grid.dt)
+    for b, size in enumerate([BLOCK_SIZE, 1000]):
+        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, 0, b])))
+        db = rng.standard_normal((size, grid.n_steps, 1)) * s
+        dw = rng.standard_normal((size, grid.n_steps, 1)) * s
+        x, ok = _logprice_block(model, grid, 0.4, db, dw)
+        moms.append(_Moments.of((x[ok, 0] >= k).astype(float)))
+    row, hits = _row(model, grid, 0.4, moms)
+    assert rep.rows[0].to_json_obj() == row.to_json_obj()
+    assert rep.diagnostics["hits"][0] == hits
+
+
+def test_shared_noise_ladder_rows_are_unbiased():
+    # each row of a ladder run on shared noise lies within 4 SE of the exact
+    # Gaussian tail of bs_const, and its own standard error is the exact one
+    cfg = _cfg(bs_const(), ladder=(0.4, 0.2, 0.1), n_paths=1 << 16, seed=2024)
+    rep = ldp_tail_report(cfg, 0.1, reference_rate=0.125)
+    for row in rep.rows:
+        eps = row.epsilon
+        p = float(norm.sf((0.1 + 0.5 * eps * 0.04) / (0.2 * math.sqrt(eps))))
+        se = math.sqrt(p * (1 - p) / cfg.n_paths)
+        assert abs(row.estimate - p) < 4 * se
+        assert row.std_error * row.estimate / eps == pytest.approx(se, rel=0.1)
+
+
+def test_ladder_workers_agree_on_three_blocks():
+    reps = [
+        mc_call_report(_cfg(toy_sabr(), ladder=(0.4, 0.2, 0.1), n_paths=2 * BLOCK_SIZE + 1000,
+                            seed=17, grid=TimeGrid(1.0, 10), max_workers=w), 1.05,
+                       reference_rate=0.0)
+        for w in (1, 2)
+    ]
     assert [r.to_json_obj() for r in reps[0].rows] == [r.to_json_obj() for r in reps[1].rows]
     assert reps[0].diagnostics["hits"] == reps[1].diagnostics["hits"]
 
@@ -527,7 +636,7 @@ def test_exit_report_equals_kept_paths(case, workers):
     window = grid.nodes <= 0.8 + 1e-12
     window[0] = False
     for li, (eps, row) in enumerate(zip(cfg.epsilon_ladder, rep.rows)):
-        paths = simulate_logprice(cfg, eps, keep_paths=True, ladder_index=li).paths
+        paths = simulate_logprice(cfg, eps, keep_paths=True).paths
         flags = np.zeros(paths.shape[0], dtype=bool)
         for a, c in faces:
             sd = np.einsum("a,bna->bn", a, paths) - c
