@@ -21,12 +21,18 @@ while each row is unbiased and its standard error is honest on its own.
 Estimates are bit-identical no matter how blocks are scheduled across
 workers; SFC64's 256-bit state carries a 64-bit counter, and
 SeedSequence-hashed starting states make overlap between substreams
-negligible in practice.  Normals are drawn straight into one pair of buffers
+negligible in practice.  The driver noise dB is drawn straight into one buffer
 per worker thread, reused for every block the thread runs, and scaled in
-place; antithetic blocks draw the first half and write its negation into the
-rest.  Payoff moments are merged per block, in block order, from (count,
-mean, sum of squared deviations) (Chan, Golub & LeVeque), and each report
-carries its hit counts.
+place.  The price noise dW follows in the same stream order, drawn in chunks
+of ``MIX_ROWS`` paths; each chunk is mixed with dB by the functional's own
+``ratefn._phi_drive`` and stored node-major in a second per-worker buffer,
+the drive that every epsilon of the ladder reads one contiguous row of per
+node.  Antithetic blocks draw the first half of the rows and write its
+negation into the rest, of dB and of the (linear) drive alike.  Block
+functions must neither write to dB or the drive nor return a view of them.
+Payoff moments are merged per block, in block order, from (count, mean, sum
+of squared deviations) (Chan, Golub & LeVeque), and each report carries its
+hit counts.
 """
 
 from __future__ import annotations
@@ -48,6 +54,7 @@ from .ratefn import ModelSpec, _phi_drive, _phi_increment
 from .volmap import BLOWUP_LIMIT, VolProcessSpec, output_map, vol_state
 
 BLOCK_SIZE = 1 << 15
+MIX_ROWS = 256  # paths of price noise drawn and mixed at a time
 RNG_SCHEME = "SFC64(SeedSequence([seed, 0, block index])), one draw per block for the whole ladder"
 
 
@@ -161,36 +168,59 @@ def _draw_increments(rng, out, dt, antithetic):
     np.negative(out[: size - half], out=out[half:])
 
 
-def _run_blocks(
-    block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, need_dw=True
-):
+def _draw_drive(rng, mix, db, out, dt, antithetic):
+    """Draw a block's price noise dW after ``db`` and write ``mix(dW, db)``
+    node-major into ``out`` (n, size, ...).
+
+    dW is drawn ``MIX_ROWS`` paths at a time, which keeps the stream order of
+    one whole-block fill; antithetic blocks mix the first ceil(size/2) rows
+    and write the negation into the rest (the mix is linear).
+    """
+    size, n, m = db.shape
+    half = (size + 1) // 2 if antithetic else size
+    dw = np.empty((min(MIX_ROWS, half), n, m))
+    for r0 in range(0, half, MIX_ROWS):
+        rows = min(MIX_ROWS, half - r0)
+        _draw_increments(rng, dw[:rows], dt, False)
+        out[:, r0 : r0 + rows] = np.swapaxes(mix(dw[:rows], db[r0 : r0 + rows]), 0, 1)
+    np.negative(out[:, : size - half], out=out[:, half:])
+
+
+def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, mix=None):
     """The block scheduler: draw each block's noise once, then run
-    ``block_fn(epsilon, db, dw)`` on it for every epsilon in order.
+    ``block_fn(epsilon, db, drive)`` on it for every epsilon in order.
 
     Returns one sequence of block results per epsilon, in block order.  All
-    epsilons share each block's increments (common random numbers); each
-    block draws from its own substream, so results do not depend on
-    ``workers``, and the pool runs blocks, so a one-block run uses one
-    thread.  The driver noise ``db`` is drawn first, then the pricing noise
-    ``dw``; block functions that never read the pricing noise pass
-    ``need_dw=False`` and get ``dw = None``.  ``db`` and ``dw`` are views of
-    buffers that each worker thread reuses for every block and epsilon, so a
-    block function must neither write to them nor return a view of them.
+    epsilons share each block's noise (common random numbers); each block
+    draws from its own substream, so results do not depend on ``workers``,
+    and the pool runs blocks, so a one-block run uses one thread.  The driver
+    noise ``db`` (size, n, m) is drawn first.  With ``mix`` given, the price
+    noise dW follows from the same substream in chunks of ``MIX_ROWS`` paths,
+    in stream order, and ``drive`` is ``mix(dW, db)`` stored node-major,
+    (n, size) for m = 1, else (n, size, m), so each node reads one
+    contiguous row; antithetic blocks negate both.  Without ``mix`` no price noise is drawn
+    and ``drive`` is None.  ``db`` and ``drive`` are views of buffers that
+    each worker thread reuses for every block and epsilon, so a block
+    function must neither write to them nor return a view of them.
     """
     n_paths = int(n_paths)
     sizes = [min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)]
-    shape = (sizes[0], grid.n_steps, m)
     local = threading.local()
 
     def run(b):
-        if not hasattr(local, "bufs"):
-            local.bufs = [np.empty(shape) for _ in range(2 if need_dw else 1)]
+        if not hasattr(local, "db"):
+            local.db = np.empty((sizes[0], grid.n_steps, m))
+            if mix is not None:
+                tail = mix(local.db[:0], local.db[:0]).shape[2:]  # () for m = 1
+                local.drive = np.empty((grid.n_steps, sizes[0]) + tail)
         rng = _block_rng(seed, b)
-        views = [buf[: sizes[b]] for buf in local.bufs]  # db, then dw
-        for v in views:
-            _draw_increments(rng, v, grid.dt, antithetic)
-        db, dw = views if need_dw else (views[0], None)
-        return [block_fn(float(eps), db, dw) for eps in epsilons]
+        db = local.db[: sizes[b]]
+        _draw_increments(rng, db, grid.dt, antithetic)
+        drive = None
+        if mix is not None:
+            drive = local.drive[:, : sizes[b]]
+            _draw_drive(rng, mix, db, drive, grid.dt, antithetic)
+        return [block_fn(float(eps), db, drive) for eps in epsilons]
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -206,6 +236,12 @@ def _run_blocks(
 def _finite_rows(a):
     """Rows (paths) whose values are all finite and below ``BLOWUP_LIMIT``."""
     return np.all(np.abs(a) < BLOWUP_LIMIT, axis=tuple(range(1, a.ndim)))
+
+
+def _check_epsilon(epsilon):
+    """Reject a negative or non-finite epsilon before anything is drawn."""
+    if not (math.isfinite(epsilon) and epsilon >= 0.0):
+        raise DomainError(f"epsilon must be finite and nonnegative, got {epsilon}")
 
 
 def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
@@ -230,17 +266,14 @@ def simulate_vol(
     antithetic: bool = False,
 ) -> VolEnsemble:
     """Ensemble of volatility paths for the scaled model at one epsilon."""
-    if epsilon < 0:
-        raise DomainError("epsilon must be nonnegative")
+    _check_epsilon(epsilon)
 
-    def block(eps, db, dw):
+    def block(eps, db, drive):
         vals = _vol_block(spec, db, grid, eps)
         ok = _finite_rows(vals)
         return vals[ok], int(np.sum(~ok))
 
-    (results,) = _run_blocks(
-        block, [epsilon], n_paths, grid, spec.m, int(seed), antithetic, need_dw=False
-    )
+    (results,) = _run_blocks(block, [epsilon], n_paths, grid, spec.m, int(seed), antithetic)
     return VolEnsemble(
         np.concatenate([r[0] for r in results], axis=0), sum(r[1] for r in results)
     )
@@ -251,17 +284,19 @@ def simulate_vol(
 # ---------------------------------------------------------------------------
 
 
-def _logprice_block(model: ModelSpec, grid, epsilon, db, dw, watch=None):
-    """Terminal log-price displacement X_T - x0 per path and the finite mask;
-    ``watch(k, x)`` sees the displacement at every node k = 1..n on the way."""
+def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, watch=None):
+    """Terminal log-price displacement X_T - x0 per path and the finite mask.
+
+    ``drive`` is the price noise mixed by ``_phi_drive``, node-major: row k
+    is the (size,) or (size, m) drive of step k.  ``watch(k, x)`` sees the
+    displacement at every node k = 1..n on the way."""
     vol_paths = _vol_block(model.vol, db, grid, epsilon)
     scale = math.sqrt(epsilon) / grid.dt
     x = np.zeros((db.shape[0], model.m))
     for k, t in enumerate(grid.nodes[:-1]):
         u = vol_paths[:, k, :]
         b, sig = model.drift_values(t, u), model.sigma_values(t, u)
-        drive = scale * _phi_drive(model, dw[:, k], db[:, k])
-        x += _phi_increment(model, b, sig, drive, grid.dt, epsilon)
+        x += _phi_increment(model, b, sig, scale * drive[k], grid.dt, epsilon)
         if watch is not None:
             watch(k + 1, x)
     return x, _finite_rows(x)
@@ -280,20 +315,21 @@ def simulate_logprice(cfg: SimConfig, epsilon: float, keep_paths: bool = False) 
     The same Brownian driver feeds the volatility path and the correlated
     part of the price noise.
     """
+    _check_epsilon(epsilon)
 
-    def block(eps, db, dw):
+    def block(eps, db, drive):
         size = (db.shape[0], cfg.grid.n_steps + 1, cfg.model.m)
         paths = np.zeros(size) if keep_paths else None
 
         def keep(k, x):
             paths[:, k, :] = x
 
-        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, keep if keep_paths else None)
+        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, drive, keep if keep_paths else None)
         return x[ok], paths[ok] if keep_paths else None, int(np.sum(~ok))
 
     (results,) = _run_blocks(
         block, [epsilon], cfg.n_paths, cfg.grid, cfg.model.vol.m,
-        cfg.seed, cfg.antithetic, cfg.max_workers,
+        cfg.seed, cfg.antithetic, cfg.max_workers, functools.partial(_phi_drive, cfg.model),
     )
     return LogPriceSamples(
         np.concatenate([r[0] for r in results], axis=0),
@@ -394,14 +430,15 @@ def _per_eps_payoff_stats(cfg, payoff_fn, watcher=None):
     every node.
     """
 
-    def block(eps, db, dw):
+    def block(eps, db, drive):
         seen, watch = watcher(db.shape[0]) if watcher else (None, None)
-        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, dw, watch)
+        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, drive, watch)
         return _Moments.of(payoff_fn(x[ok], None if seen is None else seen[ok]))
 
     per_entry = _run_blocks(
         block, cfg.epsilon_ladder, cfg.n_paths, cfg.grid,
         cfg.model.vol.m, cfg.seed, cfg.antithetic, cfg.max_workers,
+        functools.partial(_phi_drive, cfg.model),
     )
     return [functools.reduce(_Moments.merge, res) for res in per_entry]
 
@@ -466,7 +503,7 @@ def mc_exit_report(
         def watch(k, x):
             if window[k]:
                 for a, c in faces:
-                    hit[:] |= x @ a - c >= 0.0
+                    hit[:] |= x.dot(a) >= c
 
         return hit, watch
 

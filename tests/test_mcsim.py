@@ -10,6 +10,7 @@ from ldpvol.errors import ConvergenceError, DomainError
 from ldpvol.kernels import brownian, riemann_liouville, slice_variance
 from ldpvol.mcsim import (
     BLOCK_SIZE,
+    MIX_ROWS,
     RNG_SCHEME,
     SimConfig,
     _block_rng,
@@ -18,6 +19,7 @@ from ldpvol.mcsim import (
     _Moments,
     _per_eps_payoff_stats,
     _reduce_report,
+    _run_blocks,
     _vol_block,
     ldp_tail_report,
     mc_call_report,
@@ -174,7 +176,8 @@ def test_logprice_block_runs_the_functional_step(name):
     def keep(k, x):
         path[:, k, :] = x
 
-    x, ok = _logprice_block(model, grid, 1.0, f_dots * dt, l_dots * dt, keep)
+    drive = np.moveaxis(_phi_drive(model, l_dots * dt, f_dots * dt), 1, 0)
+    x, ok = _logprice_block(model, grid, 1.0, f_dots * dt, drive, keep)
     assert np.all(ok)
     np.testing.assert_array_equal(x, path[:, -1])
     tk = grid.nodes[:-1]
@@ -246,6 +249,74 @@ def test_antithetic_fill_matches_concatenation():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("name", ["bs_const", "mixed_demo"])
+def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
+    # the price noise drawn and mixed MIX_ROWS paths at a time is, bit for
+    # bit, the mix of whole-block fills (db, then dW) stored node-major; the
+    # second block is odd and not a multiple of MIX_ROWS
+    model = make_model(name)
+    grid = TimeGrid(1.0, 5)
+    seed, sizes, m = 23, [BLOCK_SIZE, 1001], model.vol.m
+    assert sizes[1] % MIX_ROWS and sizes[1] % 2
+
+    def block(eps, db, drive):
+        return db.copy(), drive.copy()
+
+    (got,) = _run_blocks(block, [0.3], sum(sizes), grid, m, seed, antithetic, workers,
+                         functools.partial(_phi_drive, model))
+    for b, size in enumerate(sizes):
+        rng = _block_rng(seed, b)
+        db, dw = np.empty((2, size, grid.n_steps, m))
+        _draw_increments(rng, db, grid.dt, antithetic)
+        _draw_increments(rng, dw, grid.dt, antithetic)
+        np.testing.assert_array_equal(got[b][0], db)
+        np.testing.assert_array_equal(got[b][1], np.moveaxis(_phi_drive(model, dw, db), 1, 0))
+
+
+def test_exit_ladder_holds_no_second_noise_buffer():
+    # a one-block exit ladder peaks at about four block arrays (driver noise,
+    # drive, the scaled driver and the vol path); a second whole-block noise
+    # buffer next to the drive would add a fifth
+    import tracemalloc
+
+    model = bs_const()
+    grid, size = TimeGrid(1.0, 50), 1 << 12
+    cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=size, grid=grid)
+    dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        mc_exit_report(cfg, dom, 1.0, reference_rate=0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4.25 * size * grid.n_steps * model.m * 8
+
+
+def _no_draws(*args, **kwargs):
+    raise AssertionError("paths were drawn")
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+def test_simulate_logprice_rejects_bad_epsilon(monkeypatch, eps):
+    from ldpvol import mcsim
+
+    monkeypatch.setattr(mcsim, "_run_blocks", _no_draws)
+    with pytest.raises(DomainError):
+        simulate_logprice(_cfg(bs_const(), n_paths=2000), eps)
+
+
+@pytest.mark.parametrize("eps", [-0.1, math.nan, math.inf])
+def test_simulate_vol_rejects_bad_epsilon(monkeypatch, eps):
+    from ldpvol import mcsim
+
+    monkeypatch.setattr(mcsim, "_run_blocks", _no_draws)
+    with pytest.raises(DomainError):
+        simulate_vol(toy_sabr().vol, eps, 2000, GRID, seed=1)
+
+
+@pytest.mark.parametrize("workers", [1, 2])
 def test_blocks_do_not_alias_reused_buffers(workers):
     # every block of a three-block run, kept whole, equals the same block
     # rebuilt from freshly allocated increments: no result shares memory
@@ -268,7 +339,8 @@ def test_blocks_do_not_alias_reused_buffers(workers):
         def keep(k, x):
             paths[:, k, :] = x
 
-        x, ok = _logprice_block(model, grid, eps, db, dw, keep)
+        drive = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
+        x, ok = _logprice_block(model, grid, eps, db, drive, keep)
         assert np.all(ok)
         np.testing.assert_array_equal(got.terminal[start : start + size], x)
         np.testing.assert_array_equal(got.paths[start : start + size], paths)
@@ -302,25 +374,31 @@ def _row(model, grid, eps, moms, quantity="tail_probability"):
 
 
 def test_ladder_draws_each_block_once(monkeypatch):
-    # a four-entry ladder fills db and dw once per block, not once per
-    # (epsilon, block); simulate_vol fills db alone
+    # a four-entry ladder opens each block's substream once, not once per
+    # (epsilon, block); simulate_vol fills db alone, one fill per block
     from ldpvol import mcsim
 
-    calls = []
+    streams, fills = [], []
 
-    def counting(*args):
-        calls.append(1)
+    def counting_rng(*args):
+        streams.append(1)
+        return _block_rng(*args)
+
+    def counting_fill(*args):
+        fills.append(1)
         _draw_increments(*args)
 
-    monkeypatch.setattr(mcsim, "_draw_increments", counting)
+    monkeypatch.setattr(mcsim, "_block_rng", counting_rng)
+    monkeypatch.setattr(mcsim, "_draw_increments", counting_fill)
     grid = TimeGrid(1.0, 5)
     n_paths = 2 * BLOCK_SIZE + 100  # three blocks
     cfg = _cfg(bs_const(), ladder=(0.4, 0.2, 0.1, 0.05), n_paths=n_paths, grid=grid)
     ldp_tail_report(cfg, 0.1, reference_rate=0.125)
-    assert len(calls) == 2 * 3
-    calls.clear()
+    assert len(streams) == 3
+    streams.clear()
+    fills.clear()
     simulate_vol(toy_sabr().vol, 0.3, n_paths, grid, 1)
-    assert len(calls) == 3
+    assert len(streams) == 3 and len(fills) == 3
 
 
 @pytest.mark.parametrize("workers", [1, 2])
@@ -366,7 +444,7 @@ def test_first_row_keeps_the_single_epsilon_key():
         rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, 0, b])))
         db = rng.standard_normal((size, grid.n_steps, 1)) * s
         dw = rng.standard_normal((size, grid.n_steps, 1)) * s
-        x, ok = _logprice_block(model, grid, 0.4, db, dw)
+        x, ok = _logprice_block(model, grid, 0.4, db, np.moveaxis(_phi_drive(model, dw, db), 1, 0))
         moms.append(_Moments.of((x[ok, 0] >= k).astype(float)))
     row, hits = _row(model, grid, 0.4, moms)
     assert rep.rows[0].to_json_obj() == row.to_json_obj()
@@ -555,10 +633,7 @@ def test_exit_report_empty_window_raises_before_drawing(monkeypatch, tmp_path, c
     from ldpvol import mcsim
     from ldpvol.cli import EXIT_CONFIG, main
 
-    def no_draws(*args, **kwargs):
-        raise AssertionError("paths were drawn")
-
-    monkeypatch.setattr(mcsim, "_run_blocks", no_draws)
+    monkeypatch.setattr(mcsim, "_run_blocks", _no_draws)
     dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
     cfg = _cfg(bs_const(), n_paths=2000, grid=TimeGrid(1.0, 10))
     with pytest.raises(DomainError):
