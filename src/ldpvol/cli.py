@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, LdpvolError
+from .errors import ConvergenceError, DomainError, LdpvolError
 from .kernels import KernelSpec, kernel_info
 from .mcsim import SimConfig, ldp_tail_report, mc_call_report, mc_exit_report
 from .paths import TimeGrid, dump_json, path_from_csv
@@ -39,10 +39,14 @@ EXIT_NONCONVERGED = 3
 
 
 def _default_workers() -> int:
+    raw = os.environ.get("LDPVOL_WORKERS", "1")
     try:
-        return max(1, int(os.environ.get("LDPVOL_WORKERS", "1")))
+        workers = int(raw)
     except ValueError:
-        return 1
+        raise DomainError(f"LDPVOL_WORKERS must be an integer, got {raw!r}") from None
+    if workers < 1:
+        raise DomainError(f"LDPVOL_WORKERS must be positive, got {workers}")
+    return workers
 
 
 def _load_model(args):
@@ -303,13 +307,16 @@ def _cmd_mc_verify(args):
     model = model_from_json_obj(cfg_obj["model"])
     grid = TimeGrid(cfg_obj.get("horizon", 1.0), cfg_obj.get("n_steps", 200))
     workers = args.workers if args.workers is not None else cfg_obj.get("max_workers")
+    antithetic = cfg_obj.get("antithetic", False)
+    if not isinstance(antithetic, bool):
+        raise DomainError(f"antithetic must be true or false, got {antithetic!r}")
     cfg = SimConfig(
         model=model,
         epsilon_ladder=cfg_obj["epsilon_ladder"],
         n_paths=cfg_obj["n_paths"],
         grid=grid,
         seed=cfg_obj.get("seed", 0),
-        antithetic=bool(cfg_obj.get("antithetic", False)),
+        antithetic=antithetic,
         max_workers=_default_workers() if workers is None else workers,
     )
     quantity = cfg_obj.get("quantity", "tail")

@@ -190,21 +190,6 @@ def _mg_value(h: float, t: float, s: float) -> float:
     return float(_mg_values(h, s, t - s))
 
 
-def mg_value_hyp2f1(h: float, t: float, s: float) -> float:
-    """Gauss-hypergeometric representation of the fBM kernel (cross-check path)."""
-    if s >= t or s <= 0.0:
-        return 0.0
-    c = math.sqrt(
-        2 * h * _sp.gamma(1.5 - h) / (_sp.gamma(h + 0.5) * _sp.gamma(2 - 2 * h))
-    )
-    return (
-        c
-        * (t - s) ** (h - 0.5)
-        * (s / t) ** (0.5 - h)
-        * _sp.hyp2f1(0.5 - h, 1.0, h + 0.5, (t - s) / t)
-    )
-
-
 def _log_value(beta: float, x: float) -> float:
     """Convolution kernel tau(x) at lag x in (0, 1)."""
     if x >= 1.0:

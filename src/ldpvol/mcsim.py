@@ -27,9 +27,20 @@ place.  The price noise dW follows in the same stream order, drawn in chunks
 of ``MIX_ROWS`` paths; each chunk is mixed with dB by the functional's own
 ``ratefn._phi_drive`` and stored node-major in a second per-worker buffer,
 the drive that every epsilon of the ladder reads one contiguous row of per
-node.  Antithetic blocks draw the first half of the rows and write its
-negation into the rest, of dB and of the (linear) drive alike.  Block
-functions must neither write to dB or the drive nor return a view of them.
+node.  Where the vol is affine in its increments (the toy family and
+unreflected Gaussian ones, ``volmap.is_affine``), vol_state(sqrt(eps) dB) is
+y + sqrt(eps) L(dB), so the same chunk loop runs ``vol_state`` on each chunk
+of dB once per block and stores L = vol_state(dB) - y at the left nodes
+node-major in a third per-worker buffer; each epsilon then forms the row
+y + sqrt(eps) L[k] at node k.  Every other vol (fractional, mixed,
+reflected, volterra_sde, and any reflected output) builds its whole vol
+block from sqrt(eps) dB per epsilon, read through the same per-node
+accessor.  The two agree to rounding: outputs of models whose sigma ignores
+the vol (bs_const) are bit-identical, toy_sabr and the Gaussian ones only
+statistically equal.  Antithetic blocks draw the first half of the rows and
+write its negation into the rest, of dB, of the (linear) drive and of L
+alike.  Block functions must neither write to these buffers nor return a
+view of them.
 Payoff moments are merged per block, in block order, from (count, mean, sum
 of squared deviations) (Chan, Golub & LeVeque), and each report carries its
 hit counts.
@@ -51,7 +62,7 @@ from .errors import ConvergenceError, DimensionError, DomainError
 from .paths import TimeGrid
 from .pricing import ExitDomain, exit_window
 from .ratefn import ModelSpec, _phi_drive, _phi_increment
-from .volmap import BLOWUP_LIMIT, VolProcessSpec, output_map, vol_state
+from .volmap import BLOWUP_LIMIT, VolProcessSpec, is_affine, output_map, vol_state
 
 BLOCK_SIZE = 1 << 15
 MIX_ROWS = 256  # paths of price noise drawn and mixed at a time
@@ -168,59 +179,79 @@ def _draw_increments(rng, out, dt, antithetic):
     np.negative(out[: size - half], out=out[half:])
 
 
-def _draw_drive(rng, mix, db, out, dt, antithetic):
-    """Draw a block's price noise dW after ``db`` and write ``mix(dW, db)``
-    node-major into ``out`` (n, size, ...).
+def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
+    """Draw a block's price noise dW after ``db`` and write, node-major,
+    ``_phi_drive(model, dW, db)`` into ``drive`` (n, size, ...) and, unless
+    ``lin`` is None, the eps-free vol part ``vol_state(db) - y`` at the left
+    nodes into ``lin`` (n, size, d).
 
     dW is drawn ``MIX_ROWS`` paths at a time, which keeps the stream order of
-    one whole-block fill; antithetic blocks mix the first ceil(size/2) rows
-    and write the negation into the rest (the mix is linear).
+    one whole-block fill, and each chunk of ``db`` goes through ``vol_state``
+    with it; antithetic blocks fill the first ceil(size/2) rows and write the
+    negation into the rest (both parts are linear in the noise).
     """
     size, n, m = db.shape
     half = (size + 1) // 2 if antithetic else size
     dw = np.empty((min(MIX_ROWS, half), n, m))
+    y = None if lin is None else _vol_offset(model.vol, grid)
     for r0 in range(0, half, MIX_ROWS):
         rows = min(MIX_ROWS, half - r0)
-        _draw_increments(rng, dw[:rows], dt, False)
-        out[:, r0 : r0 + rows] = np.swapaxes(mix(dw[:rows], db[r0 : r0 + rows]), 0, 1)
-    np.negative(out[:, : size - half], out=out[:, half:])
+        _draw_increments(rng, dw[:rows], grid.dt, False)
+        chunk = db[r0 : r0 + rows]
+        drive[:, r0 : r0 + rows] = np.swapaxes(_phi_drive(model, dw[:rows], chunk), 0, 1)
+        if lin is not None:
+            vals = vol_state(model.vol, chunk, grid, _k.rms_weights)[:, :-1]
+            lin[:, r0 : r0 + rows] = np.swapaxes(vals - y, 0, 1)
+    np.negative(drive[:, : size - half], out=drive[:, half:])
+    if lin is not None:
+        np.negative(lin[:, : size - half], out=lin[:, half:])
 
 
-def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, mix=None):
+def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, model=None):
     """The block scheduler: draw each block's noise once, then run
-    ``block_fn(epsilon, db, drive)`` on it for every epsilon in order.
+    ``block_fn(epsilon, db, drive, lin)`` on it for every epsilon in order.
 
     Returns one sequence of block results per epsilon, in block order.  All
     epsilons share each block's noise (common random numbers); each block
     draws from its own substream, so results do not depend on ``workers``,
     and the pool runs blocks, so a one-block run uses one thread.  The driver
-    noise ``db`` (size, n, m) is drawn first.  With ``mix`` given, the price
-    noise dW follows from the same substream in chunks of ``MIX_ROWS`` paths,
-    in stream order, and ``drive`` is ``mix(dW, db)`` stored node-major,
-    (n, size) for m = 1, else (n, size, m), so each node reads one
-    contiguous row; antithetic blocks negate both.  Without ``mix`` no price noise is drawn
-    and ``drive`` is None.  ``db`` and ``drive`` are views of buffers that
-    each worker thread reuses for every block and epsilon, so a block
-    function must neither write to them nor return a view of them.
+    noise ``db`` (size, n, m) is drawn first.  With a ``model`` given, the
+    price noise dW follows from the same substream in chunks of ``MIX_ROWS``
+    paths, in stream order, and ``drive`` is ``_phi_drive(model, dW, db)``
+    stored node-major, (n, size) for m = 1, else (n, size, m), so each node
+    reads one contiguous row.  When ``model.vol`` is affine in its
+    increments (``volmap.is_affine``), vol_state(sqrt(eps) dB) is
+    y + sqrt(eps) L(dB), and ``lin`` is L(db) at the left nodes, built once
+    per block from ``vol_state`` on the same chunks and stored node-major,
+    (n, size, d); otherwise ``lin`` is None and each epsilon builds its own
+    vol block.  Antithetic blocks negate the second half of all three.
+    Without a ``model`` no price noise is drawn and ``drive`` and ``lin``
+    are None.  ``db``, ``drive`` and ``lin`` are views of buffers that each
+    worker thread reuses for every block and epsilon, so a block function
+    must neither write to them nor return a view of them.
     """
     n_paths = int(n_paths)
     sizes = [min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)]
+    affine = model is not None and is_affine(model.vol)
     local = threading.local()
 
     def run(b):
         if not hasattr(local, "db"):
             local.db = np.empty((sizes[0], grid.n_steps, m))
-            if mix is not None:
-                tail = mix(local.db[:0], local.db[:0]).shape[2:]  # () for m = 1
+            if model is not None:
+                tail = () if model.m == 1 else (model.m,)
                 local.drive = np.empty((grid.n_steps, sizes[0]) + tail)
+            if affine:
+                local.lin = np.empty((grid.n_steps, sizes[0], model.vol.d))
         rng = _block_rng(seed, b)
         db = local.db[: sizes[b]]
         _draw_increments(rng, db, grid.dt, antithetic)
-        drive = None
-        if mix is not None:
+        drive = lin = None
+        if model is not None:
             drive = local.drive[:, : sizes[b]]
-            _draw_drive(rng, mix, db, drive, grid.dt, antithetic)
-        return [block_fn(float(eps), db, drive) for eps in epsilons]
+            lin = local.lin[:, : sizes[b]] if affine else None
+            _draw_drive(rng, model, grid, db, drive, lin, antithetic)
+        return [block_fn(float(eps), db, drive, lin) for eps in epsilons]
 
     if workers > 1 and len(sizes) > 1:
         with ThreadPoolExecutor(max_workers=workers) as ex:
@@ -251,6 +282,32 @@ def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
     return output_map(spec, vol_state(spec, incr, grid, _k.rms_weights))
 
 
+def _vol_offset(spec: VolProcessSpec, grid):
+    """The zero-noise vol at the left nodes, (n, d): y of an affine vol,
+    vol_state(sqrt(eps) dB) = y + sqrt(eps) L(dB)."""
+    return vol_state(spec, np.zeros((grid.n_steps, spec.m)), grid, _k.rms_weights)[:-1]
+
+
+def _vol_nodes(spec: VolProcessSpec, grid, epsilon, db, lin):
+    """Accessor of the left-node vol rows: ``vol(k)`` is (size, d) at node k.
+
+    With the block's eps-free part ``lin`` (n, size, d) of an affine vol, row
+    k is y + sqrt(eps) lin[k], formed in one reused buffer (valid until the
+    next call); otherwise it is a column of this epsilon's whole vol block.
+    """
+    if lin is None:
+        paths = _vol_block(spec, db, grid, epsilon)
+        return lambda k: paths[:, k, :]
+    y, scale = _vol_offset(spec, grid), math.sqrt(epsilon)
+    row = np.empty(lin.shape[1:])
+
+    def vol(k):
+        np.multiply(lin[k], scale, out=row)
+        return np.add(row, y[k], out=row)
+
+    return vol
+
+
 @dataclass
 class VolEnsemble:
     paths: np.ndarray  # (n_paths, n+1, d)
@@ -268,7 +325,7 @@ def simulate_vol(
     """Ensemble of volatility paths for the scaled model at one epsilon."""
     _check_epsilon(epsilon)
 
-    def block(eps, db, drive):
+    def block(eps, db, drive, lin):
         vals = _vol_block(spec, db, grid, eps)
         ok = _finite_rows(vals)
         return vals[ok], int(np.sum(~ok))
@@ -284,19 +341,22 @@ def simulate_vol(
 # ---------------------------------------------------------------------------
 
 
-def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, watch=None):
+def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, lin=None, watch=None):
     """Terminal log-price displacement X_T - x0 per path and the finite mask.
 
     ``drive`` is the price noise mixed by ``_phi_drive``, node-major: row k
-    is the (size,) or (size, m) drive of step k.  ``watch(k, x)`` sees the
-    displacement at every node k = 1..n on the way."""
-    vol_paths = _vol_block(model.vol, db, grid, epsilon)
+    is the (size,) or (size, m) drive of step k.  ``lin`` is the block's
+    eps-free vol part of an affine vol, or None (see ``_run_blocks``).
+    ``watch(k, x)`` sees the displacement at every node k = 1..n on the way."""
+    vol = _vol_nodes(model.vol, grid, epsilon, db, lin)
     scale = math.sqrt(epsilon) / grid.dt
     x = np.zeros((db.shape[0], model.m))
+    noise = np.empty(drive.shape[1:])
     for k, t in enumerate(grid.nodes[:-1]):
-        u = vol_paths[:, k, :]
+        u = vol(k)
         b, sig = model.drift_values(t, u), model.sigma_values(t, u)
-        x += _phi_increment(model, b, sig, scale * drive[k], grid.dt, epsilon)
+        np.multiply(drive[k], scale, out=noise)
+        x += _phi_increment(model, b, sig, noise, grid.dt, epsilon)
         if watch is not None:
             watch(k + 1, x)
     return x, _finite_rows(x)
@@ -317,19 +377,21 @@ def simulate_logprice(cfg: SimConfig, epsilon: float, keep_paths: bool = False) 
     """
     _check_epsilon(epsilon)
 
-    def block(eps, db, drive):
+    def block(eps, db, drive, lin):
         size = (db.shape[0], cfg.grid.n_steps + 1, cfg.model.m)
         paths = np.zeros(size) if keep_paths else None
 
         def keep(k, x):
             paths[:, k, :] = x
 
-        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, drive, keep if keep_paths else None)
+        x, ok = _logprice_block(
+            cfg.model, cfg.grid, eps, db, drive, lin, keep if keep_paths else None
+        )
         return x[ok], paths[ok] if keep_paths else None, int(np.sum(~ok))
 
     (results,) = _run_blocks(
         block, [epsilon], cfg.n_paths, cfg.grid, cfg.model.vol.m,
-        cfg.seed, cfg.antithetic, cfg.max_workers, functools.partial(_phi_drive, cfg.model),
+        cfg.seed, cfg.antithetic, cfg.max_workers, cfg.model,
     )
     return LogPriceSamples(
         np.concatenate([r[0] for r in results], axis=0),
@@ -430,15 +492,14 @@ def _per_eps_payoff_stats(cfg, payoff_fn, watcher=None):
     every node.
     """
 
-    def block(eps, db, drive):
+    def block(eps, db, drive, lin):
         seen, watch = watcher(db.shape[0]) if watcher else (None, None)
-        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, drive, watch)
+        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, drive, lin, watch)
         return _Moments.of(payoff_fn(x[ok], None if seen is None else seen[ok]))
 
     per_entry = _run_blocks(
         block, cfg.epsilon_ladder, cfg.n_paths, cfg.grid,
-        cfg.model.vol.m, cfg.seed, cfg.antithetic, cfg.max_workers,
-        functools.partial(_phi_drive, cfg.model),
+        cfg.model.vol.m, cfg.seed, cfg.antithetic, cfg.max_workers, cfg.model,
     )
     return [functools.reduce(_Moments.merge, res) for res in per_entry]
 

@@ -41,9 +41,6 @@ class TimeGrid:
     def nodes(self) -> np.ndarray:
         return np.linspace(0.0, self.horizon, self.n_steps + 1)
 
-    def refine(self, factor: int = 2) -> "TimeGrid":
-        return TimeGrid(self.horizon, self.n_steps * int(factor))
-
 
 def _as_2d(values, n_rows, what):
     a = np.asarray(values, dtype=float)

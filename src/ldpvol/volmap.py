@@ -465,6 +465,12 @@ def vol_state(
     return out
 
 
+def is_affine(spec: VolProcessSpec) -> bool:
+    """Whether the output-mapped ``vol_state`` is affine in the increments:
+    a cumulative sum (toy) or y plus a convolution (Gaussian), unreflected."""
+    return spec.family in (TOY, GAUSSIAN) and not spec.reflect
+
+
 def vol_state_vjp(spec: VolProcessSpec, incr, grid, noise_table, tape, vals_bar) -> np.ndarray:
     """Vector-jacobian product of ``vol_state``: d <vals_bar, vals> / d incr.
 

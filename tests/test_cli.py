@@ -227,6 +227,44 @@ def test_mc_verify_rejects_nonpositive_workers(tmp_path, capsys, monkeypatch, wo
     assert json.loads(err)["error"] == "DomainError"
 
 
+def _tail_config(tmp_path, **extra):
+    cfg = {
+        "model": {"preset": "bs_const"}, "quantity": "tail", "epsilon_ladder": [0.4],
+        "n_paths": 2000, "n_steps": 10, "seed": 7, "k": 0.1, "reference_rate": 0.125,
+        **extra,
+    }
+    (tmp_path / "sim.json").write_text(json.dumps(cfg))
+    return str(tmp_path / "sim.json")
+
+
+@pytest.mark.parametrize("env", ["0", "-1", "abc", "1.5"])
+def test_mc_verify_rejects_bad_worker_environment(tmp_path, capsys, monkeypatch, env):
+    # LDPVOL_WORKERS is read when neither --workers nor max_workers is given;
+    # a count below 1 or a non-integer is a configuration error, not 1 worker
+    monkeypatch.setenv("LDPVOL_WORKERS", env)
+    code, out, err = run_cli(capsys, "mc-verify", "--config", _tail_config(tmp_path))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+    assert "LDPVOL_WORKERS" in json.loads(err)["message"]
+
+
+@pytest.mark.parametrize("flag", [False, True, "false", "true", 0, 1, None])
+def test_mc_verify_antithetic_takes_only_a_json_boolean(tmp_path, capsys, flag):
+    # "false" once read as bool("false"), True: the run went antithetic while
+    # resolved_config echoed "false"
+    code, out, err = run_cli(
+        capsys, "mc-verify", "--config", _tail_config(tmp_path, antithetic=flag)
+    )
+    if isinstance(flag, bool):
+        assert code == EXIT_OK
+        assert json.loads(out)["resolved_config"]["antithetic"] is flag
+    else:
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert json.loads(err)["error"] == "DomainError"
+
+
 def test_rate_path_command(tmp_path, capsys):
     from ldpvol import TimeGrid, PathFn
     from ldpvol.paths import path_to_csv

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate as sint
 from scipy.special import beta as beta_fn
-from scipy.special import gamma
+from scipy.special import gamma, hyp2f1
 
 from ldpvol.errors import AdmissibilityError, DimensionError, InvalidKernelError
 from ldpvol.kernels import (
@@ -17,7 +17,6 @@ from ldpvol.kernels import (
     hs_apply,
     l2_modulus,
     logarithmic,
-    mg_value_hyp2f1,
     molchan_golosov,
     riemann_liouville,
     slice_variance,
@@ -75,6 +74,16 @@ def test_rl_half_matches_brownian_pointwise():
         for s in grid.nodes:
             if s < t:
                 assert abs(eval_kernel(k, t, s) - 1.0) < 1e-12
+
+
+def mg_value_hyp2f1(h: float, t: float, s: float) -> float:
+    """Gauss-hypergeometric representation of the Molchan-Golosov kernel,
+    the oracle for its integral form."""
+    if s >= t or s <= 0.0:
+        return 0.0
+    c = math.sqrt(2 * h * gamma(1.5 - h) / (gamma(h + 0.5) * gamma(2 - 2 * h)))
+    z = (t - s) / t
+    return c * (t - s) ** (h - 0.5) * (s / t) ** (0.5 - h) * hyp2f1(0.5 - h, 1.0, h + 0.5, z)
 
 
 def test_mg_integral_form_matches_hypergeometric():

@@ -7,7 +7,7 @@ from scipy.stats import norm
 
 from ldpvol import TimeGrid
 from ldpvol.errors import ConvergenceError, DomainError
-from ldpvol.kernels import brownian, riemann_liouville, slice_variance
+from ldpvol.kernels import brownian, molchan_golosov, riemann_liouville, rms_weights, slice_variance
 from ldpvol.mcsim import (
     BLOCK_SIZE,
     MIX_ROWS,
@@ -21,6 +21,7 @@ from ldpvol.mcsim import (
     _reduce_report,
     _run_blocks,
     _vol_block,
+    _vol_offset,
     ldp_tail_report,
     mc_call_report,
     mc_exit_report,
@@ -29,7 +30,7 @@ from ldpvol.mcsim import (
 )
 from ldpvol.presets import PRESETS, bs_const, frac_heston, make_model, toy_sabr
 from ldpvol.pricing import ExitDomain
-from ldpvol.ratefn import _phi_drive, _phi_from, phi_batch
+from ldpvol.ratefn import ModelSpec, _phi_drive, _phi_from, _phi_increment, phi_batch
 from ldpvol.volmap import (
     FAMILIES,
     FRACTIONAL,
@@ -38,10 +39,21 @@ from ldpvol.volmap import (
     VOLTERRA_SDE,
     VolProcessSpec,
     cir_coefficients,
+    is_affine,
     ou_coefficients,
+    vol_state,
 )
 
 GRID = TimeGrid(1.0, 100)
+
+
+def _lin(spec, grid, db):
+    """The eps-free vol part a block of an affine vol carries, node-major:
+    vol_state(db) - y at the left nodes; None for every other vol."""
+    if not is_affine(spec):
+        return None
+    vals = vol_state(spec, db, grid, rms_weights)[:, :-1] - _vol_offset(spec, grid)
+    return np.moveaxis(vals, 1, 0)
 
 
 def _cfg(model, ladder=(0.4,), n_paths=20000, seed=1, grid=GRID, **kw):
@@ -177,7 +189,8 @@ def test_logprice_block_runs_the_functional_step(name):
         path[:, k, :] = x
 
     drive = np.moveaxis(_phi_drive(model, l_dots * dt, f_dots * dt), 1, 0)
-    x, ok = _logprice_block(model, grid, 1.0, f_dots * dt, drive, keep)
+    lin = _lin(model.vol, grid, f_dots * dt)
+    x, ok = _logprice_block(model, grid, 1.0, f_dots * dt, drive, lin, keep)
     assert np.all(ok)
     np.testing.assert_array_equal(x, path[:, -1])
     tk = grid.nodes[:-1]
@@ -260,11 +273,10 @@ def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
     seed, sizes, m = 23, [BLOCK_SIZE, 1001], model.vol.m
     assert sizes[1] % MIX_ROWS and sizes[1] % 2
 
-    def block(eps, db, drive):
-        return db.copy(), drive.copy()
+    def block(eps, db, drive, lin):
+        return db.copy(), drive.copy(), None if lin is None else lin.copy()
 
-    (got,) = _run_blocks(block, [0.3], sum(sizes), grid, m, seed, antithetic, workers,
-                         functools.partial(_phi_drive, model))
+    (got,) = _run_blocks(block, [0.3], sum(sizes), grid, m, seed, antithetic, workers, model)
     for b, size in enumerate(sizes):
         rng = _block_rng(seed, b)
         db, dw = np.empty((2, size, grid.n_steps, m))
@@ -272,6 +284,8 @@ def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
         _draw_increments(rng, dw, grid.dt, antithetic)
         np.testing.assert_array_equal(got[b][0], db)
         np.testing.assert_array_equal(got[b][1], np.moveaxis(_phi_drive(model, dw, db), 1, 0))
+        # the eps-free vol part rides in the same chunks, for affine vol only
+        np.testing.assert_array_equal(got[b][2], _lin(model.vol, grid, db))
 
 
 def test_exit_ladder_holds_no_second_noise_buffer():
@@ -292,6 +306,81 @@ def test_exit_ladder_holds_no_second_noise_buffer():
     finally:
         tracemalloc.stop()
     assert peak <= 4.25 * size * grid.n_steps * model.m * 8
+
+
+def _gauss_model(kernel, reflect=False, y=0.0):
+    """rough_gauss's price on a Gaussian vol with the given noise kernel."""
+    vol = VolProcessSpec(family=GAUSSIAN, d=1, m=1, noise_kernels=[[kernel]], y=[y],
+                         reflect=reflect)
+    return ModelSpec(m=1, vol=vol, sigma=lambda t, u: 0.2 * np.exp(u[..., 0]), rho=-0.3,
+                     sigma_positive=True, assumption_b=True)
+
+
+_LADDER_MODELS = {
+    **{name: functools.partial(make_model, name) for name in sorted(PRESETS)},
+    "mg_h03": lambda: _gauss_model(molchan_golosov(0.3), y=0.1),
+    "reflected_gauss": lambda: _gauss_model(riemann_liouville(0.3), reflect=True),
+}
+
+
+def _per_eps_terminal(model, grid, eps, db, drive):
+    """The per-epsilon scheme: the whole vol block of sqrt(eps) dB, read one
+    strided column per node."""
+    vol = _vol_block(model.vol, db, grid, eps)
+    x = np.zeros((db.shape[0], model.m))
+    for k, t in enumerate(grid.nodes[:-1]):
+        u = vol[:, k, :]
+        x += _phi_increment(model, model.drift_values(t, u), model.sigma_values(t, u),
+                            math.sqrt(eps) / grid.dt * drive[k], grid.dt, eps)
+    return x
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("name", sorted(_LADDER_MODELS))
+def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
+    # every ladder epsilon of one block: affine vol (toy, unreflected
+    # Gaussian) reads y + sqrt(eps) L built once per block, within rounding
+    # of vol_state(sqrt(eps) dB), and bit for bit where sigma ignores the vol
+    # (bs_const); every other vol keeps the per-epsilon scheme, bit for bit
+    model = _LADDER_MODELS[name]()
+    grid = TimeGrid(1.0, 40)
+    seen = []
+
+    def block(eps, db, drive, lin):
+        seen.append(lin is not None)
+        x, ok = _logprice_block(model, grid, eps, db, drive, lin)
+        assert np.all(ok)
+        return x, _per_eps_terminal(model, grid, eps, db, drive)
+
+    ladder = [0.4, 0.2, 0.1, 0.05]
+    per_eps = _run_blocks(block, ladder, 3001, grid, model.vol.m, 9, antithetic, 1, model)
+    assert seen == [is_affine(model.vol)] * len(ladder)
+    assert is_affine(model.vol) == (name in ("bs_const", "toy_sabr", "rough_gauss", "mg_h03"))
+    for ((got, want),) in per_eps:
+        if name in ("toy_sabr", "rough_gauss", "mg_h03"):
+            assert np.max(np.abs(got - want)) <= 1e-12
+        else:
+            np.testing.assert_array_equal(got, want)
+
+
+def test_tail_ladder_holds_no_per_epsilon_vol_block():
+    # an affine vol's ladder keeps three block arrays (driver noise, drive and
+    # the eps-free vol part) and chunk temporaries, about 3.3 in all;
+    # building each epsilon's whole vol block from sqrt(eps) dB peaks at 5.0
+    import tracemalloc
+
+    model = make_model("rough_gauss")
+    grid, size = TimeGrid(1.0, 50), 1 << 12
+    cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=size, grid=grid)
+    rms_weights(model.vol.noise_kernels[0][0], grid)  # the cached table is not the ladder's
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        ldp_tail_report(cfg, 0.1, reference_rate=0.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak <= 3.5 * size * grid.n_steps * model.m * 8
 
 
 def _no_draws(*args, **kwargs):
@@ -340,7 +429,7 @@ def test_blocks_do_not_alias_reused_buffers(workers):
             paths[:, k, :] = x
 
         drive = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
-        x, ok = _logprice_block(model, grid, eps, db, drive, keep)
+        x, ok = _logprice_block(model, grid, eps, db, drive, _lin(model.vol, grid, db), keep)
         assert np.all(ok)
         np.testing.assert_array_equal(got.terminal[start : start + size], x)
         np.testing.assert_array_equal(got.paths[start : start + size], paths)
