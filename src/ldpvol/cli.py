@@ -16,7 +16,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .errors import ConvergenceError, DomainError, LdpvolError
+from .errors import ConvergenceError, DomainError, LdpvolError, require_number
 from .kernels import KernelSpec, kernel_info
 from .mcsim import SimConfig, ldp_tail_report, mc_call_report, mc_exit_report
 from .paths import TimeGrid, dump_json, path_from_csv
@@ -58,18 +58,26 @@ def _load_model(args):
     raise LdpvolError("supply --model FILE or --preset NAME")
 
 
-def _load_domain(arg: str) -> ExitDomain:
+def _json_object(obj, what: str) -> dict:
+    if not isinstance(obj, dict):
+        raise DomainError(f"{what} must be a JSON object, got {obj!r}")
+    return obj
+
+
+def _json_arg(arg: str, what: str) -> dict:
+    """A JSON object given as a file path or as literal JSON."""
     if os.path.exists(arg):
         with open(arg) as fh:
-            return ExitDomain.from_json_obj(json.load(fh))
-    return ExitDomain.from_json_obj(json.loads(arg))
+            return _json_object(json.load(fh), what)
+    return _json_object(json.loads(arg), what)
 
 
 def _emit(payload: dict, args, csv_writer=None) -> None:
+    """Print the payload or write PREFIX.json; only commands with --format pass a csv_writer."""
     out = getattr(args, "output", None)
     if out:
         dump_json(payload, f"{out}.json")
-        if csv_writer is not None and getattr(args, "format", "json") == "csv":
+        if csv_writer is not None and args.format == "csv":
             csv_writer(f"{out}.csv")
         print(f"{out}.json")
     else:
@@ -83,19 +91,19 @@ def _model_config(args):
     return {"preset": args.preset}
 
 
-def _add_model_args(p):
+def _model_command(sub, name: str, help: str):
+    """A subcommand on a model: --model or --preset, the grid, the optimizer
+    restarts and --output."""
+    p = sub.add_parser(name, help=help)
     g = p.add_mutually_exclusive_group()
     g.add_argument("--model", help="model JSON file ({'preset': name, 'params': {...}})")
     g.add_argument("--preset", choices=sorted(PRESETS), help="bundled model preset")
-
-
-def _add_common(p, n_steps_default=200):
     p.add_argument("--horizon", type=float, default=1.0, help="time horizon T")
-    p.add_argument("--n-steps", type=int, default=n_steps_default, help="grid steps")
+    p.add_argument("--n-steps", type=int, default=200, help="grid steps")
     p.add_argument("--seed", type=int, default=0, help="optimizer restart seed")
     p.add_argument("--restarts", type=int, default=None, help="random restarts")
     p.add_argument("--output", help="output path prefix (writes PREFIX.json)")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
+    return p
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -107,42 +115,30 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"ldpvol {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("rate-path", help="sample-path rate of a target CSV path")
-    _add_model_args(p)
-    _add_common(p)
+    p = _model_command(sub, "rate-path", "sample-path rate of a target CSV path")
     p.add_argument("--target", required=True, help="CSV path (t, x1..xm)")
 
-    p = sub.add_parser("rate-terminal", help="terminal rate at a target point")
-    _add_model_args(p)
-    _add_common(p)
+    p = _model_command(sub, "rate-terminal", "terminal rate at a target point")
     p.add_argument("--x", required=True, help="target displacement (comma list for m>1)")
 
-    p = sub.add_parser("call-asymptote", help="decay rate of the call price")
-    _add_model_args(p)
-    _add_common(p)
+    p = _model_command(sub, "call-asymptote", "decay rate of the call price")
     p.add_argument("--strike", type=float, required=True)
     p.add_argument("--ladder", help="comma-separated extra strikes for a CSV ladder")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("iv-limit", help="small-noise implied volatility limit")
-    _add_model_args(p)
-    _add_common(p)
+    p = _model_command(sub, "iv-limit", "small-noise implied volatility limit")
     p.add_argument("--k", type=float, required=True, help="log-moneyness > 0")
 
-    p = sub.add_parser("asian-asymptote", help="decay rate of the Asian call")
-    _add_model_args(p)
-    _add_common(p)
+    p = _model_command(sub, "asian-asymptote", "decay rate of the Asian call")
     p.add_argument("--strike", type=float, required=True)
     p.add_argument("--ladder", help="comma-separated extra strikes for a CSV ladder")
+    p.add_argument("--format", choices=("json", "csv"), default="json")
 
-    p = sub.add_parser("exit-rate", help="decay rate of the first-exit probability")
-    _add_model_args(p)
-    _add_common(p)
+    p = _model_command(sub, "exit-rate", "decay rate of the first-exit probability")
     p.add_argument("--domain", required=True, help="domain JSON (file or literal)")
     p.add_argument("--deadline", type=float, default=None, help="exit deadline (default horizon)")
 
-    p = sub.add_parser("barrier-rate", help="decay rate of a binary knock-in barrier")
-    _add_model_args(p)
-    _add_common(p)
+    p = _model_command(sub, "barrier-rate", "decay rate of a binary knock-in barrier")
     p.add_argument("--domain", required=True, help="price-space domain JSON")
 
     p = sub.add_parser("toy-bounds", help="closed-form toy-model bounds plus the rate")
@@ -150,7 +146,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k", type=float, required=True)
     p.add_argument("--n-steps", type=int, default=200)
     p.add_argument("--output", help="output path prefix")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
 
     p = sub.add_parser("mc-verify", help="Monte Carlo ladder vs the computed rate")
     p.add_argument("--config", required=True, help="simulation config JSON file")
@@ -163,7 +158,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=float, default=1.0)
     p.add_argument("--n-steps", type=int, default=64)
     p.add_argument("--output", help="output path prefix")
-    p.add_argument("--format", choices=("json", "csv"), default="json")
     return ap
 
 
@@ -206,7 +200,6 @@ def _cmd_rate_path(args):
 def _cmd_rate_terminal(args):
     model = _load_model(args)
     x = np.array([float(v) for v in str(args.x).split(",")])
-    x = x[0] if model.m == 1 else x
     grid = TimeGrid(args.horizon, args.n_steps)
     res = itilde_terminal(model, x, grid=grid, **_opt_kwargs(args))
     payload = res.to_json_obj()
@@ -274,7 +267,7 @@ def _cmd_iv(args):
 
 def _cmd_exit(args):
     model = _load_model(args)
-    domain = _load_domain(args.domain)
+    domain = ExitDomain.from_json_obj(_json_arg(args.domain, "domain"))
     deadline = args.deadline if args.deadline is not None else args.horizon
     rep = exit_asymptote(
         model, domain, deadline, horizon=args.horizon, n_steps=args.n_steps, **_opt_kwargs(args)
@@ -286,7 +279,7 @@ def _cmd_exit(args):
 
 def _cmd_barrier(args):
     model = _load_model(args)
-    domain = _load_domain(args.domain)
+    domain = ExitDomain.from_json_obj(_json_arg(args.domain, "domain"))
     rep = barrier_asymptote(
         model, domain, args.horizon, n_steps=args.n_steps, **_opt_kwargs(args)
     )
@@ -303,7 +296,7 @@ def _cmd_toy(args):
 
 def _cmd_mc_verify(args):
     with open(args.config) as fh:
-        cfg_obj = json.load(fh)
+        cfg_obj = _json_object(json.load(fh), "mc-verify config")
     model = model_from_json_obj(cfg_obj["model"])
     grid = TimeGrid(cfg_obj.get("horizon", 1.0), cfg_obj.get("n_steps", 200))
     workers = args.workers if args.workers is not None else cfg_obj.get("max_workers")
@@ -322,14 +315,15 @@ def _cmd_mc_verify(args):
     quantity = cfg_obj.get("quantity", "tail")
     ref = cfg_obj.get("reference_rate")
     if quantity == "tail":
-        report = ldp_tail_report(cfg, float(cfg_obj["k"]), reference_rate=ref)
+        k = float(require_number(cfg_obj["k"], "k"))
+        report = ldp_tail_report(cfg, k, reference_rate=ref)
     elif quantity == "call":
-        report = mc_call_report(cfg, float(cfg_obj["strike"]), reference_rate=ref)
+        strike = float(require_number(cfg_obj["strike"], "strike"))
+        report = mc_call_report(cfg, strike, reference_rate=ref)
     elif quantity == "exit":
-        domain = ExitDomain.from_json_obj(cfg_obj["domain"])
-        report = mc_exit_report(
-            cfg, domain, float(cfg_obj.get("deadline", grid.horizon)), reference_rate=ref
-        )
+        domain = ExitDomain.from_json_obj(_json_object(cfg_obj["domain"], "domain"))
+        deadline = float(require_number(cfg_obj.get("deadline", grid.horizon), "deadline"))
+        report = mc_exit_report(cfg, domain, deadline, reference_rate=ref)
     else:
         raise LdpvolError(f"unknown mc quantity {quantity!r} (tail, call, exit)")
     resolved = dict(cfg_obj)
@@ -343,12 +337,7 @@ def _cmd_mc_verify(args):
 
 
 def _cmd_kernel_info(args):
-    arg = args.kernel
-    if os.path.exists(arg):
-        with open(arg) as fh:
-            spec = KernelSpec.from_json_obj(json.load(fh))
-    else:
-        spec = KernelSpec.from_json_obj(json.loads(arg))
+    spec = KernelSpec.from_json_obj(_json_arg(args.kernel, "kernel"))
     grid = TimeGrid(args.horizon, args.n_steps)
     info = kernel_info(spec, grid)
     info["resolved_config"] = {

@@ -1,4 +1,6 @@
-"""Exception types shared across the library."""
+"""Exception types shared across the library, and the number check that raises one."""
+
+import numbers
 
 
 class LdpvolError(Exception):
@@ -47,3 +49,12 @@ class ConvergenceError(LdpvolError, RuntimeError):
     def __init__(self, message, residual=None):
         super().__init__(message)
         self.residual = residual
+
+
+def require_number(value, what: str, kind=numbers.Real):
+    """value itself; DomainError unless it is a ``kind`` number (``numbers.Real``
+    or ``numbers.Integral``).  Booleans count as neither."""
+    if isinstance(value, bool) or not isinstance(value, kind):
+        noun = "an integer" if kind is numbers.Integral else "a real number"
+        raise DomainError(f"{what} must be {noun}, got {value!r}")
+    return value

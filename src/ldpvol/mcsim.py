@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
@@ -58,7 +59,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import kernels as _k
-from .errors import ConvergenceError, DimensionError, DomainError
+from .errors import ConvergenceError, DimensionError, DomainError, require_number
 from .paths import TimeGrid
 from .pricing import ExitDomain, exit_window
 from .ratefn import ModelSpec, _phi_drive, _phi_increment
@@ -80,21 +81,23 @@ class SimConfig:
     max_workers: int = 1
 
     def __post_init__(self):
-        lad = [float(e) for e in self.epsilon_ladder]
+        if not isinstance(self.epsilon_ladder, (list, tuple)):
+            raise DomainError(f"epsilon ladder must be a list, got {self.epsilon_ladder!r}")
+        lad = [float(require_number(e, "epsilon ladder entry")) for e in self.epsilon_ladder]
         if not lad or any(not 0.0 < e <= 1.0 for e in lad):
             raise DomainError("epsilon ladder entries must lie in (0, 1]")
         if any(b >= a for a, b in zip(lad, lad[1:])):
             raise DomainError("epsilon ladder must be strictly decreasing")
         self.epsilon_ladder = lad
-        self.n_paths = int(self.n_paths)
+        self.n_paths = int(require_number(self.n_paths, "n_paths", numbers.Integral))
         if self.n_paths < 1:
             raise DomainError("n_paths must be positive")
         if self.n_paths < 1000:
             import warnings
 
             warnings.warn("fewer than 1000 paths: estimator noise will dominate")
-        self.seed = int(self.seed)
-        self.max_workers = int(self.max_workers)
+        self.seed = int(require_number(self.seed, "seed", numbers.Integral))
+        self.max_workers = int(require_number(self.max_workers, "max_workers", numbers.Integral))
         if self.max_workers < 1:
             raise DomainError("max_workers must be positive")
 

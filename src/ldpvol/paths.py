@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import csv
 import json
+import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DimensionError, UnsupportedDomainError
+from .errors import DimensionError, DomainError, UnsupportedDomainError, require_number
 
 
 @dataclass(frozen=True)
@@ -26,10 +28,10 @@ class TimeGrid:
     n_steps: int
 
     def __post_init__(self):
-        if not self.horizon > 0:
-            raise ValueError("horizon must be positive")
-        if int(self.n_steps) < 1:
-            raise ValueError("n_steps must be a positive integer")
+        if not 0.0 < require_number(self.horizon, "horizon") < math.inf:
+            raise DomainError(f"horizon must be positive and finite, got {self.horizon}")
+        if require_number(self.n_steps, "n_steps", numbers.Integral) < 1:
+            raise DomainError(f"n_steps must be positive, got {self.n_steps}")
         object.__setattr__(self, "horizon", float(self.horizon))
         object.__setattr__(self, "n_steps", int(self.n_steps))
 

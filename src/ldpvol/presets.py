@@ -6,10 +6,12 @@ named forms understood by the JSON model files consumed by the CLI.
 
 from __future__ import annotations
 
+import inspect
+
 import numpy as np
 
 from . import kernels as _k
-from .errors import UnsupportedFormError
+from .errors import UnsupportedFormError, require_number
 from .ratefn import ModelSpec
 from .volmap import (
     FRACTIONAL,
@@ -96,7 +98,6 @@ def frac_heston(
         aux_disp=disp,
         v0=[v0],
         y=[x],
-        aux_meta={"form": "cir", "kappa": kappa, "theta": theta, "eta": eta},
     )
     return ModelSpec(
         m=1,
@@ -189,7 +190,6 @@ def reflected_ou(
         aux_disp=disp,
         y=[y],
         reflect=True,
-        aux_meta={"form": "ou", "kappa": kappa, "mu": mu, "eta": eta},
     )
     return ModelSpec(
         m=1,
@@ -215,17 +215,26 @@ PRESETS = {
 
 
 def make_model(name: str, **params) -> ModelSpec:
-    try:
-        factory = PRESETS[name]
-    except KeyError:
+    """The named preset, its numeric parameters overridden by ``params``."""
+    if not isinstance(name, str) or name not in PRESETS:
+        raise UnsupportedFormError(f"unknown preset {name!r}; choose from {sorted(PRESETS)}")
+    factory = PRESETS[name]
+    accepted = sorted(inspect.signature(factory).parameters)
+    unknown = sorted(set(params) - set(accepted))
+    if unknown:
         raise UnsupportedFormError(
-            f"unknown preset {name!r}; choose from {sorted(PRESETS)}"
-        ) from None
+            f"preset {name!r} has no parameter {unknown}; it accepts {accepted}"
+        )
+    for key, value in params.items():
+        require_number(value, f"preset parameter {key}")
     return factory(**params)
 
 
 def model_from_json_obj(obj: dict) -> ModelSpec:
     """Model files are a preset reference plus overriding parameters."""
-    if "preset" not in obj:
-        raise UnsupportedFormError("model JSON must carry a 'preset' key")
-    return make_model(obj["preset"], **obj.get("params", {}))
+    if not isinstance(obj, dict) or "preset" not in obj:
+        raise UnsupportedFormError("model JSON must be an object with a 'preset' key")
+    params = obj.get("params", {})
+    if not isinstance(params, dict):
+        raise UnsupportedFormError(f"model 'params' must be an object, got {params!r}")
+    return make_model(obj["preset"], **params)

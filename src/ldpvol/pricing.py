@@ -24,6 +24,7 @@ from .errors import (
     DomainError,
     UnsupportedDomainError,
     UnsupportedFormError,
+    require_number,
 )
 from .paths import Control, TimeGrid
 from .ratefn import (
@@ -41,11 +42,8 @@ from .ratefn import (
 PENALTY_STAGES = 6
 PENALTY_START = 10.0
 PENALTY_FACTOR = 10.0
+PENALTY_MAXITER = 400
 FEASIBILITY_TOL = 1e-6
-# solve diagnostics of a subproblem the zero path already satisfies
-_NO_SOLVE = {
-    "iterations": 0, "restart_values": [], "restart_iterations": [], "gradient_evaluations": 0
-}
 
 
 # ---------------------------------------------------------------------------
@@ -73,17 +71,22 @@ class ExitDomain:
             self.upper = np.atleast_1d(np.asarray(self.upper, float))
             if self.lower.shape != self.upper.shape:
                 raise DimensionError("box bounds must have equal shapes")
+            if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
+                raise DomainError("box bounds must not be NaN")
             if np.any(self.lower >= self.upper):
                 raise UnsupportedDomainError("box must have lower < upper")
         else:
             if self.normal is None or self.offset is None:
                 raise UnsupportedDomainError("half_space needs normal and offset")
             self.normal = np.atleast_1d(np.asarray(self.normal, float))
+            self.offset = float(require_number(self.offset, "half_space offset"))
+            if not (np.all(np.isfinite(self.normal)) and math.isfinite(self.offset)):
+                raise DomainError("half_space normal and offset must be finite")
             norm = float(np.linalg.norm(self.normal))
             if norm == 0.0:
                 raise UnsupportedDomainError("half_space normal must be nonzero")
             self.normal = self.normal / norm
-            self.offset = float(self.offset) / norm
+            self.offset /= norm
 
     @property
     def dim(self) -> int:
@@ -235,8 +238,8 @@ def call_asymptote(
     """Exponential decay rate of the small-noise call price."""
     if model.m != 1:
         raise UnsupportedFormError("call asymptotics are for m = 1 models")
-    if strike <= 0:
-        raise DomainError("strike must be positive")
+    if not 0.0 < strike < math.inf:
+        raise DomainError(f"strike must be positive and finite, got {strike}")
     _require_assumption_b(model, "the call asymptote")
     s0 = float(model.s0[0])
     if not model.sigma_positive and strike <= s0 * math.exp(model.r * horizon):
@@ -332,11 +335,8 @@ class _JointControlProblem:
     def violation_batch(self, z):
         return np.maximum(0.0, self.shortfall(self.phi_values(z)))
 
-    def value_batch(self, z):
-        return self.energies(z) + self.mu * self.violation_batch(z) ** 2
-
     def value(self, z):
-        return float(self.value_batch(np.asarray(z, float)))
+        return float(self.energies(z) + self.mu * self.violation_batch(z) ** 2)
 
     def value_and_grad(self, z):
         z = np.asarray(z, float)
@@ -346,9 +346,6 @@ class _JointControlProblem:
         value = float(self.energies(z) + self.mu * viol**2)
         l_bar, f_bar = pullback(2.0 * self.mu * viol * short_phi)
         return value, self.grid.dt * z + np.concatenate([l_bar.ravel(), f_bar.ravel()])
-
-    def gradient(self, z):
-        return self.value_and_grad(z)[1]
 
 
 class _AsianProblem(_JointControlProblem):
@@ -392,13 +389,7 @@ class _ExitFaceProblem(_JointControlProblem):
         return -sd[top], grad
 
 
-def _penalty_continuation(
-    problem: _JointControlProblem,
-    stages: int = PENALTY_STAGES,
-    restarts: int = 4,
-    seed: int = 0,
-    maxiter: int = 400,
-):
+def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: int):
     """Increase the penalty weight geometrically, warm-starting every stage.
 
     Returns (z, info): the multistart's per-restart values and iteration
@@ -407,29 +398,28 @@ def _penalty_continuation(
     problem.mu = PENALTY_START
     z, info = minimize_multistart(
         problem, problem.dim, problem.grid, 2 * problem.m,
-        restarts=restarts, seed=seed, maxiter=maxiter,
+        restarts=restarts, seed=seed, maxiter=PENALTY_MAXITER,
     )
     info = {k: info[k] for k in ("iterations",) + RESTART_KEYS}
-    for _ in range(stages - 1):
+    for _ in range(PENALTY_STAGES - 1):
         problem.mu *= PENALTY_FACTOR
-        res = lbfgs(problem, z, maxiter)
+        res = lbfgs(problem, z, PENALTY_MAXITER)
         z = res.x
         info["iterations"] += int(res.nit)
         info["gradient_evaluations"] += int(res.njev)
     return z, info
 
 
-def _polish_to_feasibility(problem, z, shortfall_fn):
+def _polish_to_feasibility(problem: _JointControlProblem, z):
     """Scale the found ray to exact constraint activity by bisection.
 
-    shortfall_fn(z) <= 0 means feasible; returns (z_polished, shortfall).
+    The zero path must be infeasible.  Returns (z_polished, shortfall), with
+    shortfall <= 0 meaning feasible.
     """
     base = np.asarray(z, float)
-    if float(np.max(np.abs(base))) == 0.0:
-        return base, float(shortfall_fn(base))
 
     def short(lam):
-        return float(shortfall_fn(lam * base))
+        return float(problem.violation_batch(lam * base))
 
     s1 = short(1.0)
     if s1 > 0.0:  # infeasible: scale the ray up to reach the constraint
@@ -439,8 +429,6 @@ def _polish_to_feasibility(problem, z, shortfall_fn):
             if hi > 1024.0:
                 return base, s1
     else:  # feasible: shrink toward the boundary to shed surplus energy
-        if short(0.0) <= 0.0:
-            return base, s1  # callers special-case a feasible zero path
         lo, hi = 0.0, 1.0
     for _ in range(200):
         mid = 0.5 * (lo + hi)
@@ -451,6 +439,23 @@ def _polish_to_feasibility(problem, z, shortfall_fn):
         if hi - lo < 1e-14 * max(1.0, hi):
             break
     return hi * base, short(hi)
+
+
+def _solve_constrained(problem: _JointControlProblem, restarts: int, seed: int):
+    """Least-energy control pair meeting the constraint: the zero path when it
+    already does, else penalty continuation and the feasibility polish.
+
+    Returns (z, shortfall, info); info holds the solve diagnostics, all zero
+    or empty for the zero path.
+    """
+    zero = np.zeros(problem.dim)
+    if problem.violation_batch(zero) <= 0.0:
+        info = {"iterations": 0, "restart_values": [], "restart_iterations": [],
+                "gradient_evaluations": 0}
+        return zero, 0.0, info
+    z, info = _penalty_continuation(problem, restarts, seed)
+    z, shortfall = _polish_to_feasibility(problem, z)
+    return z, shortfall, info
 
 
 def asian_asymptote(
@@ -465,8 +470,8 @@ def asian_asymptote(
     path problem on the running average of the price path."""
     if model.m != 1:
         raise UnsupportedFormError("Asian asymptotics are for m = 1 models")
-    if strike <= 0:
-        raise DomainError("strike must be positive")
+    if not 0.0 < strike < math.inf:
+        raise DomainError(f"strike must be positive and finite, got {strike}")
     _require_assumption_b(model, "the Asian asymptote")
     s0 = float(model.s0[0])
     if not model.sigma_positive:
@@ -483,21 +488,7 @@ def asian_asymptote(
     grid = TimeGrid(horizon, n_steps or DEFAULT_TERMINAL_STEPS)
     moneyness = strike / s0
     problem = _AsianProblem(model, grid, moneyness)
-    zero = np.zeros(problem.dim)
-    if problem.violation_batch(zero) <= 0.0:
-        # the zero path already lies in the closed constraint set
-        zc = Control.zero(grid, 1)
-        return AsymptoteReport(
-            quantity="asian",
-            rate=0.0,
-            minimizer_f=zc,
-            minimizer_l=Control.zero(grid, 1),
-            diagnostics={"moneyness": moneyness, "converged": True, "shortfall": 0.0},
-        )
-    z, info = _penalty_continuation(problem, restarts=restarts, seed=seed)
-    z, shortfall = _polish_to_feasibility(
-        problem, z, lambda zz: float(problem.violation_batch(np.asarray(zz, float)))
-    )
+    z, shortfall, info = _solve_constrained(problem, restarts, seed)
     converged = shortfall <= FEASIBILITY_TOL
     rate = float(problem.energies(z))
     l_dots, f_dots = problem.split(z)
@@ -538,16 +529,7 @@ def exit_asymptote(
     per_face = []
     for idx, face in enumerate(domain.shifted_faces(model.x0)):
         problem = _ExitFaceProblem(model, grid, face, deadline)
-        zero = np.zeros(problem.dim)
-        if problem.violation_batch(zero) <= 0.0:
-            z, shortfall, info = zero, 0.0, _NO_SOLVE
-        else:
-            z, info = _penalty_continuation(problem, restarts=restarts, seed=seed)
-            z, shortfall = _polish_to_feasibility(
-                problem,
-                z,
-                lambda zz: float(problem.violation_batch(np.asarray(zz, float))),
-            )
+        z, shortfall, info = _solve_constrained(problem, restarts, seed)
         rate = float(problem.energies(z))
         ok = shortfall <= FEASIBILITY_TOL
         per_face.append({"face": idx, "rate": rate, "converged": bool(ok), **info})

@@ -38,6 +38,7 @@ from scipy import optimize as _sopt
 
 from .errors import (
     DimensionError,
+    DomainError,
     SingularVolatilityError,
     UnsupportedFormError,
 )
@@ -545,9 +546,10 @@ class PathRateObjective:
 
 
 def check_gradient(objective, x):
-    """Max relative error between the objective's gradient and plain central
-    differences; used by the verification suite."""
-    g = np.asarray(objective.gradient(x), float)
+    """Max relative error between the objective's fused gradient, the one
+    L-BFGS uses, and plain central differences; used by the verification
+    suite."""
+    g = np.asarray(objective.value_and_grad(x)[1], float)
     ref = np.empty_like(g)
     for j in range(x.size):
         h = FD_STEP * max(1.0, abs(x[j]))
@@ -673,8 +675,13 @@ def itilde_terminal(
     """Terminal rate at target x (scalar for m = 1, vector otherwise)."""
     if grid is None:
         grid = TimeGrid(1.0, DEFAULT_TERMINAL_STEPS)
+    x = np.asarray(x, float)
+    if x.size != model.m:
+        raise DimensionError(f"target x has {x.size} entries; the model has m = {model.m}")
+    if not np.all(np.isfinite(x)):
+        raise DomainError(f"target x must be finite, got {x.tolist()}")
     if model.m == 1:
-        obj = TerminalObjective(model, grid, float(np.asarray(x).reshape(())))
+        obj = TerminalObjective(model, grid, float(x.reshape(())))
         dim = grid.n_steps
     else:
         obj = TerminalObjectiveOrthogonal(model, grid, x)
@@ -727,6 +734,8 @@ def inf_tail_result(
     if grid is None:
         grid = TimeGrid(1.0, DEFAULT_TERMINAL_STEPS)
     k = float(k)
+    if not math.isfinite(k):
+        raise DomainError(f"tail threshold k must be finite, got {k}")
     attained = drift_only_terminal(model, grid)
     if attained >= k:
         # the zero-cost terminal value already lies in the tail set

@@ -105,7 +105,6 @@ class VolProcessSpec:
     y: np.ndarray = field(default=None)
     v0: np.ndarray = field(default=None)
     reflect: bool = False
-    aux_meta: dict | None = None  # named form of the aux coefficients, for JSON
 
     def __post_init__(self):
         if self.family not in FAMILIES:
@@ -596,7 +595,7 @@ def hat_map(spec: VolProcessSpec, control: Control) -> PathFn:
 
 
 # ---------------------------------------------------------------------------
-# named coefficient helpers for serializable model files
+# named aux coefficient forms
 # ---------------------------------------------------------------------------
 
 
@@ -620,98 +619,3 @@ def ou_coefficients(kappa: float, mu: float, eta: float):
         return np.full(v.shape + (1,), eta)
 
     return drift, disp
-
-
-AUX_FORMS = {"cir": cir_coefficients, "ou": ou_coefficients}
-
-
-def make_aux_coefficients(meta: dict):
-    """(drift, disp) closures from a named form: {'form': 'cir', ...params}."""
-    params = {k: v for k, v in meta.items() if k != "form"}
-    try:
-        factory = AUX_FORMS[meta["form"]]
-    except KeyError:
-        raise UnsupportedFormError(
-            f"unknown aux coefficient form {meta.get('form')!r}; "
-            f"choose from {sorted(AUX_FORMS)}"
-        ) from None
-    return factory(**params)
-
-
-def vol_to_json_obj(spec: VolProcessSpec) -> dict:
-    """JSON form of a volatility-process description.
-
-    Serializable specs use named built-in maps and named aux coefficient
-    forms; arbitrary closures (including volterra_sde coefficients) have no
-    JSON form and are rejected.
-    """
-    from .kernels import KernelSpec  # noqa: F401  (type reference)
-
-    if spec.family == VOLTERRA_SDE:
-        raise UnsupportedFormError("volterra_sde coefficient closures are not serializable")
-    if spec.u_map is not None and not isinstance(spec.u_map, str):
-        raise UnsupportedFormError("only named built-in u_maps serialize to JSON")
-    has_aux = spec.aux_drift is not _zero_drift
-    if has_aux and spec.aux_meta is None:
-        raise UnsupportedFormError(
-            "aux coefficients need an aux_meta named form to serialize"
-        )
-
-    def kern_obj(k):
-        return None if k is None else k.to_json_obj()
-
-    return {
-        "family": spec.family,
-        "d": spec.d,
-        "m": spec.m,
-        "k_dim": spec.k_dim,
-        "noise_kernels": (
-            [[kern_obj(k) for k in row] for row in spec.noise_kernels]
-            if spec.noise_kernels is not None
-            else None
-        ),
-        "drift_kernels": (
-            [kern_obj(k) for k in spec.drift_kernels]
-            if spec.drift_kernels is not None
-            else None
-        ),
-        "u_map": spec.u_map,
-        "aux_meta": spec.aux_meta if has_aux else None,
-        "y": spec.y.tolist(),
-        "v0": spec.v0.tolist(),
-        "reflect": spec.reflect,
-    }
-
-
-def vol_from_json_obj(obj: dict) -> VolProcessSpec:
-    from .kernels import KernelSpec
-
-    def kern(o):
-        return None if o is None else KernelSpec.from_json_obj(o)
-
-    aux_drift = aux_disp = None
-    if obj.get("aux_meta"):
-        aux_drift, aux_disp = make_aux_coefficients(obj["aux_meta"])
-    return VolProcessSpec(
-        family=obj["family"],
-        d=obj.get("d", 1),
-        m=obj.get("m", 1),
-        k_dim=obj.get("k_dim", 1),
-        noise_kernels=(
-            [[kern(o) for o in row] for row in obj["noise_kernels"]]
-            if obj.get("noise_kernels") is not None
-            else None
-        ),
-        drift_kernels=(
-            [kern(o) for o in obj["drift_kernels"]]
-            if obj.get("drift_kernels") is not None
-            else None
-        ),
-        u_map=obj.get("u_map"),
-        aux_drift=aux_drift,
-        aux_disp=aux_disp,
-        y=obj.get("y"),
-        v0=obj.get("v0"),
-        reflect=bool(obj.get("reflect", False)),
-        aux_meta=obj.get("aux_meta"),
-    )

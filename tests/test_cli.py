@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 
@@ -263,6 +264,94 @@ def test_mc_verify_antithetic_takes_only_a_json_boolean(tmp_path, capsys, flag):
         assert code == EXIT_CONFIG
         assert out == ""
         assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "model, cfg_extra, error",
+    [
+        ({"preset": "bs_const", "params": {"nope": 1}}, {}, "UnsupportedFormError"),
+        ({"preset": "bs_const", "params": {"sigma0": None}}, {}, "DomainError"),
+        ({"preset": "bs_const", "params": [0.2]}, {}, "UnsupportedFormError"),
+        (5, {}, "UnsupportedFormError"),
+        (None, {"epsilon_ladder": 0.1}, "DomainError"),
+        (None, {"epsilon_ladder": [0.4, "0.2"]}, "DomainError"),
+        (None, {"n_paths": None}, "DomainError"),
+        (None, {"n_paths": 2000.5}, "DomainError"),
+        (None, {"n_steps": None}, "DomainError"),
+        (None, {"horizon": None}, "DomainError"),
+        (None, {"k": None}, "DomainError"),
+    ],
+)
+def test_wrongly_typed_input_is_a_config_error(tmp_path, capsys, model, cfg_extra, error):
+    # each of these once raised a TypeError that escaped main with a traceback
+    if model is not None:
+        (tmp_path / "model.json").write_text(json.dumps(model))
+        argv = ["iv-limit", "--model", str(tmp_path / "model.json"), "--k", "0.1"]
+    else:
+        argv = ["mc-verify", "--config", _tail_config(tmp_path, **cfg_extra)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate-terminal", "--preset", "bs_const", "--x", "nan"],
+        ["rate-terminal", "--preset", "bs_const", "--x", "inf"],
+        ["iv-limit", "--preset", "bs_const", "--k", "nan"],
+        ["iv-limit", "--preset", "bs_const", "--k", "inf"],
+        ["call-asymptote", "--preset", "bs_const", "--strike", "nan"],
+        ["call-asymptote", "--preset", "bs_const", "--strike", "inf"],
+        ["asian-asymptote", "--preset", "bs_const", "--strike", "nan"],
+        ["call-asymptote", "--preset", "bs_const", "--strike", "1.1", "--horizon", "inf"],
+        ["rate-terminal", "--preset", "bs_const", "--x", "0.1", "--horizon", "nan"],
+        ["kernel-info", "--kernel", '{"kind": "brownian"}', "--horizon", "inf"],
+        ["exit-rate", "--preset", "bs_const", "--domain",
+         '{"kind": "half_space", "normal": [1.0], "offset": NaN}'],
+        ["exit-rate", "--preset", "bs_const", "--domain",
+         '{"kind": "half_space", "normal": [Infinity], "offset": 0.2}'],
+        ["exit-rate", "--preset", "bs_const", "--domain",
+         '{"kind": "box", "lower": [NaN], "upper": [0.2]}'],
+        ["barrier-rate", "--preset", "bs_const", "--domain",
+         '{"kind": "box", "lower": [0.0], "upper": [NaN]}'],
+    ],
+)
+def test_non_finite_input_is_a_config_error(capsys, argv):
+    # these once printed NaN or Infinity, which is not JSON, and exited 3
+    code, out, err = run_cli(capsys, *argv, "--n-steps", "20")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize("preset, x", [("bs_const", "0.1,0.5"), ("mixed_demo", "0.05")])
+def test_rate_terminal_needs_m_targets(capsys, preset, x):
+    # bs_const once solved at 0.1 and dropped 0.5 without a word
+    code, out, err = run_cli(capsys, "rate-terminal", "--preset", preset, "--x", x)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == "DimensionError"
+
+
+def test_rate_terminal_two_targets_on_mixed_demo(capsys):
+    code, out, _ = run_cli(
+        capsys, "rate-terminal", "--preset", "mixed_demo", "--x", "0.05,0.05",
+        "--n-steps", "20", "--restarts", "0",
+    )
+    assert code == EXIT_OK
+    assert json.loads(out)["value"] > 0.0
+
+
+def test_format_only_on_commands_that_write_csv():
+    sub = next(
+        a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)
+    )
+    takes_format = {
+        name for name, p in sub.choices.items() if "--format" in p._option_string_actions
+    }
+    assert takes_format == {"call-asymptote", "asian-asymptote", "mc-verify"}
 
 
 def test_rate_path_command(tmp_path, capsys):

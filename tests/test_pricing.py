@@ -221,6 +221,13 @@ def test_asian_zero_rate_at_or_below_spot():
         rep = asian_asymptote(m, K, 1.0, n_steps=40)
         assert rep.rate == 0.0
         assert rep.diagnostics["converged"]
+        assert not np.any(rep.minimizer_f.dot_values)
+        assert not np.any(rep.minimizer_l.dot_values)
+        # the zero-path diagnostics every constrained solve shares
+        assert rep.diagnostics["iterations"] == 0
+        assert rep.diagnostics["restart_values"] == []
+        assert rep.diagnostics["restart_iterations"] == []
+        assert rep.diagnostics["gradient_evaluations"] == 0
 
 
 def test_asian_monotone_ladder():

@@ -224,38 +224,6 @@ def test_reflected_hat_nonnegative():
     assert h.values[-1, 0] == pytest.approx(0.0, abs=1e-12)
 
 
-def test_vol_spec_json_round_trip():
-    import numpy as np
-
-    from ldpvol.presets import frac_heston, reflected_ou, rough_gauss, toy_sabr
-    from ldpvol.volmap import vol_from_json_obj, vol_to_json_obj
-
-    rng = np.random.default_rng(13)
-    c = Control(GRID, rng.normal(size=(100, 1)))
-    for model in (toy_sabr(), rough_gauss(), frac_heston(), reflected_ou()):
-        spec2 = vol_from_json_obj(vol_to_json_obj(model.vol))
-        np.testing.assert_allclose(
-            hat_map(spec2, c).values, hat_map(model.vol, c).values, atol=1e-12
-        )
-
-
-def test_vol_spec_json_rejects_closures():
-    from ldpvol.volmap import vol_to_json_obj
-
-    spec = VolProcessSpec(
-        family=VOLTERRA_SDE, volterra_a=lambda t, s, x: np.zeros_like(x)
-    )
-    with pytest.raises(UnsupportedFormError):
-        vol_to_json_obj(spec)
-    custom_u = VolProcessSpec(
-        family=FRACTIONAL,
-        drift_kernels=[brownian()],
-        u_map=lambda v: v**2,
-    )
-    with pytest.raises(UnsupportedFormError):
-        vol_to_json_obj(custom_u)
-
-
 def test_hat_map_grid_refinement_consistency():
     # refining the control grid 2x moves outputs by O(dt)
     spec = cir_fractional_spec(kern=riemann_liouville(0.7))
