@@ -44,7 +44,7 @@ import numpy as np
 from scipy import integrate as _sint
 from scipy import special as _sp
 
-from .errors import AdmissibilityError, DimensionError, InvalidKernelError
+from .errors import AdmissibilityError, DimensionError, InvalidKernelError, require_number
 from .paths import TimeGrid
 
 _FINITE_SLICE_LIMIT = 1e12
@@ -94,10 +94,10 @@ class KernelSpec:
         if self.kind not in KERNEL_KINDS:
             raise InvalidKernelError(f"unknown kernel kind {self.kind!r}")
         if self.kind in _FRACTIONAL_KINDS:
-            if self.hurst is None or not 0.0 < self.hurst < 1.0:
+            if self.hurst is None or not 0.0 < require_number(self.hurst, "hurst") < 1.0:
                 raise InvalidKernelError("fractional kernels need hurst in (0, 1)")
         if self.kind == LOGARITHMIC:
-            if self.beta is None or not self.beta > 1.0:
+            if self.beta is None or not require_number(self.beta, "beta") > 1.0:
                 raise InvalidKernelError("logarithmic kernel needs beta > 1")
         if self.kind == TABULATED and self.table is None:
             raise InvalidKernelError("tabulated kernel needs a table")
@@ -121,6 +121,8 @@ class KernelSpec:
         table = None
         if "table" in obj and obj["table"] is not None:
             tb = obj["table"]
+            if not isinstance(tb, dict):
+                raise InvalidKernelError(f"kernel table must be an object, got {tb!r}")
             table = TabulatedTable.from_arrays(tb["t"], tb["s"], tb["values"])
         return KernelSpec(obj["kind"], obj.get("hurst"), obj.get("beta"), table)
 

@@ -27,12 +27,14 @@ place.  The price noise dW follows in the same stream order, drawn in chunks
 of ``MIX_ROWS`` paths; each chunk is mixed with dB by the functional's own
 ``ratefn._phi_drive`` and stored node-major in a second per-worker buffer,
 the drive that every epsilon of the ladder reads one contiguous row of per
-node.  Where the vol is affine in its increments (the toy family and
-unreflected Gaussian ones, ``volmap.is_affine``), vol_state(sqrt(eps) dB) is
-y + sqrt(eps) L(dB), so the same chunk loop runs ``vol_state`` on each chunk
-of dB once per block and stores L = vol_state(dB) - y at the left nodes
-node-major in a third per-worker buffer; each epsilon then forms the row
-y + sqrt(eps) L[k] at node k.  Every other vol (fractional, mixed,
+node.  Where the vol is affine in its increments (unreflected Gaussian
+families, the toy model's Brownian kernel included, ``volmap.is_affine``),
+vol_state(sqrt(eps) dB) is y + sqrt(eps) L(dB), the offset y being the
+spec's own ``y`` (the vol at zero noise), so the same chunk loop runs
+``vol_state`` on each chunk of dB once per block and stores
+L = vol_state(dB) - y at the left nodes node-major in a third per-worker
+buffer; each epsilon then forms the row y + sqrt(eps) L[k] at node k.
+Every other vol (fractional, mixed,
 reflected, volterra_sde, and any reflected output) builds its whole vol
 block from sqrt(eps) dB per epsilon, read through the same per-node
 accessor.  The two agree to rounding: outputs of models whose sigma ignores
@@ -61,8 +63,8 @@ import numpy as np
 from . import kernels as _k
 from .errors import ConvergenceError, DimensionError, DomainError, require_number
 from .paths import TimeGrid
-from .pricing import ExitDomain, exit_window
-from .ratefn import ModelSpec, _phi_drive, _phi_increment
+from .pricing import ExitDomain, call_asymptote, exit_asymptote, exit_window
+from .ratefn import ModelSpec, _phi_drive, _phi_increment, inf_tail
 from .volmap import BLOWUP_LIMIT, VolProcessSpec, is_affine, output_map, vol_state
 
 BLOCK_SIZE = 1 << 15
@@ -185,8 +187,8 @@ def _draw_increments(rng, out, dt, antithetic):
 def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     """Draw a block's price noise dW after ``db`` and write, node-major,
     ``_phi_drive(model, dW, db)`` into ``drive`` (n, size, ...) and, unless
-    ``lin`` is None, the eps-free vol part ``vol_state(db) - y`` at the left
-    nodes into ``lin`` (n, size, d).
+    ``lin`` is None, the eps-free vol part ``vol_state(db) - model.vol.y`` at
+    the left nodes into ``lin`` (n, size, d).
 
     dW is drawn ``MIX_ROWS`` paths at a time, which keeps the stream order of
     one whole-block fill, and each chunk of ``db`` goes through ``vol_state``
@@ -196,7 +198,6 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     size, n, m = db.shape
     half = (size + 1) // 2 if antithetic else size
     dw = np.empty((min(MIX_ROWS, half), n, m))
-    y = None if lin is None else _vol_offset(model.vol, grid)
     for r0 in range(0, half, MIX_ROWS):
         rows = min(MIX_ROWS, half - r0)
         _draw_increments(rng, dw[:rows], grid.dt, False)
@@ -204,7 +205,7 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
         drive[:, r0 : r0 + rows] = np.swapaxes(_phi_drive(model, dw[:rows], chunk), 0, 1)
         if lin is not None:
             vals = vol_state(model.vol, chunk, grid, _k.rms_weights)[:, :-1]
-            lin[:, r0 : r0 + rows] = np.swapaxes(vals - y, 0, 1)
+            lin[:, r0 : r0 + rows] = np.swapaxes(vals - model.vol.y, 0, 1)
     np.negative(drive[:, : size - half], out=drive[:, half:])
     if lin is not None:
         np.negative(lin[:, : size - half], out=lin[:, half:])
@@ -285,12 +286,6 @@ def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
     return output_map(spec, vol_state(spec, incr, grid, _k.rms_weights))
 
 
-def _vol_offset(spec: VolProcessSpec, grid):
-    """The zero-noise vol at the left nodes, (n, d): y of an affine vol,
-    vol_state(sqrt(eps) dB) = y + sqrt(eps) L(dB)."""
-    return vol_state(spec, np.zeros((grid.n_steps, spec.m)), grid, _k.rms_weights)[:-1]
-
-
 def _vol_nodes(spec: VolProcessSpec, grid, epsilon, db, lin):
     """Accessor of the left-node vol rows: ``vol(k)`` is (size, d) at node k.
 
@@ -301,12 +296,11 @@ def _vol_nodes(spec: VolProcessSpec, grid, epsilon, db, lin):
     if lin is None:
         paths = _vol_block(spec, db, grid, epsilon)
         return lambda k: paths[:, k, :]
-    y, scale = _vol_offset(spec, grid), math.sqrt(epsilon)
-    row = np.empty(lin.shape[1:])
+    scale, row = math.sqrt(epsilon), np.empty(lin.shape[1:])
 
     def vol(k):
         np.multiply(lin[k], scale, out=row)
-        return np.add(row, y[k], out=row)
+        return np.add(row, spec.y, out=row)
 
     return vol
 
@@ -512,8 +506,6 @@ def ldp_tail_report(cfg: SimConfig, k: float, reference_rate: float | None = Non
     if cfg.model.m != 1:
         raise DimensionError("tail report is for m = 1 models")
     if reference_rate is None:
-        from .ratefn import inf_tail
-
         reference_rate = inf_tail(cfg.model, k, grid=cfg.grid)
     stats = _per_eps_payoff_stats(
         cfg, lambda x, paths: (x[:, 0] >= k).astype(float)
@@ -527,8 +519,6 @@ def mc_call_report(cfg: SimConfig, strike: float, reference_rate: float | None =
         raise DimensionError("call report is for m = 1 models")
     s0 = float(cfg.model.s0[0])
     if reference_rate is None:
-        from .pricing import call_asymptote
-
         reference_rate = call_asymptote(
             cfg.model, strike, cfg.grid.horizon, n_steps=cfg.grid.n_steps
         ).rate
@@ -550,8 +540,6 @@ def mc_exit_report(
         raise DimensionError("domain dimension must equal m")
     window = exit_window(cfg.grid, deadline)
     if reference_rate is None:
-        from .pricing import exit_asymptote
-
         reference_rate = exit_asymptote(
             model,
             domain,

@@ -124,15 +124,13 @@ def skorokhod_map(path: PathFn) -> PathFn:
     """
     if path.dim != 1:
         raise UnsupportedDomainError("reflection map is defined for dim=1 paths only")
-    v = path.values[:, 0]
-    compensator = np.minimum.accumulate(np.minimum(v, 0.0))
-    return PathFn(path.grid, v - compensator)
+    return PathFn(path.grid, reflect_values(path.values))
 
 
 def reflect_values(values: np.ndarray) -> np.ndarray:
-    """Reflection applied along the last axis of a raw array of paths."""
-    comp = np.minimum.accumulate(np.minimum(values, 0.0), axis=-1)
-    return values - comp
+    """Reflection at zero along the time axis of an (..., n+1, d) array of
+    paths: the values minus the running minimum of min(values, 0)."""
+    return values - np.minimum.accumulate(np.minimum(values, 0.0), axis=-2)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,6 @@ from .volmap import (
     GAUSSIAN,
     MIXED,
     REFLECTED,
-    TOY,
     VolProcessSpec,
     cir_coefficients,
     ou_coefficients,
@@ -27,7 +26,7 @@ from .volmap import (
 
 def bs_const(sigma0: float = 0.2, r: float = 0.0, s0: float = 1.0, rho: float = 0.0):
     """Constant volatility; every asymptotic quantity has a closed form."""
-    vol = VolProcessSpec(family=TOY)
+    vol = VolProcessSpec(family=GAUSSIAN, noise_kernels=[[_k.brownian()]])
     return ModelSpec(
         m=1,
         vol=vol,
@@ -43,7 +42,7 @@ def bs_const(sigma0: float = 0.2, r: float = 0.0, s0: float = 1.0, rho: float = 
 
 def toy_sabr():
     """Uncorrelated lognormal-volatility model with the identity skeleton."""
-    vol = VolProcessSpec(family=TOY)
+    vol = VolProcessSpec(family=GAUSSIAN, noise_kernels=[[_k.brownian()]])
     return ModelSpec(
         m=1,
         vol=vol,
@@ -93,7 +92,7 @@ def frac_heston(
         m=1,
         k_dim=1,
         drift_kernels=[_k.riemann_liouville(hurst)],
-        u_map="identity",
+        u_map=lambda v: v,
         aux_drift=drift,
         aux_disp=disp,
         v0=[v0],
@@ -141,7 +140,7 @@ def mixed_demo(
         k_dim=2,
         noise_kernels=[[kern_n, None], [None, kern_n]],
         drift_kernels=[kern_d, kern_d],
-        u_map="abs",
+        u_map=np.abs,
         aux_drift=drift,
         aux_disp=disp2,
         v0=[0.0, 0.0],

@@ -51,6 +51,18 @@ FEASIBILITY_TOL = 1e-6
 # ---------------------------------------------------------------------------
 
 
+def _vector(value, what: str) -> np.ndarray:
+    """A number or a flat list of numbers as a 1-D float vector; DomainError
+    for anything else."""
+    try:
+        vec = np.atleast_1d(np.asarray(value))
+    except ValueError:  # a ragged list
+        vec = None
+    if vec is None or vec.ndim != 1 or vec.dtype.kind not in "iuf":
+        raise DomainError(f"{what} must be a number or a list of numbers, got {value!r}")
+    return vec.astype(float)
+
+
 @dataclass
 class ExitDomain:
     """Axis-aligned box or half-space; the supported open-set class."""
@@ -67,8 +79,8 @@ class ExitDomain:
         if self.kind == "box":
             if self.lower is None or self.upper is None:
                 raise UnsupportedDomainError("box domain needs lower and upper")
-            self.lower = np.atleast_1d(np.asarray(self.lower, float))
-            self.upper = np.atleast_1d(np.asarray(self.upper, float))
+            self.lower = _vector(self.lower, "box lower")
+            self.upper = _vector(self.upper, "box upper")
             if self.lower.shape != self.upper.shape:
                 raise DimensionError("box bounds must have equal shapes")
             if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)):
@@ -78,7 +90,7 @@ class ExitDomain:
         else:
             if self.normal is None or self.offset is None:
                 raise UnsupportedDomainError("half_space needs normal and offset")
-            self.normal = np.atleast_1d(np.asarray(self.normal, float))
+            self.normal = _vector(self.normal, "half_space normal")
             self.offset = float(require_number(self.offset, "half_space offset"))
             if not (np.all(np.isfinite(self.normal)) and math.isfinite(self.offset)):
                 raise DomainError("half_space normal and offset must be finite")

@@ -1,22 +1,23 @@
 """The volatility scheme, shared by the skeleton and the simulator.
 
-Each family's recursion is written once (``vol_state``), driven by increments
-of the noise: the controlled skeleton passes ``dots * dt``, the Monte Carlo
-simulator passes ``sqrt(eps) * dB``, so the skeleton is exactly the zero-noise
-limit of the simulated scheme.  Stages: the auxiliary process by explicit
-Euler, the Volterra equation (a kernel convolution for the gaussian,
-fractional and mixed families, one causal forward sweep for ``volterra_sde``),
-then the output map (reflection at zero when requested, identity otherwise).
+``vol_state`` is driven by increments of the noise: the controlled skeleton
+passes ``dots * dt``, the Monte Carlo simulator ``sqrt(eps) * dB``, so the
+skeleton is exactly the zero-noise limit of the simulated scheme.  Three
+schemes cover the five families: one kernel recursion y + K * dB + K~ * u(psi)
+for the gaussian (the uncorrelated toy model being its Brownian-kernel
+case), fractional and mixed families, the auxiliary process psi by explicit
+Euler; the reflected Euler recursion; one causal forward sweep for ``volterra_sde``.
+The output map reflects at zero when requested (``paths.reflect_values``).
 The skeleton entry points (``solve_psi_batch``, ``gamma_y_batch``,
 ``hat_map_batch``) add the blow-up checks; the simulator excludes such paths
 instead.
 
 ``hat_map_vjp`` returns the skeleton together with its vector-jacobian
 product, which runs each stage backwards (``vol_state_vjp``): a reverse
-cumulative sum for the toy family and Brownian kernels, the transposed weight
-table for the other kernels, a backward Euler recursion (the reflection's
-adjoint follows the argmin of the running minimum) and a backward causal
-sweep for ``volterra_sde``.  Coefficient closures enter through their state
+cumulative sum for Brownian kernels, the transposed weight table for the
+other kernels, a backward Euler recursion (the reflection's adjoint follows
+the argmin of the running minimum) and a backward causal sweep for
+``volterra_sde``.  Coefficient closures enter through their state
 derivatives, central differences over the state columns only: the forward
 pass calls each closure once per step on the state stacked with its
 perturbations (``perturbed``, ``central_jac``).
@@ -59,16 +60,8 @@ MIXED = "mixed"
 FRACTIONAL = "fractional_nongaussian"
 VOLTERRA_SDE = "volterra_sde"
 REFLECTED = "reflected_diffusion"
-TOY = "toy"
 
-FAMILIES = (GAUSSIAN, MIXED, FRACTIONAL, VOLTERRA_SDE, REFLECTED, TOY)
-
-BUILTIN_U_MAPS = {
-    "identity": lambda v: v,
-    "exp": np.exp,
-    "abs": np.abs,
-    "square": np.square,
-}
+FAMILIES = (GAUSSIAN, MIXED, FRACTIONAL, VOLTERRA_SDE, REFLECTED)
 
 
 def _zero_drift(t, v):
@@ -88,7 +81,8 @@ class VolProcessSpec:
 
     ``noise_kernels`` is the d x m matrix of kernels applied to the Brownian
     driver, ``drift_kernels`` the length-d list applied to the transformed
-    auxiliary process.  Entries may be None (treated as zero kernels).
+    auxiliary process ``u_map(psi)``.  Entries may be None (treated as zero
+    kernels).
     """
 
     family: str
@@ -97,7 +91,7 @@ class VolProcessSpec:
     k_dim: int = 1
     noise_kernels: list | None = None
     drift_kernels: list | None = None
-    u_map: object | None = None  # name or callable
+    u_map: object | None = None  # callable
     aux_drift: object | None = None
     aux_disp: object | None = None
     volterra_a: object | None = None
@@ -124,9 +118,8 @@ class VolProcessSpec:
             raise DimensionError(f"y must have shape ({self.d},)")
         if self.v0.shape != (self.k_dim,):
             raise DimensionError(f"v0 must have shape ({self.k_dim},)")
-        if self.family == TOY:
-            if self.d != 1 or self.m != 1:
-                raise DimensionError("toy family is scalar (d = m = 1)")
+        if self.u_map is not None and not callable(self.u_map):
+            raise UnsupportedFormError(f"u_map must be a callable, got {self.u_map!r}")
         if self.reflect and self.d != 1:
             raise UnsupportedDomainError("reflection is supported for d = 1 only")
         if self.family in (GAUSSIAN, MIXED):
@@ -160,19 +153,6 @@ class VolProcessSpec:
             self.aux_drift = _zero_drift
         if self.aux_disp is None:
             self.aux_disp = _zero_disp_factory(self.m)
-
-    def u_callable(self):
-        if self.u_map is None:
-            return None
-        if callable(self.u_map):
-            return self.u_map
-        try:
-            return BUILTIN_U_MAPS[self.u_map]
-        except KeyError:
-            raise UnsupportedFormError(
-                f"unknown built-in u_map {self.u_map!r}; choose from "
-                f"{sorted(BUILTIN_U_MAPS)}"
-            ) from None
 
 
 # ---------------------------------------------------------------------------
@@ -315,25 +295,27 @@ def _euler_vjp(incr, grid, out, tape, out_bar, reflected=False):
 
 
 def _gaussian_part(spec, incr, grid, noise_table):
-    # operands are made contiguous: matmul leaves BLAS for strided columns (m > 1)
+    # operands are made contiguous: matmul leaves BLAS for strided columns
+    # (m > 1); a row's first term, when Brownian, is summed straight into the
+    # zero row, as a chunk-sized temporary costs the simulator page faults
     out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, spec.d))
-    for i in range(spec.d):
-        for j in range(spec.m):
-            kern = spec.noise_kernels[i][j]
+    for i, row in enumerate(spec.noise_kernels or ()):
+        for j, kern in enumerate(row):
             if kern is None:
                 continue
-            if kern.kind == _k.BROWNIAN:
+            if kern.kind != _k.BROWNIAN:
+                out[..., i] += np.ascontiguousarray(incr[..., j]) @ noise_table(kern, grid).T
+            elif any(k is not None for k in row[:j]):  # an earlier term in the row
                 out[..., 1:, i] += np.cumsum(incr[..., j], axis=-1)
             else:
-                out[..., i] += np.ascontiguousarray(incr[..., j]) @ noise_table(kern, grid).T
+                np.cumsum(incr[..., j], axis=-1, out=out[..., 1:, i])
     return out
 
 
 def _gaussian_vjp(spec, out_bar, grid, noise_table, incr_shape):
     incr_bar = np.zeros(incr_shape)
-    for i in range(spec.d):
-        for j in range(spec.m):
-            kern = spec.noise_kernels[i][j]
+    for i, row in enumerate(spec.noise_kernels or ()):
+        for j, kern in enumerate(row):
             if kern is None:
                 continue
             if kern.kind == _k.BROWNIAN:
@@ -347,10 +329,10 @@ def _fractional_part(spec, incr, grid, tape=None):
     aux = None if tape is None else tape.setdefault("aux", [])
     psi = _euler(spec, incr, grid, spec.v0, tape=aux)
     if tape is None:
-        u = spec.u_callable()(psi[..., :-1, :])  # left node values, (..., n, d)
+        u = spec.u_map(psi[..., :-1, :])  # left node values, (..., n, d)
     else:
         stack, h = perturbed(psi[..., :-1, :])
-        u, tape["u_psi"] = central_jac(spec.u_callable()(stack), h)
+        u, tape["u_psi"] = central_jac(spec.u_map(stack), h)
         tape["psi"] = psi
     out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, spec.d))
     for i in range(spec.d):
@@ -441,64 +423,49 @@ def vol_state(
     the skeleton raises on them, the simulator excludes the paths.  A
     ``tape`` dict receives what ``vol_state_vjp`` reads.
     """
-    if spec.family == TOY:
-        out = np.zeros(incr.shape[:-2] + (grid.n_steps + 1, 1))
-        np.cumsum(incr, axis=-2, out=out[..., 1:, :])
-        return out
-    if spec.family == GAUSSIAN:
-        return spec.y + _gaussian_part(spec, incr, grid, noise_table)
-    if spec.family == FRACTIONAL:
-        return spec.y + _fractional_part(spec, incr, grid, tape)
-    if spec.family == MIXED:
-        return (
-            spec.y
-            + _gaussian_part(spec, incr, grid, noise_table)
-            + _fractional_part(spec, incr, grid, tape)
-        )
     if spec.family == VOLTERRA_SDE:
         return _volterra_sweep(spec, incr, grid, tape)
-    aux = None if tape is None else tape.setdefault("aux", [])
-    out = _euler(spec, incr, grid, spec.y, reflected=True, tape=aux)
-    if tape is not None:
-        tape["state"] = out
+    if spec.family == REFLECTED:
+        aux = None if tape is None else tape.setdefault("aux", [])
+        out = _euler(spec, incr, grid, spec.y, reflected=True, tape=aux)
+        if tape is not None:
+            tape["state"] = out
+        return out
+    out = _gaussian_part(spec, incr, grid, noise_table)
+    out += spec.y
+    if spec.drift_kernels is not None:
+        out += _fractional_part(spec, incr, grid, tape)
     return out
 
 
 def is_affine(spec: VolProcessSpec) -> bool:
     """Whether the output-mapped ``vol_state`` is affine in the increments:
-    a cumulative sum (toy) or y plus a convolution (Gaussian), unreflected."""
-    return spec.family in (TOY, GAUSSIAN) and not spec.reflect
+    y plus a convolution, unreflected (the gaussian family)."""
+    return spec.family == GAUSSIAN and not spec.reflect
 
 
 def vol_state_vjp(spec: VolProcessSpec, incr, grid, noise_table, tape, vals_bar) -> np.ndarray:
     """Vector-jacobian product of ``vol_state``: d <vals_bar, vals> / d incr.
 
     ``tape`` is the dict a ``vol_state`` call on the same arguments filled.
-    Each family runs its forward stages backwards: a reverse cumulative sum
-    (toy family, Brownian kernels), the transposed weight table (Gaussian
-    noise and fractional drift convolutions), a backward Euler recursion
-    (auxiliary and reflected states), or a backward causal sweep
+    Each scheme runs its stages backwards: reverse cumulative sums (Brownian
+    kernels), transposed weight tables (other kernels), a backward Euler
+    recursion (auxiliary and reflected states) or a backward causal sweep
     (volterra_sde).  Shapes (..., n+1, d) -> (..., n, m).
     """
-    if spec.family == TOY:
-        return reverse_cumsum(vals_bar[..., 1:, :], -2)
     if spec.family == VOLTERRA_SDE:
         return _volterra_vjp(spec, incr, grid, tape, vals_bar)
     if spec.family == REFLECTED:
         return _euler_vjp(incr, grid, tape["state"], tape["aux"], vals_bar, reflected=True)
-    out = np.zeros(incr.shape)
-    if spec.family in (GAUSSIAN, MIXED):
-        out += _gaussian_vjp(spec, vals_bar, grid, noise_table, incr.shape)
-    if spec.family in (FRACTIONAL, MIXED):
+    out = _gaussian_vjp(spec, vals_bar, grid, noise_table, incr.shape)
+    if spec.drift_kernels is not None:
         out += _fractional_vjp(spec, incr, grid, tape, vals_bar)
     return out
 
 
 def output_map(spec: VolProcessSpec, vals: np.ndarray) -> np.ndarray:
     """Reflection at zero along the time axis when requested, else identity."""
-    if spec.reflect:
-        vals = np.moveaxis(reflect_values(np.moveaxis(vals, -2, -1)), -1, -2)
-    return vals
+    return reflect_values(vals) if spec.reflect else vals
 
 
 def _reflect_vjp(vals, out_bar):
@@ -545,7 +512,7 @@ def _checked_dots(spec, dots, grid):
 
 
 def _checked_state(spec, vals):
-    if spec.family in (TOY, GAUSSIAN):
+    if spec.family == GAUSSIAN:
         return vals
     if spec.family == VOLTERRA_SDE and not np.all(np.isfinite(vals)):
         raise ConvergenceError(

@@ -326,6 +326,32 @@ def test_non_finite_input_is_a_config_error(capsys, argv):
     assert json.loads(err)["error"] == "DomainError"
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["kernel-info", "--kernel", '{"kind": "riemann_liouville", "hurst": "0.3"}'], "DomainError"),
+        (["kernel-info", "--kernel", '{"kind": "riemann_liouville", "hurst": [0.3]}'], "DomainError"),
+        (["kernel-info", "--kernel", '{"kind": "logarithmic", "beta": "2"}'], "DomainError"),
+        (["kernel-info", "--kernel", '{"kind": "tabulated", "table": "x"}'], "InvalidKernelError"),
+        (["exit-rate", "--preset", "bs_const", "--domain",
+          '{"kind": "box", "lower": {"a": 1}, "upper": [1]}'], "DomainError"),
+        (["exit-rate", "--preset", "bs_const", "--domain",
+          '{"kind": "box", "lower": [[0.0]], "upper": [[1.0]]}'], "DomainError"),
+        (["exit-rate", "--preset", "bs_const", "--domain",
+          '{"kind": "half_space", "normal": {"a": 1}, "offset": 0.17}'], "DomainError"),
+        (["exit-rate", "--preset", "bs_const", "--domain",
+          '{"kind": "box", "lower": [0.0], "upper": "abc"}'], "DomainError"),
+    ],
+)
+def test_wrongly_typed_kernel_or_domain_is_a_config_error(capsys, argv, error):
+    # all but the last once raised a TypeError that escaped main with a
+    # traceback (exit 1); the last exited 2 as a bare ValueError
+    code, out, err = run_cli(capsys, *argv, "--n-steps", "20")
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == error
+
+
 @pytest.mark.parametrize("preset, x", [("bs_const", "0.1,0.5"), ("mixed_demo", "0.05")])
 def test_rate_terminal_needs_m_targets(capsys, preset, x):
     # bs_const once solved at 0.1 and dropped 0.5 without a word

@@ -21,7 +21,6 @@ from ldpvol.mcsim import (
     _reduce_report,
     _run_blocks,
     _vol_block,
-    _vol_offset,
     ldp_tail_report,
     mc_call_report,
     mc_exit_report,
@@ -52,7 +51,7 @@ def _lin(spec, grid, db):
     vol_state(db) - y at the left nodes; None for every other vol."""
     if not is_affine(spec):
         return None
-    vals = vol_state(spec, db, grid, rms_weights)[:, :-1] - _vol_offset(spec, grid)
+    vals = vol_state(spec, db, grid, rms_weights)[:, :-1] - spec.y
     return np.moveaxis(vals, 1, 0)
 
 
@@ -104,7 +103,7 @@ def test_vol_eps_zero_is_skeleton():
     specs = [make_model(name).vol for name in ("toy_sabr", "rough_gauss", "frac_heston",
                                                 "mixed_demo", "reflected_ou")]
     specs.append(_volterra_sde_spec())
-    assert sorted(s.family for s in specs) == sorted(FAMILIES)
+    assert {s.family for s in specs} == set(FAMILIES)
     for spec in specs:
         ens = simulate_vol(spec, 0.0, 50, GRID, seed=5)
         skel = hat_map(spec, Control.zero(GRID, spec.m)).values
@@ -122,7 +121,7 @@ def test_ou_fractional_mean_unbiased():
         m=1,
         k_dim=1,
         drift_kernels=[brownian()],
-        u_map="identity",
+        u_map=lambda v: v,
         aux_drift=drift,
         aux_disp=disp,
         v0=[0.0],

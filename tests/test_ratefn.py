@@ -218,7 +218,7 @@ def test_itilde_degenerate_start_escapes_to_eigenvalue_oracle():
     # makes the volatility vanish identically, so the optimizer must leave the
     # degenerate start; the true value solves a fixed-free eigenvalue problem,
     # inf_f |x| sqrt(int fdot^2 / int f^2) = |x| pi / (2 T)
-    vol = VolProcessSpec(family="toy")
+    vol = VolProcessSpec(family=GAUSSIAN, noise_kernels=[[brownian()]])
     m = ModelSpec(
         m=1, vol=vol, sigma=lambda t, u: u[..., 0], rho=0.0, sigma_positive=False
     )

@@ -1,28 +1,34 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
 from ldpvol import TimeGrid, Control, brownian, riemann_liouville, hs_apply, integrate
 from ldpvol.errors import DimensionError, UnsupportedFormError
+from ldpvol.presets import make_model
 from ldpvol.volmap import (
     FRACTIONAL,
     GAUSSIAN,
     MIXED,
-    TOY,
     VOLTERRA_SDE,
     REFLECTED,
     VolProcessSpec,
+    _fractional_part,
+    cell_means,
     cir_coefficients,
     gamma_y,
     hat_map,
     ou_coefficients,
     solve_psi,
+    vol_state,
+    vol_state_vjp,
 )
 
 GRID = TimeGrid(1.0, 100)
 
 
 def toy_spec():
-    return VolProcessSpec(family=TOY)
+    return VolProcessSpec(family=GAUSSIAN, noise_kernels=[[brownian()]])
 
 
 def gaussian_spec(d=2, m=2, kern=None):
@@ -40,7 +46,7 @@ def cir_fractional_spec(kern=None, kappa=1.0, theta=0.04, eta=0.3, v0=0.04):
         m=1,
         k_dim=1,
         drift_kernels=[kern or brownian()],
-        u_map="identity",
+        u_map=lambda v: v,
         aux_drift=drift,
         aux_disp=disp,
         v0=[v0],
@@ -66,9 +72,81 @@ def test_family_validation():
             d=1,
             m=1,
             drift_kernels=[brownian()],
-            u_map="identity",
+            u_map=lambda v: v,
             noise_kernels=[[brownian()]],
         )
+
+
+def test_toy_presets_are_the_brownian_gaussian_spec():
+    for name in ("bs_const", "toy_sabr"):
+        vol = make_model(name).vol
+        assert vol.family == GAUSSIAN and vol.noise_kernels == [[brownian()]]
+    shifted = dataclasses.replace(toy_spec(), y=[0.25])
+    assert shifted.noise_kernels == [[brownian()]] and shifted.y.tolist() == [0.25]
+    with pytest.raises(UnsupportedFormError):
+        VolProcessSpec(family="toy")
+
+
+def test_u_map_must_be_callable():
+    with pytest.raises(UnsupportedFormError):
+        VolProcessSpec(family=FRACTIONAL, drift_kernels=[brownian()], u_map="identity")
+
+
+def _incr(m, seed=3):
+    return np.random.default_rng(seed).normal(size=(4, GRID.n_steps, m)) * GRID.dt
+
+
+def test_brownian_gaussian_vjp_is_the_reverse_cumulative_sum():
+    # the toy model's adjoint, as the toy branch wrote it: bit for bit
+    spec, incr = toy_spec(), _incr(1)
+    bar = np.random.default_rng(4).normal(size=(4, GRID.n_steps + 1, 1))
+    tape = {}
+    vol_state(spec, incr, GRID, cell_means, tape)
+    want = np.flip(np.cumsum(np.flip(bar[..., 1:, :], -2), -2), -2)
+    np.testing.assert_array_equal(vol_state_vjp(spec, incr, GRID, cell_means, tape, bar), want)
+
+
+_RECURSION_SPECS = {
+    "toy": toy_spec,
+    GAUSSIAN: lambda: VolProcessSpec(
+        family=GAUSSIAN, d=2, m=2, y=[0.3, -0.2],
+        noise_kernels=[[riemann_liouville(0.3), brownian()], [brownian(), riemann_liouville(0.7)]],
+    ),
+    FRACTIONAL: lambda: make_model("frac_heston").vol,
+    MIXED: lambda: dataclasses.replace(make_model("mixed_demo").vol, y=[0.1, 0.4]),
+}
+
+
+def _convolutions(spec, incr):
+    """The Gaussian part as the per-family expressions summed it: every
+    kernel's term added into a zero array, in kernel order."""
+    out = np.zeros(incr.shape[:-2] + (GRID.n_steps + 1, spec.d))
+    for i, row in enumerate(spec.noise_kernels):
+        for j, kern in enumerate(row):
+            if kern is not None and kern.kind == "brownian":
+                out[..., 1:, i] += np.cumsum(incr[..., j], axis=-1)
+            elif kern is not None:
+                out[..., i] += np.ascontiguousarray(incr[..., j]) @ cell_means(kern, GRID).T
+    return out
+
+
+@pytest.mark.parametrize("family", sorted(_RECURSION_SPECS))
+def test_kernel_recursion_matches_the_per_family_expressions(family):
+    # the one kernel recursion against each family's own expression, as the
+    # scheme wrote them before they were one: bit for bit, plain and taped
+    spec = _RECURSION_SPECS[family]()
+    incr = _incr(spec.m)
+    if family == "toy":
+        want = np.zeros(incr.shape[:-2] + (GRID.n_steps + 1, 1))
+        np.cumsum(incr, axis=-2, out=want[..., 1:, :])
+    elif family == GAUSSIAN:
+        want = spec.y + _convolutions(spec, incr)
+    elif family == FRACTIONAL:
+        want = spec.y + _fractional_part(spec, incr, GRID)
+    else:
+        want = spec.y + _convolutions(spec, incr) + _fractional_part(spec, incr, GRID)
+    np.testing.assert_array_equal(vol_state(spec, incr, GRID, cell_means), want)
+    np.testing.assert_array_equal(vol_state(spec, incr, GRID, cell_means, {}), want)
 
 
 def test_solve_psi_constant_when_no_coefficients():
@@ -161,7 +239,7 @@ def test_mixed_is_sum_of_degenerate_families():
         m=1,
         noise_kernels=[[kern_noise]],
         drift_kernels=[kern_drift],
-        u_map="abs",
+        u_map=np.abs,
         aux_drift=drift,
         aux_disp=disp,
         v0=[0.04],
@@ -173,7 +251,7 @@ def test_mixed_is_sum_of_degenerate_families():
         d=1,
         m=1,
         drift_kernels=[kern_drift],
-        u_map="abs",
+        u_map=np.abs,
         aux_drift=drift,
         aux_disp=disp,
         v0=[0.04],
