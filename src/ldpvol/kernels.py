@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import integrate as _sint
 from scipy import special as _sp
 
 from .errors import AdmissibilityError, DimensionError, InvalidKernelError, require_number
@@ -59,6 +58,22 @@ KERNEL_KINDS = (BROWNIAN, RIEMANN_LIOUVILLE, MOLCHAN_GOLOSOV, LOGARITHMIC, TABUL
 _FRACTIONAL_KINDS = (RIEMANN_LIOUVILLE, MOLCHAN_GOLOSOV)
 
 
+def _table_array(value, what: str, ndim: int) -> np.ndarray:
+    """A finite ``ndim``-D array of numbers as floats; InvalidKernelError for
+    anything else (a ragged list, strings, objects, null or non-finite
+    entries)."""
+    try:
+        arr = np.asarray(value)
+    except ValueError:  # a ragged list
+        arr = None
+    if arr is None or arr.ndim != ndim or arr.dtype.kind not in "iuf":
+        raise InvalidKernelError(f"table {what} must be a {ndim}-D array of numbers, got {value!r}")
+    arr = arr.astype(float)
+    if not np.all(np.isfinite(arr)):
+        raise InvalidKernelError(f"table {what} must be finite")
+    return arr
+
+
 @dataclass(frozen=True)
 class TabulatedTable:
     """Sampled kernel values on a rectangular grid, stored hashably."""
@@ -73,9 +88,10 @@ class TabulatedTable:
 
     @staticmethod
     def from_arrays(t, s, values) -> "TabulatedTable":
-        t = np.asarray(t, dtype=float)
-        s = np.asarray(s, dtype=float)
-        v = np.asarray(values, dtype=float)
+        t, s = _table_array(t, "axis t", 1), _table_array(s, "axis s", 1)
+        v = _table_array(values, "values", 2)
+        if t.size < 2 or s.size < 2:
+            raise InvalidKernelError("table axes need at least two nodes")
         if v.shape != (t.size, s.size):
             raise DimensionError("table values must have shape (len(t), len(s))")
         if np.any(np.diff(t) <= 0) or np.any(np.diff(s) <= 0):
@@ -312,6 +328,8 @@ def _rl_cell_moments(h: float, dt: float, n: int):
 
 @functools.lru_cache(maxsize=32)
 def _log_diag_cell_mass(beta: float, dt: float) -> float:
+    from scipy import integrate as _sint  # loaded on first use: rare and slow to import
+
     val, _ = _sint.quad(lambda x: _log_value(beta, x), 0.0, dt, limit=200)
     return val
 
@@ -503,6 +521,8 @@ def slice_variance(kernel: KernelSpec, t: float) -> float:
         h = kernel.hurst
         if h == 0.5:
             return t
+        from scipy import integrate as _sint  # loaded on first use, as above
+
         val, _ = _sint.quad(
             lambda s: _mg_value(h, t, s) ** 2, 0.0, t, limit=200,
             points=[0.0, t],

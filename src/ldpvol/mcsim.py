@@ -21,28 +21,30 @@ while each row is unbiased and its standard error is honest on its own.
 Estimates are bit-identical no matter how blocks are scheduled across
 workers; SFC64's 256-bit state carries a 64-bit counter, and
 SeedSequence-hashed starting states make overlap between substreams
-negligible in practice.  The driver noise dB is drawn straight into one buffer
-per worker thread, reused for every block the thread runs, and scaled in
-place.  The price noise dW follows in the same stream order, drawn in chunks
-of ``MIX_ROWS`` paths; each chunk is mixed with dB by the functional's own
-``ratefn._phi_drive`` and stored node-major in a second per-worker buffer,
-the drive that every epsilon of the ladder reads one contiguous row of per
-node.  Where the vol is affine in its increments (unreflected Gaussian
-families, the toy model's Brownian kernel included, ``volmap.is_affine``),
-vol_state(sqrt(eps) dB) is y + sqrt(eps) L(dB), the offset y being the
-spec's own ``y`` (the vol at zero noise), so the same chunk loop runs
-``vol_state`` on each chunk of dB once per block and stores
-L = vol_state(dB) - y at the left nodes node-major in a third per-worker
-buffer; each epsilon then forms the row y + sqrt(eps) L[k] at node k.
-Every other vol (fractional, mixed,
-reflected, volterra_sde, and any reflected output) builds its whole vol
+negligible in practice.  Each worker thread reuses its buffers for every
+block it runs.  The price noise dW follows the driver noise dB in the same
+stream, drawn in chunks of ``MIX_ROWS`` paths; each chunk is mixed with its
+paths of dB, node-major, by the functional's own ``ratefn._phi_drive`` and
+stored in the per-worker drive buffer, which every epsilon of the ladder
+reads one contiguous row of per node.  Where the vol is affine in its
+increments (unreflected Gaussian families, the toy model's Brownian kernel
+included, ``volmap.is_affine``), vol_state(sqrt(eps) dB) is
+y + sqrt(eps) L(dB), the offset y being the spec's own ``y`` (the vol at
+zero noise).  There dB is drawn in chunks of ``MIX_ROWS`` paths too: each
+chunk goes through ``vol_state`` once per block, L = vol_state(dB) - y at
+the left nodes is stored node-major in a second per-worker buffer, and the
+chunk itself is parked node-major in the drive buffer until its dW is mixed
+in, so an affine block holds two block arrays, the drive and L; each
+epsilon then forms the row y + sqrt(eps) L[k] at node k.  Every other vol
+(fractional, mixed, reflected, volterra_sde, and any reflected output) draws
+dB whole into a per-worker buffer, scaled in place, and builds its whole vol
 block from sqrt(eps) dB per epsilon, read through the same per-node
-accessor.  The two agree to rounding: outputs of models whose sigma ignores
-the vol (bs_const) are bit-identical, toy_sabr and the Gaussian ones only
-statistically equal.  Antithetic blocks draw the first half of the rows and
-write its negation into the rest, of dB, of the (linear) drive and of L
-alike.  Block functions must neither write to these buffers nor return a
-view of them.
+accessor; such a block holds dB and the drive.  The two agree to rounding:
+outputs of models whose sigma ignores the vol (bs_const) are bit-identical,
+toy_sabr and the Gaussian ones only statistically equal.  Antithetic blocks
+draw the first half of the rows and write its negation into the rest, of dB,
+of the (linear) drive and of L alike.  Block functions must neither write to
+these buffers nor return a view of them.
 Payoff moments are merged per block, in block order, from (count, mean, sum
 of squared deviations) (Chan, Golub & LeVeque), and each report carries its
 hit counts.
@@ -185,30 +187,41 @@ def _draw_increments(rng, out, dt, antithetic):
 
 
 def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
-    """Draw a block's price noise dW after ``db`` and write, node-major,
-    ``_phi_drive(model, dW, db)`` into ``drive`` (n, size, ...) and, unless
-    ``lin`` is None, the eps-free vol part ``vol_state(db) - model.vol.y`` at
-    the left nodes into ``lin`` (n, size, d).
+    """Draw a block's price noise dW and write, node-major,
+    ``_phi_drive(model, dW, dB)`` into ``drive`` (n, size, ...) and, for an
+    affine vol, the eps-free vol part ``vol_state(dB) - model.vol.y`` at the
+    left nodes into ``lin`` (n, size, d).
 
-    dW is drawn ``MIX_ROWS`` paths at a time, which keeps the stream order of
-    one whole-block fill, and each chunk of ``db`` goes through ``vol_state``
-    with it; antithetic blocks fill the first ceil(size/2) rows and write the
-    negation into the rest (both parts are linear in the noise).
+    ``db`` is the block's driver noise dB, drawn already, or None for an
+    affine vol: then the first chunk loop draws dB ``MIX_ROWS`` paths at a
+    time, runs each chunk through ``vol_state`` into ``lin`` and parks it
+    node-major in ``drive``.  The second loop draws dW in chunks and mixes
+    each with its columns of dB, parked or whole-block, node-major.  The
+    chunks keep the stream order of whole-block fills (dB, then dW);
+    antithetic blocks fill the first ceil(size/2) rows and write the negation
+    into the rest (both parts are linear in the noise).
     """
-    size, n, m = db.shape
+    size, n = drive.shape[1], grid.n_steps
     half = (size + 1) // 2 if antithetic else size
-    dw = np.empty((min(MIX_ROWS, half), n, m))
+    chunk = np.empty((min(MIX_ROWS, half), n, model.vol.m))
+    if db is None:
+        park = drive[..., None] if model.m == 1 else drive
+        for r0 in range(0, half, MIX_ROWS):
+            rows = min(MIX_ROWS, half - r0)
+            _draw_increments(rng, chunk[:rows], grid.dt, False)
+            vals = vol_state(model.vol, chunk[:rows], grid, _k.rms_weights)[:, :-1]
+            lin[:, r0 : r0 + rows] = np.swapaxes(vals - model.vol.y, 0, 1)
+            park[:, r0 : r0 + rows] = np.swapaxes(chunk[:rows, :, : park.shape[-1]], 0, 1)
+        np.negative(lin[:, : size - half], out=lin[:, half:])
+    else:
+        park = np.swapaxes(db, 0, 1)
     for r0 in range(0, half, MIX_ROWS):
         rows = min(MIX_ROWS, half - r0)
-        _draw_increments(rng, dw[:rows], grid.dt, False)
-        chunk = db[r0 : r0 + rows]
-        drive[:, r0 : r0 + rows] = np.swapaxes(_phi_drive(model, dw[:rows], chunk), 0, 1)
-        if lin is not None:
-            vals = vol_state(model.vol, chunk, grid, _k.rms_weights)[:, :-1]
-            lin[:, r0 : r0 + rows] = np.swapaxes(vals - model.vol.y, 0, 1)
+        _draw_increments(rng, chunk[:rows], grid.dt, False)
+        drive[:, r0 : r0 + rows] = _phi_drive(
+            model, np.swapaxes(chunk[:rows], 0, 1), park[:, r0 : r0 + rows]
+        )
     np.negative(drive[:, : size - half], out=drive[:, half:])
-    if lin is not None:
-        np.negative(lin[:, : size - half], out=lin[:, half:])
 
 
 def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, model=None):
@@ -219,20 +232,24 @@ def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=
     epsilons share each block's noise (common random numbers); each block
     draws from its own substream, so results do not depend on ``workers``,
     and the pool runs blocks, so a one-block run uses one thread.  The driver
-    noise ``db`` (size, n, m) is drawn first.  With a ``model`` given, the
-    price noise dW follows from the same substream in chunks of ``MIX_ROWS``
-    paths, in stream order, and ``drive`` is ``_phi_drive(model, dW, db)``
+    noise dB (size, n, m) is drawn first.  With a ``model`` given, the price
+    noise dW follows from the same substream in chunks of ``MIX_ROWS``
+    paths, in stream order, and ``drive`` is ``_phi_drive(model, dW, dB)``
     stored node-major, (n, size) for m = 1, else (n, size, m), so each node
     reads one contiguous row.  When ``model.vol`` is affine in its
     increments (``volmap.is_affine``), vol_state(sqrt(eps) dB) is
-    y + sqrt(eps) L(dB), and ``lin`` is L(db) at the left nodes, built once
-    per block from ``vol_state`` on the same chunks and stored node-major,
-    (n, size, d); otherwise ``lin`` is None and each epsilon builds its own
-    vol block.  Antithetic blocks negate the second half of all three.
-    Without a ``model`` no price noise is drawn and ``drive`` and ``lin``
-    are None.  ``db``, ``drive`` and ``lin`` are views of buffers that each
-    worker thread reuses for every block and epsilon, so a block function
-    must neither write to them nor return a view of them.
+    y + sqrt(eps) L(dB), and ``lin`` is L(dB) at the left nodes, stored
+    node-major, (n, size, d); dB is then drawn in chunks too, each chunk
+    run through ``vol_state`` into ``lin`` and parked in ``drive`` until its
+    dW is mixed in, so a worker holds two block arrays, ``drive`` and
+    ``lin``, and ``db`` is None.  Any other block holds the whole-block
+    ``db`` (size, n, m) and, with a model, ``drive``; ``lin`` is None and
+    each epsilon builds its own vol block.  Antithetic blocks negate the
+    second half of each.  Without a ``model`` no price noise is drawn and
+    ``drive`` and ``lin`` are None.  ``db``, ``drive`` and ``lin`` are views
+    of buffers that each worker thread reuses for every block and epsilon,
+    so a block function must neither write to them nor return a view of
+    them.
     """
     n_paths = int(n_paths)
     sizes = [min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)]
@@ -241,16 +258,17 @@ def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=
 
     def run(b):
         if not hasattr(local, "db"):
-            local.db = np.empty((sizes[0], grid.n_steps, m))
+            local.db = None if affine else np.empty((sizes[0], grid.n_steps, m))
             if model is not None:
                 tail = () if model.m == 1 else (model.m,)
                 local.drive = np.empty((grid.n_steps, sizes[0]) + tail)
             if affine:
                 local.lin = np.empty((grid.n_steps, sizes[0], model.vol.d))
         rng = _block_rng(seed, b)
-        db = local.db[: sizes[b]]
-        _draw_increments(rng, db, grid.dt, antithetic)
-        drive = lin = None
+        db = drive = lin = None
+        if not affine:
+            db = local.db[: sizes[b]]
+            _draw_increments(rng, db, grid.dt, antithetic)
         if model is not None:
             drive = local.drive[:, : sizes[b]]
             lin = local.lin[:, : sizes[b]] if affine else None
@@ -343,11 +361,12 @@ def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, lin=None, watch=
 
     ``drive`` is the price noise mixed by ``_phi_drive``, node-major: row k
     is the (size,) or (size, m) drive of step k.  ``lin`` is the block's
-    eps-free vol part of an affine vol, or None (see ``_run_blocks``).
+    eps-free vol part of an affine vol, and ``db`` may then be None; else
+    ``lin`` is None and the vol is built from ``db`` (see ``_run_blocks``).
     ``watch(k, x)`` sees the displacement at every node k = 1..n on the way."""
     vol = _vol_nodes(model.vol, grid, epsilon, db, lin)
     scale = math.sqrt(epsilon) / grid.dt
-    x = np.zeros((db.shape[0], model.m))
+    x = np.zeros((drive.shape[1], model.m))
     noise = np.empty(drive.shape[1:])
     for k, t in enumerate(grid.nodes[:-1]):
         u = vol(k)
@@ -375,7 +394,7 @@ def simulate_logprice(cfg: SimConfig, epsilon: float, keep_paths: bool = False) 
     _check_epsilon(epsilon)
 
     def block(eps, db, drive, lin):
-        size = (db.shape[0], cfg.grid.n_steps + 1, cfg.model.m)
+        size = (drive.shape[1], cfg.grid.n_steps + 1, cfg.model.m)
         paths = np.zeros(size) if keep_paths else None
 
         def keep(k, x):
@@ -490,7 +509,7 @@ def _per_eps_payoff_stats(cfg, payoff_fn, watcher=None):
     """
 
     def block(eps, db, drive, lin):
-        seen, watch = watcher(db.shape[0]) if watcher else (None, None)
+        seen, watch = watcher(drive.shape[1]) if watcher else (None, None)
         x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, drive, lin, watch)
         return _Moments.of(payoff_fn(x[ok], None if seen is None else seen[ok]))
 

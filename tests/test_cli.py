@@ -1,6 +1,10 @@
 import argparse
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,6 +16,19 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_cli_import_loads_no_scipy_integrate():
+    # kernels imports scipy.integrate at its two quadratures only; a module
+    # level import of it would slow the start of every command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    code = ("import sys, ldpvol.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                          check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_toy_bounds_command(capsys):
@@ -341,11 +358,25 @@ def test_non_finite_input_is_a_config_error(capsys, argv):
           '{"kind": "half_space", "normal": {"a": 1}, "offset": 0.17}'], "DomainError"),
         (["exit-rate", "--preset", "bs_const", "--domain",
           '{"kind": "box", "lower": [0.0], "upper": "abc"}'], "DomainError"),
+        (["kernel-info", "--kernel",
+          '{"kind": "tabulated", "table": {"t": {"a": 1}, "s": [0.0], "values": [[1.0]]}}'],
+         "InvalidKernelError"),
+        (["kernel-info", "--kernel",
+          '{"kind": "tabulated", "table": {"t": [0.0], "s": [{"b": 2}], "values": [[1.0]]}}'],
+         "InvalidKernelError"),
+        (["kernel-info", "--kernel",
+          '{"kind": "tabulated", "table": {"t": [0.0], "s": [0.0], "values": [[1.0]]}}'],
+         "InvalidKernelError"),
+        (["kernel-info", "--kernel", '{"kind": "tabulated", "table": {"t": [0.0, 1.0], '
+          '"s": [0.0, 1.0], "values": [[1.0, null], [1.0, 1.0]]}}'], "InvalidKernelError"),
     ],
 )
 def test_wrongly_typed_kernel_or_domain_is_a_config_error(capsys, argv, error):
-    # all but the last once raised a TypeError that escaped main with a
-    # traceback (exit 1); the last exited 2 as a bare ValueError
+    # the first seven once raised a TypeError that escaped main with a
+    # traceback (exit 1) and the eighth exited 2 as a bare ValueError; of the
+    # four tabulated tables after them, the first two also escaped as a
+    # TypeError, and the one-node axis and the null value warned of a
+    # division by zero and blamed admissibility
     code, out, err = run_cli(capsys, *argv, "--n-steps", "20")
     assert code == EXIT_CONFIG
     assert out == ""

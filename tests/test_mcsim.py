@@ -260,37 +260,77 @@ def test_antithetic_fill_matches_concatenation():
     assert np.all(np.isnan(out[size:]))  # rows past the block stay untouched
 
 
+def _affine_pair():
+    """An affine d = m = 2 Gaussian model with a full correlation matrix C."""
+    vol = VolProcessSpec(
+        family=GAUSSIAN, d=2, m=2, y=[0.1, -0.1],
+        noise_kernels=[[riemann_liouville(0.3), brownian()], [None, riemann_liouville(0.4)]],
+    )
+
+    def sigma(t, u):
+        s = np.zeros(np.shape(u)[:-1] + (2, 2))
+        s[..., 0, 0], s[..., 1, 1] = 0.2 * np.exp(u[..., 0]), 0.3 * np.exp(u[..., 1])
+        s[..., 0, 1] = 0.05
+        return s
+
+    return ModelSpec(m=2, vol=vol, sigma=sigma, C=[[0.3, 0.2], [-0.1, 0.4]], s0=[1.0, 1.0])
+
+
+def _block_noise(seed, b, size, grid, m, antithetic):
+    """Block b's whole-block fills, driver noise dB then price noise dW."""
+    rng = _block_rng(seed, b)
+    db, dw = np.empty((2, size, grid.n_steps, m))
+    _draw_increments(rng, db, grid.dt, antithetic)
+    _draw_increments(rng, dw, grid.dt, antithetic)
+    return db, dw
+
+
+_DRIVE_MODELS = {
+    "bs_const": bs_const,
+    "mixed_demo": functools.partial(make_model, "mixed_demo"),
+    "affine_pair": _affine_pair,
+}
+
+
 @pytest.mark.parametrize("workers", [1, 2])
 @pytest.mark.parametrize("antithetic", [False, True])
-@pytest.mark.parametrize("name", ["bs_const", "mixed_demo"])
+@pytest.mark.parametrize("name", sorted(_DRIVE_MODELS))
 def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
     # the price noise drawn and mixed MIX_ROWS paths at a time is, bit for
-    # bit, the mix of whole-block fills (db, then dW) stored node-major; the
-    # second block is odd and not a multiple of MIX_ROWS
-    model = make_model(name)
+    # bit, the mix of whole-block fills (db, then dW) stored node-major, also
+    # where an affine vol draws db in chunks and parks it in the drive buffer
+    # (db is None then); the second block is odd and not a multiple of MIX_ROWS
+    model = _DRIVE_MODELS[name]()
     grid = TimeGrid(1.0, 5)
     seed, sizes, m = 23, [BLOCK_SIZE, 1001], model.vol.m
     assert sizes[1] % MIX_ROWS and sizes[1] % 2
+    assert is_affine(model.vol) == (name != "mixed_demo")
 
     def block(eps, db, drive, lin):
-        return db.copy(), drive.copy(), None if lin is None else lin.copy()
+        return [None if a is None else a.copy() for a in (db, drive, lin)]
 
     (got,) = _run_blocks(block, [0.3], sum(sizes), grid, m, seed, antithetic, workers, model)
     for b, size in enumerate(sizes):
-        rng = _block_rng(seed, b)
-        db, dw = np.empty((2, size, grid.n_steps, m))
-        _draw_increments(rng, db, grid.dt, antithetic)
-        _draw_increments(rng, dw, grid.dt, antithetic)
-        np.testing.assert_array_equal(got[b][0], db)
+        db, dw = _block_noise(seed, b, size, grid, m, antithetic)
+        if is_affine(model.vol):
+            assert got[b][0] is None
+        else:
+            np.testing.assert_array_equal(got[b][0], db)
         np.testing.assert_array_equal(got[b][1], np.moveaxis(_phi_drive(model, dw, db), 1, 0))
-        # the eps-free vol part rides in the same chunks, for affine vol only
-        np.testing.assert_array_equal(got[b][2], _lin(model.vol, grid, db))
+        # the eps-free vol part rides in the same chunks, for affine vol only;
+        # an antithetic block negates its first half (L(-z) = -L(z) only up to
+        # rounding where y is nonzero)
+        lin = _lin(model.vol, grid, db)
+        if lin is not None and antithetic:
+            lin[:, (size + 1) // 2 :] = -lin[:, : size // 2]
+        np.testing.assert_array_equal(got[b][2], lin)
 
 
 def test_exit_ladder_holds_no_second_noise_buffer():
-    # a one-block exit ladder peaks at about four block arrays (driver noise,
-    # drive, the scaled driver and the vol path); a second whole-block noise
-    # buffer next to the drive would add a fifth
+    # a one-block exit ladder of bs_const (affine vol) holds two block arrays,
+    # the drive and the eps-free vol part, plus chunk and per-node
+    # temporaries, about 2.4 in all; a whole-block driver noise buffer next to
+    # them, or a second noise buffer, would add a third
     import tracemalloc
 
     model = bs_const()
@@ -304,7 +344,7 @@ def test_exit_ladder_holds_no_second_noise_buffer():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 4.25 * size * grid.n_steps * model.m * 8
+    assert peak <= 2.5 * size * grid.n_steps * model.m * 8
 
 
 def _gauss_model(kernel, reflect=False, y=0.0):
@@ -343,13 +383,18 @@ def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
     # (bs_const); every other vol keeps the per-epsilon scheme, bit for bit
     model = _LADDER_MODELS[name]()
     grid = TimeGrid(1.0, 40)
+    whole, _ = _block_noise(9, 0, 3001, grid, model.vol.m, antithetic)
     seen = []
 
     def block(eps, db, drive, lin):
         seen.append(lin is not None)
+        # an affine block draws db in chunks and keeps none; any other gets it whole
+        assert (db is None) == is_affine(model.vol)
+        if db is not None:
+            np.testing.assert_array_equal(db, whole)
         x, ok = _logprice_block(model, grid, eps, db, drive, lin)
         assert np.all(ok)
-        return x, _per_eps_terminal(model, grid, eps, db, drive)
+        return x, _per_eps_terminal(model, grid, eps, whole, drive)
 
     ladder = [0.4, 0.2, 0.1, 0.05]
     per_eps = _run_blocks(block, ladder, 3001, grid, model.vol.m, 9, antithetic, 1, model)
@@ -363,9 +408,11 @@ def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
 
 
 def test_tail_ladder_holds_no_per_epsilon_vol_block():
-    # an affine vol's ladder keeps three block arrays (driver noise, drive and
-    # the eps-free vol part) and chunk temporaries, about 3.3 in all;
-    # building each epsilon's whole vol block from sqrt(eps) dB peaks at 5.0
+    # an affine vol's ladder keeps two block arrays (the drive, in which the
+    # driver noise is parked chunk by chunk, and the eps-free vol part) and
+    # chunk temporaries, about 2.4 in all; a whole-block driver noise buffer
+    # would add a third, and building each epsilon's whole vol block from
+    # sqrt(eps) dB peaks at 5.0
     import tracemalloc
 
     model = make_model("rough_gauss")
@@ -379,7 +426,7 @@ def test_tail_ladder_holds_no_per_epsilon_vol_block():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 3.5 * size * grid.n_steps * model.m * 8
+    assert peak <= 2.5 * size * grid.n_steps * model.m * 8
 
 
 def _no_draws(*args, **kwargs):
