@@ -12,9 +12,10 @@ sqrt(eps) (rho_bar dW + rho dB) / dt.  Exit runs take their faces and window
 from ``pricing``, as the exit rate does, and keep a running hit flag per
 path, not whole paths.  One block scheduler (``_run_blocks``) serves every
 entry point and opens at most one thread pool per call, which runs blocks in
-parallel (a one-block run uses one thread).  Every fixed-size block of paths
-owns an SFC64 substream keyed by ``SeedSequence([seed, 0, block index])``;
-its noise is drawn once and the whole epsilon ladder runs on it, as
+parallel (a one-block run uses one thread).  Every block of ``BLOCK_SIZE``
+= 2^13 paths (the last one shorter) owns an SFC64 substream keyed by
+``SeedSequence([seed, 0, block index])``; its noise is drawn once and the
+whole epsilon ladder runs on it, as
 X^eps = Phi(sqrt(eps) W) is one family driven by one W (common random
 numbers).  Rows of a ladder report are therefore correlated across epsilon,
 while each row is unbiased and its standard error is honest on its own.
@@ -34,8 +35,9 @@ zero noise).  There dB is drawn in chunks of ``MIX_ROWS`` paths too: each
 chunk goes through ``vol_state`` once per block, L = vol_state(dB) - y at
 the left nodes is stored node-major in a second per-worker buffer, and the
 chunk itself is parked node-major in the drive buffer until its dW is mixed
-in, so an affine block holds two block arrays, the drive and L; each
-epsilon then forms the row y + sqrt(eps) L[k] at node k.  Every other vol
+in, so an affine block holds two block arrays, the drive and L, each
+BLOCK_SIZE x n x 8 bytes for m = d = 1 (26 MB at n = 400); each epsilon
+then forms the row y + sqrt(eps) L[k] at node k.  Every other vol
 (fractional, mixed, reflected, volterra_sde, and any reflected output) draws
 dB whole into a per-worker buffer, scaled in place, and builds its whole vol
 block from sqrt(eps) dB per epsilon, read through the same per-node
@@ -46,8 +48,9 @@ draw the first half of the rows and write its negation into the rest, of dB,
 of the (linear) drive and of L alike.  Block functions must neither write to
 these buffers nor return a view of them.
 Payoff moments are merged per block, in block order, from (count, mean, sum
-of squared deviations) (Chan, Golub & LeVeque), and each report carries its
-hit counts.
+of squared deviations) (Chan, Golub & LeVeque), each mean held as a pivot
+(the block's first payoff) plus an offset so that merges lose no precision
+to the payoffs' common level, and each report carries its hit counts.
 """
 
 from __future__ import annotations
@@ -69,7 +72,7 @@ from .pricing import ExitDomain, call_asymptote, exit_asymptote, exit_window
 from .ratefn import ModelSpec, _phi_drive, _phi_increment, inf_tail
 from .volmap import BLOWUP_LIMIT, VolProcessSpec, is_affine, output_map, vol_state
 
-BLOCK_SIZE = 1 << 15
+BLOCK_SIZE = 1 << 13
 MIX_ROWS = 256  # paths of price noise drawn and mixed at a time
 RNG_SCHEME = "SFC64(SeedSequence([seed, 0, block index])), one draw per block for the whole ladder"
 
@@ -228,7 +231,8 @@ def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=
     """The block scheduler: draw each block's noise once, then run
     ``block_fn(epsilon, db, drive, lin)`` on it for every epsilon in order.
 
-    Returns one sequence of block results per epsilon, in block order.  All
+    Returns one sequence of block results per epsilon, in block order.
+    Blocks hold ``BLOCK_SIZE`` paths, the last one the remainder.  All
     epsilons share each block's noise (common random numbers); each block
     draws from its own substream, so results do not depend on ``workers``,
     and the pool runs blocks, so a one-block run uses one thread.  The driver
@@ -242,7 +246,8 @@ def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=
     node-major, (n, size, d); dB is then drawn in chunks too, each chunk
     run through ``vol_state`` into ``lin`` and parked in ``drive`` until its
     dW is mixed in, so a worker holds two block arrays, ``drive`` and
-    ``lin``, and ``db`` is None.  Any other block holds the whole-block
+    ``lin``, 2 x BLOCK_SIZE x n x 8 bytes for m = d = 1, and ``db`` is
+    None.  Any other block holds the whole-block
     ``db`` (size, n, m) and, with a model, ``drive``; ``lin`` is None and
     each epsilon builds its own vol block.  Antithetic blocks negate the
     second half of each.  Without a ``model`` no price noise is drawn and
@@ -422,11 +427,18 @@ def simulate_logprice(cfg: SimConfig, epsilon: float, keep_paths: bool = False) 
 
 
 class _Moments(NamedTuple):
-    """Payoff count, sum, mean, sum of squared deviations and hit count."""
+    """Payoff count, sum, mean as pivot + offset, sum of squared deviations
+    and hit count.
+
+    The pivot is a block's first payoff and the offset the mean of the
+    payoffs less the pivot, so deviations are taken from exact differences
+    and a merge takes the difference of two pivots exactly, however large
+    the payoffs' common level is against their spread."""
 
     n: int
     total: float
-    mean: float
+    pivot: float
+    offset: float
     m2: float
     hits: int
 
@@ -434,25 +446,29 @@ class _Moments(NamedTuple):
     def of(vals) -> "_Moments":
         vals = np.asarray(vals, float)
         if vals.size == 0:
-            return _Moments(0, 0.0, 0.0, 0.0, 0)
-        mean = float(np.mean(vals))
+            return _Moments(0, 0.0, 0.0, 0.0, 0.0, 0)
+        pivot = float(vals.flat[0])
+        dev = vals - pivot
+        offset = float(np.mean(dev))
         return _Moments(
-            vals.size, float(np.sum(vals)), mean, float(np.sum((vals - mean) ** 2)),
+            vals.size, float(np.sum(vals)), pivot, offset, float(np.sum((dev - offset) ** 2)),
             int(np.count_nonzero(vals)),
         )
 
     def merge(self, other: "_Moments") -> "_Moments":
-        """Pairwise update of Chan, Golub & LeVeque: no E[X^2] - E[X]^2."""
+        """Pairwise update of Chan, Golub & LeVeque: no E[X^2] - E[X]^2.
+        The merged mean keeps this side's pivot."""
         if other.n == 0:
             return self
         if self.n == 0:
             return other
         n = self.n + other.n
-        delta = other.mean - self.mean
+        delta = (other.pivot - self.pivot) + (other.offset - self.offset)
         return _Moments(
             n,
             self.total + other.total,
-            self.mean + delta * other.n / n,
+            self.pivot,
+            self.offset + delta * other.n / n,
             self.m2 + other.m2 + delta**2 * self.n * other.n / n,
             self.hits + other.hits,
         )

@@ -81,6 +81,8 @@ class ModelSpec:
 
     def __post_init__(self):
         self.m = int(self.m)
+        if self.vol.m != self.m:
+            raise DimensionError(f"vol has {self.vol.m} drivers, the model has m = {self.m}")
         if self.rho is not None and self.C is not None:
             raise UnsupportedFormError("give either rho (m=1) or the matrix C")
         if self.C is None:

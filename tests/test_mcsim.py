@@ -429,6 +429,27 @@ def test_tail_ladder_holds_no_per_epsilon_vol_block():
     assert peak <= 2.5 * size * grid.n_steps * model.m * 8
 
 
+def test_ladder_peak_does_not_grow_with_n_paths():
+    # every block reuses its worker's buffers and hands back only moments, so
+    # an exit ladder over five blocks (the last of one path) peaks where a
+    # one-block ladder does
+    import tracemalloc
+
+    model, grid = bs_const(), TimeGrid(1.0, 50)
+    dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
+    peaks = []
+    for n_paths in (4 * BLOCK_SIZE + 1, BLOCK_SIZE):
+        cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=n_paths, grid=grid)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            mc_exit_report(cfg, dom, 1.0, reference_rate=0.0)
+            peaks.append(tracemalloc.get_traced_memory()[1] - base)
+        finally:
+            tracemalloc.stop()
+    assert peaks[0] == pytest.approx(peaks[1], rel=0.1)
+
+
 def _no_draws(*args, **kwargs):
     raise AssertionError("paths were drawn")
 
@@ -628,6 +649,18 @@ def test_moment_merge_survives_large_offset():
     # the report's standard error is built on the merged variance
     rep = ldp_tail_report(cfg, 0.1, reference_rate=0.125)
     assert rep.diagnostics["hits"] == [round(rep.rows[0].estimate * rep.rows[0].n_effective)]
+
+
+@pytest.mark.parametrize("rows", [1000, 1 << 12, 1 << 13, 1 << 15])
+def test_moment_merge_keeps_the_spread_of_a_large_level(rows):
+    # the block means are pivot + offset, so merges take the difference of
+    # two pivots exactly and the merged variance keeps full precision
+    # however the payoffs are split into blocks
+    vals = 1e7 + np.random.default_rng(5).normal(0.0, 0.14, 3 * (1 << 13) + 1000)
+    moms = [_Moments.of(vals[start : start + rows]) for start in range(0, vals.size, rows)]
+    mom = functools.reduce(_Moments.merge, moms)
+    assert mom.n == vals.size
+    assert abs(mom.m2 / mom.n / float(np.var(vals)) - 1.0) <= 1e-13
 
 
 def test_moment_merge_worker_independent():

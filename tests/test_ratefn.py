@@ -48,6 +48,16 @@ def test_cbar_square_root_multivariate():
     np.testing.assert_allclose(m.cbar @ m.cbar, np.eye(2) - C.T @ C, atol=1e-10)
 
 
+def test_model_spec_rejects_a_vol_with_another_driver_count():
+    # the vol must be driven by the model's m Brownian motions: a mismatch is
+    # refused where the model is built, not deep inside the rate solver
+    two = VolProcessSpec(family=GAUSSIAN, d=1, m=2, noise_kernels=[[brownian(), brownian()]])
+    with pytest.raises(DimensionError, match="drivers"):
+        ModelSpec(m=1, vol=two, sigma=lambda t, u: 0.2 * np.exp(u[..., 0]))
+    with pytest.raises(DimensionError, match="drivers"):
+        ModelSpec(m=2, vol=bs_const().vol, xi=lambda t, u: np.ones(np.shape(u)[:-1]))
+
+
 # ---------------------------------------------------------------------------
 # phi functional
 # ---------------------------------------------------------------------------
