@@ -27,26 +27,39 @@ block it runs.  The price noise dW follows the driver noise dB in the same
 stream, drawn in chunks of ``MIX_ROWS`` paths; each chunk is mixed with its
 paths of dB, node-major, by the functional's own ``ratefn._phi_drive`` and
 stored in the per-worker drive buffer, which every epsilon of the ladder
-reads one contiguous row of per node.  Where the vol is affine in its
-increments (unreflected Gaussian families, the toy model's Brownian kernel
-included, ``volmap.is_affine``), vol_state(sqrt(eps) dB) is
-y + sqrt(eps) L(dB), the offset y being the spec's own ``y`` (the vol at
-zero noise).  There dB is drawn in chunks of ``MIX_ROWS`` paths too: each
-chunk goes through ``vol_state`` once per block, L = vol_state(dB) - y at
-the left nodes is stored node-major in a second per-worker buffer, and the
-chunk itself is parked node-major in the drive buffer until its dW is mixed
-in, so an affine block holds two block arrays, the drive and L, each
-BLOCK_SIZE x n x 8 bytes for m = d = 1 (26 MB at n = 400); each epsilon
-then forms the row y + sqrt(eps) L[k] at node k.  Every other vol
-(fractional, mixed, reflected, volterra_sde, and any reflected output) draws
-dB whole into a per-worker buffer, scaled in place, and builds its whole vol
-block from sqrt(eps) dB per epsilon, read through the same per-node
-accessor; such a block holds dB and the drive.  The two agree to rounding:
-outputs of models whose sigma ignores the vol (bs_const) are bit-identical,
-toy_sabr and the Gaussian ones only statistically equal.  Antithetic blocks
-draw the first half of the rows and write its negation into the rest, of dB,
-of the (linear) drive and of L alike.  Block functions must neither write to
-these buffers nor return a view of them.
+reads one contiguous row of per node.  The vol spec picks one of three
+block kinds:
+
+- A constant vol (unreflected Gaussian with every noise kernel None, as
+  bs_const, ``volmap.is_constant``) is its offset y: each epsilon's nodes
+  read one row filled with y, and no vol part is built or kept.  dB is
+  drawn only if the price reads it (``model.C`` nonzero), in chunks parked
+  in the drive buffer as below; otherwise the block draws dW alone and
+  mixes it with zero driver noise.  The block holds one block array, the
+  drive.
+- An affine vol (the other unreflected Gaussian families, the toy model's
+  Brownian kernel included, ``volmap.is_affine``) has
+  vol_state(sqrt(eps) dB) = y + sqrt(eps) L(dB), y being the spec's own
+  ``y`` (the vol at zero noise).  dB is drawn in chunks of ``MIX_ROWS``
+  paths: each chunk goes through ``vol_state`` once per block,
+  L = vol_state(dB) - y at the left nodes is stored node-major in a second
+  per-worker buffer, and the chunk itself is parked node-major in the
+  drive buffer until its dW is mixed in.  The block holds two block
+  arrays, the drive and L, each BLOCK_SIZE x n x 8 bytes for m = d = 1
+  (26 MB at n = 400); each epsilon forms the row y + sqrt(eps) L[k] at
+  node k.
+- Every other vol (fractional, mixed, reflected, volterra_sde, and any
+  reflected output) draws dB whole into a per-worker buffer, scaled in
+  place, and builds its whole vol block from sqrt(eps) dB per epsilon,
+  read through the same per-node accessor; the block holds dB and the
+  drive.
+
+The kinds agree to rounding: where sigma ignores the vol, the constant and
+affine kinds give the same bits whenever both draw dB; toy_sabr and the
+Gaussian ones are only statistically equal to the per-epsilon scheme.
+Antithetic blocks draw the first half of the rows and write its negation
+into the rest, of dB, of the (linear) drive and of L alike.  Block
+functions must neither write to these buffers nor return a view of them.
 Payoff moments are merged per block, in block order, from (count, mean, sum
 of squared deviations) (Chan, Golub & LeVeque), each mean held as a pivot
 (the block's first payoff) plus an offset so that merges lose no precision
@@ -70,7 +83,9 @@ from .errors import ConvergenceError, DimensionError, DomainError, require_numbe
 from .paths import TimeGrid
 from .pricing import ExitDomain, call_asymptote, exit_asymptote, exit_window
 from .ratefn import ModelSpec, _phi_drive, _phi_increment, inf_tail
-from .volmap import BLOWUP_LIMIT, VolProcessSpec, is_affine, output_map, vol_state
+from .volmap import (
+    BLOWUP_LIMIT, VolProcessSpec, is_affine, is_constant, output_map, vol_state,
+)
 
 BLOCK_SIZE = 1 << 13
 MIX_ROWS = 256  # paths of price noise drawn and mixed at a time
@@ -196,34 +211,41 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     left nodes into ``lin`` (n, size, d).
 
     ``db`` is the block's driver noise dB, drawn already, or None for an
-    affine vol: then the first chunk loop draws dB ``MIX_ROWS`` paths at a
-    time, runs each chunk through ``vol_state`` into ``lin`` and parks it
-    node-major in ``drive``.  The second loop draws dW in chunks and mixes
-    each with its columns of dB, parked or whole-block, node-major.  The
-    chunks keep the stream order of whole-block fills (dB, then dW);
-    antithetic blocks fill the first ceil(size/2) rows and write the negation
-    into the rest (both parts are linear in the noise).
+    affine or constant vol: then the first chunk loop draws dB ``MIX_ROWS``
+    paths at a time, runs each chunk through ``vol_state`` into ``lin``
+    (affine vol only; ``lin`` is None for a constant one) and parks it
+    node-major in ``drive``.  A constant vol with ``model.C`` zero reads no
+    dB, so none is drawn and dW is mixed with zero driver noise.  The second
+    loop draws dW in chunks and mixes each with its columns of dB, parked or
+    whole-block, node-major.  The chunks keep the stream order of whole-block
+    fills (dB, then dW); antithetic blocks fill the first ceil(size/2) rows
+    and write the negation into the rest (both parts are linear in the
+    noise).
     """
     size, n = drive.shape[1], grid.n_steps
     half = (size + 1) // 2 if antithetic else size
     chunk = np.empty((min(MIX_ROWS, half), n, model.vol.m))
-    if db is None:
+    if db is not None:
+        park = np.swapaxes(db, 0, 1)
+    elif is_constant(model.vol) and not model.C.any():  # nothing reads dB
+        park = None
+    else:
         park = drive[..., None] if model.m == 1 else drive
         for r0 in range(0, half, MIX_ROWS):
             rows = min(MIX_ROWS, half - r0)
             _draw_increments(rng, chunk[:rows], grid.dt, False)
-            vals = vol_state(model.vol, chunk[:rows], grid, _k.rms_weights)[:, :-1]
-            lin[:, r0 : r0 + rows] = np.swapaxes(vals - model.vol.y, 0, 1)
+            if lin is not None:
+                vals = vol_state(model.vol, chunk[:rows], grid, _k.rms_weights)[:, :-1]
+                lin[:, r0 : r0 + rows] = np.swapaxes(vals - model.vol.y, 0, 1)
             park[:, r0 : r0 + rows] = np.swapaxes(chunk[:rows, :, : park.shape[-1]], 0, 1)
-        np.negative(lin[:, : size - half], out=lin[:, half:])
-    else:
-        park = np.swapaxes(db, 0, 1)
+        if lin is not None:
+            np.negative(lin[:, : size - half], out=lin[:, half:])
+    zero = np.zeros((1, model.m))
     for r0 in range(0, half, MIX_ROWS):
         rows = min(MIX_ROWS, half - r0)
         _draw_increments(rng, chunk[:rows], grid.dt, False)
-        drive[:, r0 : r0 + rows] = _phi_drive(
-            model, np.swapaxes(chunk[:rows], 0, 1), park[:, r0 : r0 + rows]
-        )
+        f = zero if park is None else park[:, r0 : r0 + rows]
+        drive[:, r0 : r0 + rows] = _phi_drive(model, np.swapaxes(chunk[:rows], 0, 1), f)
     np.negative(drive[:, : size - half], out=drive[:, half:])
 
 
@@ -240,43 +262,50 @@ def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=
     noise dW follows from the same substream in chunks of ``MIX_ROWS``
     paths, in stream order, and ``drive`` is ``_phi_drive(model, dW, dB)``
     stored node-major, (n, size) for m = 1, else (n, size, m), so each node
-    reads one contiguous row.  When ``model.vol`` is affine in its
-    increments (``volmap.is_affine``), vol_state(sqrt(eps) dB) is
-    y + sqrt(eps) L(dB), and ``lin`` is L(dB) at the left nodes, stored
-    node-major, (n, size, d); dB is then drawn in chunks too, each chunk
-    run through ``vol_state`` into ``lin`` and parked in ``drive`` until its
-    dW is mixed in, so a worker holds two block arrays, ``drive`` and
-    ``lin``, 2 x BLOCK_SIZE x n x 8 bytes for m = d = 1, and ``db`` is
-    None.  Any other block holds the whole-block
-    ``db`` (size, n, m) and, with a model, ``drive``; ``lin`` is None and
-    each epsilon builds its own vol block.  Antithetic blocks negate the
-    second half of each.  Without a ``model`` no price noise is drawn and
-    ``drive`` and ``lin`` are None.  ``db``, ``drive`` and ``lin`` are views
-    of buffers that each worker thread reuses for every block and epsilon,
-    so a block function must neither write to them nor return a view of
-    them.
+    reads one contiguous row.  ``model.vol`` picks the block kind:
+
+    - constant (``volmap.is_constant``): ``db`` and ``lin`` are None and the
+      vol is y; dB is drawn in chunks and parked in ``drive`` until its dW
+      is mixed in if ``model.C`` is nonzero, and not drawn at all otherwise
+      (the drive is then ``_phi_drive(model, dW, 0)``).  A worker holds one
+      block array, ``drive``.
+    - affine (``volmap.is_affine``): vol_state(sqrt(eps) dB) is
+      y + sqrt(eps) L(dB), and ``lin`` is L(dB) at the left nodes, stored
+      node-major, (n, size, d); dB is drawn in chunks, each chunk run
+      through ``vol_state`` into ``lin`` and parked in ``drive``, so a
+      worker holds two block arrays, ``drive`` and ``lin``,
+      2 x BLOCK_SIZE x n x 8 bytes for m = d = 1, and ``db`` is None.
+    - any other: the whole-block ``db`` (size, n, m) and, with a model,
+      ``drive``; ``lin`` is None and each epsilon builds its own vol block.
+
+    Antithetic blocks negate the second half of each.  Without a ``model``
+    no price noise is drawn, dB is drawn whole and ``drive`` and ``lin`` are
+    None.  ``db``, ``drive`` and ``lin`` are views of buffers that each
+    worker thread reuses for every block and epsilon, so a block function
+    must neither write to them nor return a view of them.
     """
     n_paths = int(n_paths)
     sizes = [min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)]
-    affine = model is not None and is_affine(model.vol)
+    whole = model is None or not is_affine(model.vol)  # dB drawn whole and kept
+    keep_lin = not whole and not is_constant(model.vol)
     local = threading.local()
 
     def run(b):
         if not hasattr(local, "db"):
-            local.db = None if affine else np.empty((sizes[0], grid.n_steps, m))
+            local.db = np.empty((sizes[0], grid.n_steps, m)) if whole else None
             if model is not None:
                 tail = () if model.m == 1 else (model.m,)
                 local.drive = np.empty((grid.n_steps, sizes[0]) + tail)
-            if affine:
+            if keep_lin:
                 local.lin = np.empty((grid.n_steps, sizes[0], model.vol.d))
         rng = _block_rng(seed, b)
         db = drive = lin = None
-        if not affine:
+        if whole:
             db = local.db[: sizes[b]]
             _draw_increments(rng, db, grid.dt, antithetic)
         if model is not None:
             drive = local.drive[:, : sizes[b]]
-            lin = local.lin[:, : sizes[b]] if affine else None
+            lin = local.lin[:, : sizes[b]] if keep_lin else None
             _draw_drive(rng, model, grid, db, drive, lin, antithetic)
         return [block_fn(float(eps), db, drive, lin) for eps in epsilons]
 
@@ -309,13 +338,17 @@ def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
     return output_map(spec, vol_state(spec, incr, grid, _k.rms_weights))
 
 
-def _vol_nodes(spec: VolProcessSpec, grid, epsilon, db, lin):
+def _vol_nodes(spec: VolProcessSpec, grid, epsilon, db, lin, size):
     """Accessor of the left-node vol rows: ``vol(k)`` is (size, d) at node k.
 
-    With the block's eps-free part ``lin`` (n, size, d) of an affine vol, row
-    k is y + sqrt(eps) lin[k], formed in one reused buffer (valid until the
-    next call); otherwise it is a column of this epsilon's whole vol block.
+    A constant vol reads one row filled with y at every node.  With the
+    block's eps-free part ``lin`` (n, size, d) of an affine vol, row k is
+    y + sqrt(eps) lin[k], formed in one reused buffer (valid until the next
+    call); otherwise it is a column of this epsilon's whole vol block.
     """
+    if is_constant(spec):
+        row = np.full((size, spec.d), spec.y)
+        return lambda k: row
     if lin is None:
         paths = _vol_block(spec, db, grid, epsilon)
         return lambda k: paths[:, k, :]
@@ -365,11 +398,13 @@ def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, lin=None, watch=
     """Terminal log-price displacement X_T - x0 per path and the finite mask.
 
     ``drive`` is the price noise mixed by ``_phi_drive``, node-major: row k
-    is the (size,) or (size, m) drive of step k.  ``lin`` is the block's
-    eps-free vol part of an affine vol, and ``db`` may then be None; else
-    ``lin`` is None and the vol is built from ``db`` (see ``_run_blocks``).
-    ``watch(k, x)`` sees the displacement at every node k = 1..n on the way."""
-    vol = _vol_nodes(model.vol, grid, epsilon, db, lin)
+    is the (size,) or (size, m) drive of step k.  A constant vol reads
+    neither ``db`` nor ``lin``, which may then be None.  ``lin`` is the
+    block's eps-free vol part of an affine vol, and ``db`` may then be None;
+    else ``lin`` is None and the vol is built from ``db`` (see
+    ``_run_blocks``).  ``watch(k, x)`` sees the displacement at every node
+    k = 1..n on the way."""
+    vol = _vol_nodes(model.vol, grid, epsilon, db, lin, drive.shape[1])
     scale = math.sqrt(epsilon) / grid.dt
     x = np.zeros((drive.shape[1], model.m))
     noise = np.empty(drive.shape[1:])

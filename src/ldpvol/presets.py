@@ -25,8 +25,13 @@ from .volmap import (
 
 
 def bs_const(sigma0: float = 0.2, r: float = 0.0, s0: float = 1.0, rho: float = 0.0):
-    """Constant volatility; every asymptotic quantity has a closed form."""
-    vol = VolProcessSpec(family=GAUSSIAN, noise_kernels=[[_k.brownian()]])
+    """Constant volatility; every asymptotic quantity has a closed form.
+
+    The vol is declared constant (a Gaussian vol with no noise kernel, so it
+    is its offset y), which tells the simulator that nothing reads the vol
+    part: its blocks build none, and with rho = 0 they draw no driver noise
+    dB either, only the price noise dW."""
+    vol = VolProcessSpec(family=GAUSSIAN, noise_kernels=[[None]])
     return ModelSpec(
         m=1,
         vol=vol,

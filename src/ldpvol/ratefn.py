@@ -34,7 +34,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import optimize as _sopt
 
 from .errors import (
     DimensionError,
@@ -566,6 +565,8 @@ def check_gradient(objective, x):
 
 def lbfgs(objective, x0, maxiter: int):
     """One L-BFGS solve on the objective's fused value and gradient."""
+    from scipy import optimize as _sopt  # loaded on first use: slow to import
+
     return _sopt.minimize(
         objective.value_and_grad,
         x0,

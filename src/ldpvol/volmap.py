@@ -444,6 +444,11 @@ def is_affine(spec: VolProcessSpec) -> bool:
     return spec.family == GAUSSIAN and not spec.reflect
 
 
+def is_constant(spec: VolProcessSpec) -> bool:
+    """Whether the vol is the constant y: affine with every noise kernel None."""
+    return is_affine(spec) and all(k is None for row in spec.noise_kernels for k in row)
+
+
 def vol_state_vjp(spec: VolProcessSpec, incr, grid, noise_table, tape, vals_bar) -> np.ndarray:
     """Vector-jacobian product of ``vol_state``: d <vals_bar, vals> / d incr.
 

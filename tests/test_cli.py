@@ -19,13 +19,14 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_import_loads_no_scipy_integrate():
-    # kernels imports scipy.integrate at its two quadratures only; a module
-    # level import of it would slow the start of every command
+    # kernels imports scipy.integrate at its two quadratures only, and ratefn
+    # scipy.optimize at its one solve; a module level import of either would
+    # slow the start of every command
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, ldpvol.cli; "
-            "print(sorted(m for m in sys.modules if m.startswith('scipy.integrate')))")
+    code = ("import sys, ldpvol.cli; print(sorted(m for m in sys.modules "
+            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert proc.stdout.strip() == "[]"

@@ -39,6 +39,7 @@ from ldpvol.volmap import (
     VolProcessSpec,
     cir_coefficients,
     is_affine,
+    is_constant,
     ou_coefficients,
     vol_state,
 )
@@ -47,9 +48,10 @@ GRID = TimeGrid(1.0, 100)
 
 
 def _lin(spec, grid, db):
-    """The eps-free vol part a block of an affine vol carries, node-major:
-    vol_state(db) - y at the left nodes; None for every other vol."""
-    if not is_affine(spec):
+    """The eps-free vol part a block of an affine, non-constant vol carries,
+    node-major: vol_state(db) - y at the left nodes; None for every other
+    vol."""
+    if not is_affine(spec) or is_constant(spec):
         return None
     vals = vol_state(spec, db, grid, rms_weights)[:, :-1] - spec.y
     return np.moveaxis(vals, 1, 0)
@@ -276,17 +278,34 @@ def _affine_pair():
     return ModelSpec(m=2, vol=vol, sigma=sigma, C=[[0.3, 0.2], [-0.1, 0.4]], s0=[1.0, 1.0])
 
 
-def _block_noise(seed, b, size, grid, m, antithetic):
-    """Block b's whole-block fills, driver noise dB then price noise dW."""
+def _reads_db(model):
+    """Whether a block of ``model`` draws the driver noise dB: its vol is not
+    constant, or its price noise is correlated with dB."""
+    return not is_constant(model.vol) or bool(model.C.any())
+
+
+def _block_noise(seed, b, size, grid, model, antithetic):
+    """Block b's whole-block fills, driver noise dB then price noise dW; dB
+    is zero, and not drawn, where nothing reads it."""
     rng = _block_rng(seed, b)
-    db, dw = np.empty((2, size, grid.n_steps, m))
-    _draw_increments(rng, db, grid.dt, antithetic)
+    db, dw = np.zeros((2, size, grid.n_steps, model.vol.m))
+    if _reads_db(model):
+        _draw_increments(rng, db, grid.dt, antithetic)
     _draw_increments(rng, dw, grid.dt, antithetic)
     return db, dw
 
 
+def _brownian_bs(**params):
+    """bs_const on a Brownian-kernel vol that its sigma never reads."""
+    model = bs_const(**params)
+    model.vol = VolProcessSpec(family=GAUSSIAN, noise_kernels=[[brownian()]])
+    return model
+
+
 _DRIVE_MODELS = {
-    "bs_const": bs_const,
+    "bs_const": bs_const,  # constant vol, rho = 0: dW alone
+    "bs_const_rho": functools.partial(bs_const, rho=-0.5),  # constant vol, dB parked
+    "toy_sabr": toy_sabr,  # affine vol with L, dB parked
     "mixed_demo": functools.partial(make_model, "mixed_demo"),
     "affine_pair": _affine_pair,
 }
@@ -298,8 +317,10 @@ _DRIVE_MODELS = {
 def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
     # the price noise drawn and mixed MIX_ROWS paths at a time is, bit for
     # bit, the mix of whole-block fills (db, then dW) stored node-major, also
-    # where an affine vol draws db in chunks and parks it in the drive buffer
-    # (db is None then); the second block is odd and not a multiple of MIX_ROWS
+    # where an affine or constant vol draws db in chunks and parks it in the
+    # drive buffer (db is None then), and where a constant vol with C = 0
+    # draws no db at all; the second block is odd and not a multiple of
+    # MIX_ROWS
     model = _DRIVE_MODELS[name]()
     grid = TimeGrid(1.0, 5)
     seed, sizes, m = 23, [BLOCK_SIZE, 1001], model.vol.m
@@ -310,14 +331,16 @@ def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
         return [None if a is None else a.copy() for a in (db, drive, lin)]
 
     (got,) = _run_blocks(block, [0.3], sum(sizes), grid, m, seed, antithetic, workers, model)
+    assert _reads_db(model) == (name != "bs_const")
     for b, size in enumerate(sizes):
-        db, dw = _block_noise(seed, b, size, grid, m, antithetic)
+        db, dw = _block_noise(seed, b, size, grid, model, antithetic)
         if is_affine(model.vol):
             assert got[b][0] is None
         else:
             np.testing.assert_array_equal(got[b][0], db)
         np.testing.assert_array_equal(got[b][1], np.moveaxis(_phi_drive(model, dw, db), 1, 0))
-        # the eps-free vol part rides in the same chunks, for affine vol only;
+        # the eps-free vol part rides in the same chunks, for a non-constant
+        # affine vol only;
         # an antithetic block negates its first half (L(-z) = -L(z) only up to
         # rounding where y is nonzero)
         lin = _lin(model.vol, grid, db)
@@ -326,16 +349,11 @@ def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
         np.testing.assert_array_equal(got[b][2], lin)
 
 
-def test_exit_ladder_holds_no_second_noise_buffer():
-    # a one-block exit ladder of bs_const (affine vol) holds two block arrays,
-    # the drive and the eps-free vol part, plus chunk and per-node
-    # temporaries, about 2.4 in all; a whole-block driver noise buffer next to
-    # them, or a second noise buffer, would add a third
+def _exit_ladder_peak(model, grid, n_paths):
+    """Traced peak of a two-entry exit ladder, in bytes."""
     import tracemalloc
 
-    model = bs_const()
-    grid, size = TimeGrid(1.0, 50), 1 << 12
-    cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=size, grid=grid)
+    cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=n_paths, grid=grid)
     dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
     tracemalloc.start()
     try:
@@ -344,7 +362,25 @@ def test_exit_ladder_holds_no_second_noise_buffer():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert peak <= 2.5 * size * grid.n_steps * model.m * 8
+    return peak
+
+
+def test_exit_ladder_holds_no_second_noise_buffer():
+    # a one-block exit ladder of toy_sabr (affine vol) holds two block arrays,
+    # the drive and the eps-free vol part, plus chunk and per-node
+    # temporaries, about 2.4 in all; a whole-block driver noise buffer next to
+    # them, or a second noise buffer, would add a third
+    model, grid, size = toy_sabr(), TimeGrid(1.0, 50), 1 << 12
+    assert _exit_ladder_peak(model, grid, size) <= 2.5 * size * grid.n_steps * model.m * 8
+
+
+def test_constant_vol_exit_ladder_holds_the_drive_alone():
+    # a constant vol (bs_const) keeps no eps-free vol part and, with rho = 0,
+    # draws no driver noise: one block array, the drive, plus chunk and
+    # per-node temporaries; an L buffer or parked dB next to it would add a
+    # second
+    model, grid, size = bs_const(), TimeGrid(1.0, 50), 1 << 12
+    assert _exit_ladder_peak(model, grid, size) <= 1.5 * size * grid.n_steps * model.m * 8
 
 
 def _gauss_model(kernel, reflect=False, y=0.0):
@@ -377,18 +413,20 @@ def _per_eps_terminal(model, grid, eps, db, drive):
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("name", sorted(_LADDER_MODELS))
 def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
-    # every ladder epsilon of one block: affine vol (toy, unreflected
-    # Gaussian) reads y + sqrt(eps) L built once per block, within rounding
-    # of vol_state(sqrt(eps) dB), and bit for bit where sigma ignores the vol
-    # (bs_const); every other vol keeps the per-epsilon scheme, bit for bit
+    # every ladder epsilon of one block: a constant vol (bs_const) reads y at
+    # every node, bit for bit; an affine vol (toy, unreflected Gaussian)
+    # reads y + sqrt(eps) L built once per block, within rounding of
+    # vol_state(sqrt(eps) dB); every other vol keeps the per-epsilon scheme,
+    # bit for bit
     model = _LADDER_MODELS[name]()
     grid = TimeGrid(1.0, 40)
-    whole, _ = _block_noise(9, 0, 3001, grid, model.vol.m, antithetic)
+    whole, _ = _block_noise(9, 0, 3001, grid, model, antithetic)
     seen = []
 
     def block(eps, db, drive, lin):
         seen.append(lin is not None)
-        # an affine block draws db in chunks and keeps none; any other gets it whole
+        # an affine or constant block draws db in chunks, if at all, and keeps
+        # none; any other gets it whole
         assert (db is None) == is_affine(model.vol)
         if db is not None:
             np.testing.assert_array_equal(db, whole)
@@ -398,8 +436,9 @@ def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
 
     ladder = [0.4, 0.2, 0.1, 0.05]
     per_eps = _run_blocks(block, ladder, 3001, grid, model.vol.m, 9, antithetic, 1, model)
-    assert seen == [is_affine(model.vol)] * len(ladder)
+    assert seen == [is_affine(model.vol) and not is_constant(model.vol)] * len(ladder)
     assert is_affine(model.vol) == (name in ("bs_const", "toy_sabr", "rough_gauss", "mg_h03"))
+    assert is_constant(model.vol) == (name == "bs_const")
     for ((got, want),) in per_eps:
         if name in ("toy_sabr", "rough_gauss", "mg_h03"):
             assert np.max(np.abs(got - want)) <= 1e-12
@@ -433,20 +472,8 @@ def test_ladder_peak_does_not_grow_with_n_paths():
     # every block reuses its worker's buffers and hands back only moments, so
     # an exit ladder over five blocks (the last of one path) peaks where a
     # one-block ladder does
-    import tracemalloc
-
     model, grid = bs_const(), TimeGrid(1.0, 50)
-    dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
-    peaks = []
-    for n_paths in (4 * BLOCK_SIZE + 1, BLOCK_SIZE):
-        cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=n_paths, grid=grid)
-        tracemalloc.start()
-        try:
-            base = tracemalloc.get_traced_memory()[0]
-            mc_exit_report(cfg, dom, 1.0, reference_rate=0.0)
-            peaks.append(tracemalloc.get_traced_memory()[1] - base)
-        finally:
-            tracemalloc.stop()
+    peaks = [_exit_ladder_peak(model, grid, n) for n in (4 * BLOCK_SIZE + 1, BLOCK_SIZE)]
     assert peaks[0] == pytest.approx(peaks[1], rel=0.1)
 
 
@@ -531,7 +558,9 @@ def _row(model, grid, eps, moms, quantity="tail_probability"):
 
 def test_ladder_draws_each_block_once(monkeypatch):
     # a four-entry ladder opens each block's substream once, not once per
-    # (epsilon, block); simulate_vol fills db alone, one fill per block
+    # (epsilon, block), and a bs_const block (constant vol, rho = 0) fills
+    # dW alone, half the rows a toy_sabr block fills with dB and dW;
+    # simulate_vol fills db alone, one fill per block
     from ldpvol import mcsim
 
     streams, fills = [], []
@@ -540,19 +569,23 @@ def test_ladder_draws_each_block_once(monkeypatch):
         streams.append(1)
         return _block_rng(*args)
 
-    def counting_fill(*args):
-        fills.append(1)
-        _draw_increments(*args)
+    def counting_fill(rng, out, dt, antithetic):
+        fills.append(out.size)
+        _draw_increments(rng, out, dt, antithetic)
 
     monkeypatch.setattr(mcsim, "_block_rng", counting_rng)
     monkeypatch.setattr(mcsim, "_draw_increments", counting_fill)
     grid = TimeGrid(1.0, 5)
     n_paths = 2 * BLOCK_SIZE + 100  # three blocks
-    cfg = _cfg(bs_const(), ladder=(0.4, 0.2, 0.1, 0.05), n_paths=n_paths, grid=grid)
-    ldp_tail_report(cfg, 0.1, reference_rate=0.125)
-    assert len(streams) == 3
-    streams.clear()
-    fills.clear()
+    filled = []
+    for model in (bs_const(), toy_sabr()):
+        cfg = _cfg(model, ladder=(0.4, 0.2, 0.1, 0.05), n_paths=n_paths, grid=grid)
+        ldp_tail_report(cfg, 0.1, reference_rate=0.125)
+        assert len(streams) == 3
+        filled.append(sum(fills))
+        streams.clear()
+        fills.clear()
+    assert filled == [n_paths * grid.n_steps, 2 * n_paths * grid.n_steps]
     simulate_vol(toy_sabr().vol, 0.3, n_paths, grid, 1)
     assert len(streams) == 3 and len(fills) == 3
 
@@ -588,23 +621,50 @@ def test_ladder_rows_equal_single_epsilon_runs(workers):
 
 def test_first_row_keeps_the_single_epsilon_key():
     # row 0 of a ladder is drawn from SeedSequence([seed, 0, block index]),
-    # the key every single-epsilon run has used
-    model = bs_const()
+    # the key every single-epsilon run has used; dB comes first where the
+    # model reads it (rho != 0), and is not drawn where it does not
     grid = TimeGrid(1.0, 10)
     seed, k = 2**40 + 9, 0.1
-    cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=BLOCK_SIZE + 1000, seed=seed, grid=grid)
-    rep = ldp_tail_report(cfg, k, reference_rate=0.0)
-    moms = []
     s = math.sqrt(grid.dt)
-    for b, size in enumerate([BLOCK_SIZE, 1000]):
-        rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, 0, b])))
-        db = rng.standard_normal((size, grid.n_steps, 1)) * s
-        dw = rng.standard_normal((size, grid.n_steps, 1)) * s
-        x, ok = _logprice_block(model, grid, 0.4, db, np.moveaxis(_phi_drive(model, dw, db), 1, 0))
-        moms.append(_Moments.of((x[ok, 0] >= k).astype(float)))
-    row, hits = _row(model, grid, 0.4, moms)
-    assert rep.rows[0].to_json_obj() == row.to_json_obj()
-    assert rep.diagnostics["hits"][0] == hits
+    for model in (bs_const(), bs_const(rho=-0.5)):
+        cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=BLOCK_SIZE + 1000, seed=seed, grid=grid)
+        rep = ldp_tail_report(cfg, k, reference_rate=0.0)
+        moms = []
+        for b, size in enumerate([BLOCK_SIZE, 1000]):
+            rng = np.random.Generator(np.random.SFC64(np.random.SeedSequence([seed, 0, b])))
+            db = np.zeros((size, grid.n_steps, 1))
+            if _reads_db(model):
+                db = rng.standard_normal(db.shape) * s
+            dw = rng.standard_normal((size, grid.n_steps, 1)) * s
+            drive = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
+            x, ok = _logprice_block(model, grid, 0.4, db, drive)
+            moms.append(_Moments.of((x[ok, 0] >= k).astype(float)))
+        row, hits = _row(model, grid, 0.4, moms)
+        assert rep.rows[0].to_json_obj() == row.to_json_obj()
+        assert rep.diagnostics["hits"][0] == hits
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("antithetic", [False, True])
+def test_constant_vol_matches_the_brownian_kernel_bit_for_bit(antithetic, workers):
+    # with rho != 0 a constant-vol block draws dB as the Brownian-kernel vol
+    # does and skips only the vol part its sigma never reads, so tail and exit
+    # ladders, and the kept terminal values, are bit-identical; the last of
+    # the two blocks is odd
+    grid = TimeGrid(1.0, 20)
+    dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
+    got = []
+    for model in (bs_const(rho=-0.5), _brownian_bs(rho=-0.5)):
+        cfg = _cfg(model, ladder=(0.4, 0.2, 0.1), n_paths=BLOCK_SIZE + 1001, seed=29, grid=grid,
+                   antithetic=antithetic, max_workers=workers)
+        got.append((
+            ldp_tail_report(cfg, 0.1, reference_rate=0.0).to_json_obj(),
+            mc_exit_report(cfg, dom, 1.0, reference_rate=0.0).to_json_obj(),
+            simulate_logprice(cfg, 0.2).terminal,
+        ))
+    assert is_constant(bs_const().vol) and not is_constant(_brownian_bs().vol)
+    assert got[0][:2] == got[1][:2]
+    np.testing.assert_array_equal(got[0][2], got[1][2])
 
 
 def test_shared_noise_ladder_rows_are_unbiased():

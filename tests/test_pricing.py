@@ -188,6 +188,34 @@ def test_barrier_oracle_and_prefactor():
     assert rep0.rate == pytest.approx(math.log(1.25) ** 2 / (2 * 0.04), rel=1e-2)
 
 
+def test_constant_vol_rates_equal_the_brownian_kernel_spec():
+    # bs_const's sigma never reads its vol, so declaring the vol constant (no
+    # noise kernel) instead of Brownian changes no rate and no minimizer
+    from ldpvol.kernels import brownian
+    from ldpvol.paths import PathFn
+    from ldpvol.ratefn import itilde_terminal, qtilde_path
+    from ldpvol.volmap import GAUSSIAN, VolProcessSpec
+
+    grid = TimeGrid(1.0, 40)
+    target = PathFn(grid, 0.1 * grid.nodes[:, None])
+    half = ExitDomain("half_space", normal=[1.0], offset=0.17)
+    box = ExitDomain("box", lower=[0.8], upper=[1.25])
+
+    def rates(model):
+        return [
+            itilde_terminal(model, 0.1, grid=grid, restarts=2).to_json_obj(),
+            qtilde_path(model, target, restarts=1).to_json_obj(),
+            asian_asymptote(model, 1.05, 1.0, n_steps=40, restarts=1).to_json_obj(),
+            exit_asymptote(model, half, 1.0, n_steps=40, restarts=1).to_json_obj(),
+            barrier_asymptote(model, box, 1.0, n_steps=40, restarts=1).to_json_obj(),
+        ]
+
+    brownian_vol = bs_const()
+    brownian_vol.vol = VolProcessSpec(family=GAUSSIAN, noise_kernels=[[brownian()]])
+    assert bs_const().vol.noise_kernels == [[None]]
+    assert rates(bs_const()) == rates(brownian_vol)
+
+
 def test_barrier_at_spot_zero_rate():
     m = bs_const()
     pd = ExitDomain("box", lower=[0.0], upper=[1.0])  # upper barrier at s0

@@ -5,6 +5,7 @@ import pytest
 
 from ldpvol import TimeGrid, Control, brownian, riemann_liouville, hs_apply, integrate
 from ldpvol.errors import DimensionError, UnsupportedFormError
+from ldpvol.kernels import rms_weights
 from ldpvol.presets import make_model
 from ldpvol.volmap import (
     FRACTIONAL,
@@ -18,6 +19,8 @@ from ldpvol.volmap import (
     cir_coefficients,
     gamma_y,
     hat_map,
+    is_affine,
+    is_constant,
     ou_coefficients,
     solve_psi,
     vol_state,
@@ -78,13 +81,24 @@ def test_family_validation():
 
 
 def test_toy_presets_are_the_brownian_gaussian_spec():
-    for name in ("bs_const", "toy_sabr"):
-        vol = make_model(name).vol
-        assert vol.family == GAUSSIAN and vol.noise_kernels == [[brownian()]]
+    vol = make_model("toy_sabr").vol
+    assert vol.family == GAUSSIAN and vol.noise_kernels == [[brownian()]]
+    assert is_affine(vol) and not is_constant(vol)
     shifted = dataclasses.replace(toy_spec(), y=[0.25])
     assert shifted.noise_kernels == [[brownian()]] and shifted.y.tolist() == [0.25]
     with pytest.raises(UnsupportedFormError):
         VolProcessSpec(family="toy")
+
+
+def test_bs_const_is_the_constant_gaussian_spec():
+    # bs_const's sigma never reads its vol, and the spec says so: a Gaussian
+    # vol with no noise kernel is the constant y
+    vol = make_model("bs_const").vol
+    assert vol.family == GAUSSIAN and vol.noise_kernels == [[None]] and not vol.reflect
+    assert is_affine(vol) and is_constant(vol)
+    vals = vol_state(vol, _incr(1), GRID, rms_weights)
+    np.testing.assert_array_equal(vals, np.broadcast_to(vol.y, vals.shape))
+    assert not is_constant(dataclasses.replace(vol, reflect=True))
 
 
 def test_u_map_must_be_callable():
