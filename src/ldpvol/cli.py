@@ -30,7 +30,7 @@ from .pricing import (
     exit_asymptote,
     implied_vol_limit,
 )
-from .ratefn import itilde_terminal, qtilde_path
+from .ratefn import itilde_terminal, qtilde_path, restart_count
 from .toymodel import ToyParams, toy_report
 
 EXIT_OK = 0
@@ -101,7 +101,7 @@ def _model_command(sub, name: str, help: str):
     p.add_argument("--horizon", type=float, default=1.0, help="time horizon T")
     p.add_argument("--n-steps", type=int, default=200, help="grid steps")
     p.add_argument("--seed", type=int, default=0, help="optimizer restart seed")
-    p.add_argument("--restarts", type=int, default=None, help="random restarts")
+    p.add_argument("--restarts", type=int, default=None, help="random restarts, ≥ 0")
     p.add_argument("--output", help="output path prefix (writes PREFIX.json)")
     return p
 
@@ -164,7 +164,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _opt_kwargs(args):
     kw = {"seed": args.seed}
     if args.restarts is not None:
-        kw["restarts"] = args.restarts
+        kw["restarts"] = restart_count(args.restarts)
     return kw
 
 

@@ -8,7 +8,9 @@ geometric continuation on the penalty weight, followed by a feasibility
 polish along the found ray.  Their gradients are reverse mode through the
 functional (``ratefn.phi_vjp``) and the constraint: the trapezoid average of
 exp(phi) for Asian options, and the windowed maximum of the signed distance
-for exits, whose subgradient sits at the argmax.
+for exits, whose subgradient sits at the latest maximal node.  The penalty's
+first stage is a lock-step multistart (``ratefn.minimize_multistart``), so
+each objective evaluates a batch of control pairs in one call.
 """
 
 from __future__ import annotations
@@ -32,6 +34,7 @@ from .ratefn import (
     RESTART_KEYS,
     ModelSpec,
     RateResult,
+    _single_or_batch,
     inf_tail_result,
     lbfgs,
     minimize_multistart,
@@ -317,7 +320,7 @@ class _JointControlProblem:
 
     Subclasses provide ``shortfall`` (batched over functional paths phi,
     positive when the constraint is violated) and ``shortfall_and_grad``
-    (one path: the shortfall and its gradient in phi).
+    (the shortfall and its gradient in phi, batched the same way).
     """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid):
@@ -351,13 +354,19 @@ class _JointControlProblem:
         return float(self.energies(z) + self.mu * self.violation_batch(z) ** 2)
 
     def value_and_grad(self, z):
+        """(value, gradient) at one point z of shape (dim,), or arrays of
+        both at a batch of points (..., dim)."""
         z = np.asarray(z, float)
         phi, pullback = phi_vjp(self.model, self.grid, *self.split(z))
         short, short_phi = self.shortfall_and_grad(phi)
-        viol = max(float(short), 0.0)
-        value = float(self.energies(z) + self.mu * viol**2)
-        l_bar, f_bar = pullback(2.0 * self.mu * viol * short_phi)
-        return value, self.grid.dt * z + np.concatenate([l_bar.ravel(), f_bar.ravel()])
+        viol = np.maximum(short, 0.0)
+        value = self.energies(z) + self.mu * viol**2
+        l_bar, f_bar = pullback((2.0 * self.mu * viol)[..., None, None] * short_phi)
+        lead = z.shape[:-1]
+        grad = self.grid.dt * z + np.concatenate(
+            [l_bar.reshape(lead + (-1,)), f_bar.reshape(lead + (-1,))], axis=-1
+        )
+        return _single_or_batch(z, value, grad)
 
 
 class _AsianProblem(_JointControlProblem):
@@ -374,7 +383,7 @@ class _AsianProblem(_JointControlProblem):
 
     def shortfall_and_grad(self, phi):
         grad = np.zeros(phi.shape)
-        grad[:, 0] = -self.weights * np.exp(phi[:, 0])
+        grad[..., 0] = -self.weights * np.exp(phi[..., 0])
         return self.shortfall(phi), grad
 
 
@@ -393,19 +402,23 @@ class _ExitFaceProblem(_JointControlProblem):
         return -np.max(self._signed_distance(phi)[..., self.window], axis=-1)
 
     def shortfall_and_grad(self, phi):
-        # the windowed max: its subgradient sits at the argmax
-        sd = self._signed_distance(phi)
-        top = np.flatnonzero(self.window)[np.argmax(sd[self.window])]
-        grad = np.zeros(phi.shape)
-        grad[top] = -self.a
-        return -sd[top], grad
+        # the windowed max, with its subgradient at the latest maximal node:
+        # on the zero path every node ties, and the first node would aim
+        # the zero start at an exit at t = dt
+        sd = self._signed_distance(phi)[..., self.window]
+        last = sd.shape[-1] - 1 - np.argmax(sd[..., ::-1], axis=-1)
+        top = np.flatnonzero(self.window)[last]
+        at_top = np.arange(phi.shape[-2]) == top[..., None]
+        grad = np.where(at_top[..., None], -self.a, 0.0)
+        return -np.max(sd, axis=-1), grad
 
 
 def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: int):
     """Increase the penalty weight geometrically, warm-starting every stage.
 
     Returns (z, info): the multistart's per-restart values and iteration
-    counts, and iteration and gradient-evaluation totals over all stages.
+    counts, and iteration, gradient-evaluation and evaluation-round totals
+    over all stages (each later stage is one start, one point per round).
     """
     problem.mu = PENALTY_START
     z, info = minimize_multistart(
@@ -419,6 +432,7 @@ def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: in
         z = res.x
         info["iterations"] += int(res.nit)
         info["gradient_evaluations"] += int(res.njev)
+        info["evaluation_rounds"] += int(res.nfev)
     return z, info
 
 
@@ -463,7 +477,7 @@ def _solve_constrained(problem: _JointControlProblem, restarts: int, seed: int):
     zero = np.zeros(problem.dim)
     if problem.violation_batch(zero) <= 0.0:
         info = {"iterations": 0, "restart_values": [], "restart_iterations": [],
-                "gradient_evaluations": 0}
+                "gradient_evaluations": 0, "evaluation_rounds": 0}
         return zero, 0.0, info
     z, info = _penalty_continuation(problem, restarts, seed)
     z, shortfall = _polish_to_feasibility(problem, z)

@@ -26,11 +26,21 @@ takes both from it.  The only finite differences are the state derivatives
 of the coefficient closures, central differences over the d state columns
 evaluated in the same closure calls as the forward pass, and
 ``check_gradient``, the oracle every objective is tested against.
+
+``value_and_grad`` takes leading batch axes: points (..., dim) give values
+(...,) and gradients (..., dim), while one point (dim,) gives (float, grad).
+``minimize_multistart`` uses the batch: its starts run scipy's L-BFGS-B in
+lock-step, one solve per thread, and each round evaluates the points of
+every unfinished start in one call on the calling thread, so the per-node
+loops of the skeleton run once per round rather than once per start.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
+import os
+import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -196,6 +206,12 @@ def _pad_last_node(u_bar):
     return np.concatenate([u_bar, pad], axis=-2)
 
 
+def _single_or_batch(x, value, grad):
+    """A value-and-gradient result: (float, (dim,)) for one point x of shape
+    (dim,), arrays of values (...,) and gradients (..., dim) for a batch."""
+    return (float(value), grad) if np.ndim(x) == 1 else (value, grad)
+
+
 def phi_functional(model: ModelSpec, l: Control, f: Control) -> PathFn:
     """Nodal path of the discretized drift/volatility functional.
 
@@ -289,14 +305,15 @@ def phi_vjp(model: ModelSpec, grid: TimeGrid, l_dots, f_dots):
 
 
 # ---------------------------------------------------------------------------
-# objectives: a batched value and one fused value-and-gradient
+# objectives: a batched value and a batched fused value-and-gradient
 # ---------------------------------------------------------------------------
 #
 # Every objective computes its exact discrete gradient by reverse mode
 # through the stages of its forward map (``value_and_grad``, one forward
-# pass per call); coefficient closures contribute their state derivatives
-# by central differences over the d state columns only (``_coeff_jacs``).
-# ``check_gradient`` is the finite-difference oracle for all of them.
+# pass per call, over any leading batch axes); coefficient closures
+# contribute their state derivatives by central differences over the d
+# state columns only (``_coeff_jacs``).  ``check_gradient`` is the
+# finite-difference oracle for all of them.
 
 
 class TerminalObjective:
@@ -346,23 +363,29 @@ class TerminalObjective:
 
     def value_and_grad(self, dots):
         dots = np.asarray(dots, float)
-        hat, pullback = hat_map_vjp(self.model.vol, dots[:, None], self.grid)
-        u = hat[:-1]
+        hat, pullback = hat_map_vjp(self.model.vol, dots[..., None], self.grid)
+        u = hat[..., :-1, :]
         (b, b_u), (sv, s_u) = _coeff_jacs(
             self.tk, u, self.model.drift_values, self.model.sigma_values
         )
-        numer, i_s2 = self._integrals(dots, b[:, 0], sv)
-        value = float(self._value(dots, numer, i_s2))
+        numer, i_s2 = self._integrals(dots, b[..., 0], sv)
+        value = self._value(dots, numer, i_s2)
         dt = self.grid.dt
-        if not i_s2 > 0.0:  # the value is constant or the energy alone
-            return value, (np.zeros_like(dots) if value >= _INFEASIBLE else dt * dots)
+        # where int sigma^2 = 0 the value is constant or the energy alone:
+        # those rows take their gradient from the last line
+        live = i_s2 > 0.0
+        i_s2 = np.where(live, i_s2, 1.0)[..., None]
+        numer = numer[..., None]
         rho = self.model.rho
         rb2 = self.model.rho_bar**2
         g_b = -numer / (rb2 * i_s2)  # d value / d int b
         g_s2 = -0.5 * numer**2 / (rb2 * i_s2**2)  # d value / d int sigma^2
-        u_bar = dt * (g_b * b_u[:, 0, :] + (g_b * rho * dots + 2.0 * g_s2 * sv)[:, None] * s_u)
-        grad = dt * dots + g_b * rho * dt * sv + pullback(_pad_last_node(u_bar))[:, 0]
-        return value, grad
+        u_bar = dt * (
+            g_b[..., None] * b_u[..., 0, :] + (g_b * rho * dots + 2.0 * g_s2 * sv)[..., None] * s_u
+        )
+        grad = dt * dots + g_b * rho * dt * sv + pullback(_pad_last_node(u_bar))[..., 0]
+        flat = np.where(value[..., None] < _INFEASIBLE, dt * dots, 0.0)
+        return _single_or_batch(dots, value, np.where(live[..., None], grad, flat))
 
     def gradient(self, dots):
         return self.value_and_grad(dots)[1]
@@ -415,29 +438,31 @@ class TerminalObjectiveOrthogonal:
 
     def value_and_grad(self, dots):
         dots = np.asarray(dots, float)
-        flat = dots.reshape(self.grid.n_steps, self.model.m)
+        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, self.model.m))
         hat, pullback = hat_map_vjp(self.model.vol, flat, self.grid)
-        u = hat[:-1]
+        u = hat[..., :-1, :]
         (b, b_u), (xi, xi_u), (O, O_u) = _coeff_jacs(
             self.tk, u, self.model.drift_values, self.model.xi, self.model.o_map
         )
         value, numer, i_x2, rot = self._value(flat, b, xi, O)
-        value = float(value)
         dt = self.grid.dt
-        if not i_x2 > 0.0:
-            return value, (np.zeros_like(dots) if value >= _INFEASIBLE else dt * dots)
-        g_n = -dt * numer / i_x2  # d value / d (b + xi rot) at each node, (m,)
-        xi_bar = rot @ g_n - dt * float(numer @ numer) / i_x2**2 * xi
-        rot_bar = xi[:, None] * g_n
+        # rows with int xi^2 = 0 take their gradient from the last line
+        live = i_x2 > 0.0
+        i_x2 = np.where(live, i_x2, 1.0)[..., None]
+        g_n = -dt * numer / i_x2  # d value / d (b + xi rot) at each node, (..., m)
+        nn = np.sum(numer * numer, axis=-1, keepdims=True)
+        xi_bar = np.einsum("...na,...a->...n", rot, g_n) - dt * nn / i_x2**2 * xi
+        rot_bar = xi[..., None] * g_n[..., None, :]
         mixed = flat @ self.mix.T
         u_bar = (
-            np.einsum("nad,a->nd", b_u, g_n)
-            + xi_bar[:, None] * xi_u
-            + np.einsum("na,nb,nabd->nd", rot_bar, mixed, O_u)
+            np.einsum("...nad,...a->...nd", b_u, g_n)
+            + xi_bar[..., None] * xi_u
+            + np.einsum("...na,...nb,...nabd->...nd", rot_bar, mixed, O_u)
         )
-        f_bar = np.einsum("nab,na->nb", O, rot_bar) @ self.mix
-        grad = dt * flat + f_bar + pullback(_pad_last_node(u_bar))
-        return value, grad.ravel()
+        f_bar = np.einsum("...nab,...na->...nb", O, rot_bar) @ self.mix
+        grad = (dt * flat + f_bar + pullback(_pad_last_node(u_bar))).reshape(dots.shape)
+        flat_grad = np.where(value[..., None] < _INFEASIBLE, dt * dots, 0.0)
+        return _single_or_batch(dots, value, np.where(live[..., None], grad, flat_grad))
 
     def gradient(self, dots):
         return self.value_and_grad(dots)[1]
@@ -486,9 +511,12 @@ class PathRateObjective:
         return np.einsum("ab,...nb->...na", self.model.cbar_inv, sol)
 
     def _check_scalar_vol(self, sv):
-        smax = float(np.max(np.abs(sv)))
-        smin = float(np.min(np.abs(sv)))
-        if smin == 0.0 or smax / smin > _COND_LIMIT:
+        """Each skeleton's vol, (..., n), must stay away from zero."""
+        smax = np.max(np.abs(sv), axis=-1)
+        smin = np.min(np.abs(sv), axis=-1)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vanishing = (smin == 0.0) | (smax / smin > _COND_LIMIT)
+        if np.any(vanishing):
             raise SingularVolatilityError(
                 "scalar volatility vanishes along the skeleton"
             )
@@ -509,33 +537,33 @@ class PathRateObjective:
     def value_and_grad(self, dots):
         dots = np.asarray(dots, float)
         m = self.model.m
-        flat = dots.reshape(self.grid.n_steps, m)
+        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, m))
         hat, pullback = hat_map_vjp(self.model.vol, flat, self.grid)
-        u = hat[:-1]
+        u = hat[..., :-1, :]
         (b, b_u), (sig, sig_u) = _coeff_jacs(
             self.tk, u, self.model.drift_values, self.model.sigma_values
         )
         l_dots = self._residual(flat, b, sig)
-        value = float(self._value(flat, l_dots))
+        value = self._value(flat, l_dots)
         l_bar = self.grid.dt * l_dots
         if m == 1:
             rb = self.model.rho_bar
-            rhs_bar = l_bar[:, 0] / (sig * rb)  # adjoint of the residual
-            sig_bar = -rhs_bar * (l_dots[:, 0] * rb + self.model.rho * flat[:, 0])
-            u_bar = -rhs_bar[:, None] * b_u[:, 0, :] + sig_bar[:, None] * sig_u
-            f_bar = -(rhs_bar * sig * self.model.rho)[:, None]
+            rhs_bar = l_bar[..., 0] / (sig * rb)  # adjoint of the residual
+            sig_bar = -rhs_bar * (l_dots[..., 0] * rb + self.model.rho * flat[..., 0])
+            u_bar = -rhs_bar[..., None] * b_u[..., 0, :] + sig_bar[..., None] * sig_u
+            f_bar = -(rhs_bar * sig * self.model.rho)[..., None]
         else:
             sol = l_dots @ self.model.cbar.T  # sigma^-1 of the residual
             c_f = flat @ self.model.C.T
             sol_bar = l_bar @ self.model.cbar_inv
             rhs_bar = np.linalg.solve(np.swapaxes(sig, -1, -2), sol_bar[..., None])[..., 0]
-            sig_bar = -rhs_bar[:, :, None] * (sol + c_f)[:, None, :]
-            u_bar = -np.einsum("na,nad->nd", rhs_bar, b_u) + np.einsum(
-                "nab,nabd->nd", sig_bar, sig_u
+            sig_bar = -rhs_bar[..., :, None] * (sol + c_f)[..., None, :]
+            u_bar = -np.einsum("...na,...nad->...nd", rhs_bar, b_u) + np.einsum(
+                "...nab,...nabd->...nd", sig_bar, sig_u
             )
-            f_bar = -np.einsum("nab,na->nb", sig, rhs_bar) @ self.model.C
+            f_bar = -np.einsum("...nab,...na->...nb", sig, rhs_bar) @ self.model.C
         grad = self.grid.dt * flat + f_bar + pullback(_pad_last_node(u_bar))
-        return value, grad.ravel()
+        return _single_or_batch(dots, value, grad.reshape(dots.shape))
 
     def gradient(self, dots):
         return self.value_and_grad(dots)[1]
@@ -576,6 +604,141 @@ def lbfgs(objective, x0, maxiter: int):
     )
 
 
+# At most this many starts are in flight at once: a multistart runs its
+# starts in waves of this size, one thread per start of a wave.
+LOCKSTEP_WAVE = 16
+
+
+class _Abort(Exception):
+    """Ends a start's L-BFGS solve when its wave is abandoned."""
+
+
+class _LockstepStart:
+    """One start of a lock-step wave, solved by ``lbfgs`` on its own thread.
+
+    Its objective posts the point, wakes the calling thread and sleeps
+    until ``resume`` hands it the point's row of a batched evaluation;
+    ``None`` in place of the row abandons the solve.  ``finished`` is set
+    before the last wake-up.
+    """
+
+    def __init__(self, to_caller):
+        self.to_caller = to_caller
+        self.wait_fd, self.wake_fd = os.pipe()
+        self.point = self.row = self.outcome = None
+        self.finished = False
+
+    def value_and_grad(self, x):
+        self.point = x
+        os.write(self.to_caller, b"p")
+        os.read(self.wait_fd, 1)
+        if self.row is None:
+            raise _Abort
+        return self.row
+
+    def solve(self, x0, maxiter):
+        """Leaves the result, or its error, in ``outcome``."""
+        try:
+            self.outcome = lbfgs(self, x0, maxiter)
+        except _Abort:
+            pass
+        except BaseException as exc:  # handed to the calling thread, which raises it
+            self.outcome = exc
+        finally:
+            self.finished = True
+            os.write(self.to_caller, b"d")
+
+    def resume(self, row):
+        self.row = row
+        os.write(self.wake_fd, b"r")
+
+    def close(self):
+        os.close(self.wait_fd)
+        os.close(self.wake_fd)
+
+
+def _lockstep_lbfgs(objective, starts, maxiter: int):
+    """One ``lbfgs`` solve per start, every start advancing in lock-step.
+
+    Each start's solve runs on a thread of its own, but only one thread
+    runs at a time: the calling thread lets each start in turn run until it
+    posts the point it needs next (or ends), then evaluates all posted
+    points in one batched ``objective.value_and_grad`` call on the stacked
+    (k, dim) array and hands each start its row.  So the batch is evaluated
+    on the calling thread, and no two threads contend for the interpreter
+    lock.  The hand-offs are pipe writes: Linux wakes a pipe's reader on the
+    writer's CPU, while a lock's wake-up may move the thread to an idle CPU,
+    which a virtual machine can take milliseconds to wake.  A lone start
+    runs on the calling thread.
+
+    Returns (results in start order, number of batched calls).  The first
+    error, of the objective or of a solve, is raised after every thread of
+    the wave has ended.
+    """
+    if len(starts) == 1:
+        res = lbfgs(objective, starts[0], maxiter)
+        return [res], int(res.nfev)  # one value_and_grad call per function evaluation
+    wait_fd, wake_fd = os.pipe()
+    members, threads, waiting, rounds = [], [], {}, 0
+
+    def run_until_post(j):
+        """Wait for start j, the one running, to post its next point or end."""
+        os.read(wait_fd, 1)
+        if not members[j].finished:
+            waiting[j] = members[j].point
+        elif isinstance(members[j].outcome, BaseException):
+            raise members[j].outcome
+
+    try:
+        for j, x0 in enumerate(starts):
+            members.append(_LockstepStart(wake_fd))
+            threads.append(threading.Thread(target=members[j].solve, args=(x0, maxiter), daemon=True))
+            threads[j].start()
+            run_until_post(j)
+        while waiting:
+            rows = sorted(waiting)
+            values, grads = objective.value_and_grad(np.stack([waiting.pop(j) for j in rows]))
+            rounds += 1
+            for r, j in enumerate(rows):
+                members[j].resume((float(values[r]), grads[r]))
+                run_until_post(j)
+    finally:
+        # abandon the wave: every unfinished solve ends at its next wait.  A
+        # thread is listed by threading.enumerate() from start() until it
+        # ends, so this also finds one whose start() was interrupted.
+        alive = threading.enumerate()
+        pending = [m for m, t in zip(members, threads) if t in alive and not m.finished]
+        for member in pending:
+            member.resume(None)
+        while not all(member.finished for member in pending):
+            os.read(wait_fd, 1)
+        for thread in threads:
+            if thread.ident is not None:  # it ran
+                thread.join()
+        for member in members:
+            member.close()
+        os.close(wait_fd)
+        os.close(wake_fd)
+    return [member.outcome for member in members], rounds
+
+
+def restart_count(restarts) -> int:
+    """The number of random restarts: an integer >= 0, else DomainError."""
+    if isinstance(restarts, bool) or not isinstance(restarts, numbers.Integral) or restarts < 0:
+        raise DomainError(f"restarts must be an integer >= 0, got {restarts!r}")
+    return int(restarts)
+
+
+def _restart_points(dim: int, grid: TimeGrid, control_dim: int, restarts: int, seed: int):
+    """The starts of a multistart: zero, then Gaussian controls of unit trial
+    energy drawn from ``seed``."""
+    rng = np.random.default_rng(seed)
+    scale = math.sqrt(2.0 / (control_dim * grid.horizon))
+    return [np.zeros(dim)] + [
+        rng.normal(scale=scale, size=dim) for _ in range(restart_count(restarts))
+    ]
+
+
 def minimize_multistart(
     objective,
     dim: int,
@@ -587,22 +750,24 @@ def minimize_multistart(
 ):
     """L-BFGS from a zero start plus Gaussian restarts of unit trial energy.
 
+    The starts run in lock-step waves of at most ``LOCKSTEP_WAVE`` (see
+    ``_lockstep_lbfgs``): each round evaluates the point of every unfinished
+    start in one batched ``value_and_grad`` call on the calling thread.
+
     Returns (best_x, info).  Ties in value are broken toward the smaller
     control energy, which makes the reported minimizer deterministic.
     ``info`` carries the final value and iteration count of every start, in
-    start order, and the number of gradient evaluations.
+    start order, the number of gradient evaluations and the number of
+    batched evaluation rounds.
     """
-    rng = np.random.default_rng(seed)
-    scale = math.sqrt(2.0 / (control_dim * grid.horizon))
-    starts = [np.zeros(dim)]
-    starts += [rng.normal(scale=scale, size=dim) for _ in range(restarts)]
+    starts = _restart_points(dim, grid, control_dim, restarts, seed)
+    results, rounds = [], 0
+    for first in range(0, len(starts), LOCKSTEP_WAVE):
+        wave, wave_rounds = _lockstep_lbfgs(objective, starts[first:first + LOCKSTEP_WAVE], maxiter)
+        results += wave
+        rounds += wave_rounds
     best = None
-    values, iterations, n_grad = [], [], 0
-    for x0 in starts:
-        res = lbfgs(objective, x0, maxiter)
-        values.append(float(res.fun))
-        iterations.append(int(res.nit))
-        n_grad += int(res.njev)
+    for res in results:
         cand_energy = 0.5 * grid.dt * float(np.sum(res.x**2))
         cand = (float(res.fun), cand_energy, res)
         if best is None:
@@ -613,19 +778,23 @@ def minimize_multistart(
         if better or (tied and cand[1] < best[1]):
             best = cand
     res = best[2]
+    iterations = [int(r.nit) for r in results]
     info = {
         "iterations": sum(iterations),
-        "restarts": restarts,
+        "restarts": len(starts) - 1,
         "gradient_norm": float(np.max(np.abs(res.jac))),
         "converged": bool(res.success) and best[0] < _INFEASIBLE / 2,
-        "restart_values": values,
+        "restart_values": [float(r.fun) for r in results],
         "restart_iterations": iterations,
-        "gradient_evaluations": n_grad,
+        "gradient_evaluations": sum(int(r.njev) for r in results),
+        "evaluation_rounds": rounds,
     }
     return res.x, info
 
 
-RESTART_KEYS = ("restart_values", "restart_iterations", "gradient_evaluations")
+RESTART_KEYS = (
+    "restart_values", "restart_iterations", "gradient_evaluations", "evaluation_rounds"
+)
 
 
 def _result_from(objective, x, info, grid, m):

@@ -50,6 +50,7 @@ def test_rate_terminal_bundled_model(capsys):
     obj = json.loads(out)
     assert obj["value"] == pytest.approx(0.125, rel=1e-4)
     assert obj["resolved_config"]["preset"] == "bs_const"
+    assert 0 < obj["diagnostics"]["evaluation_rounds"] < obj["diagnostics"]["gradient_evaluations"]
 
 
 def test_missing_model_file_exit_2(capsys):
@@ -63,6 +64,21 @@ def test_missing_model_file_exit_2(capsys):
 def test_bad_parameter_exit_2(capsys):
     code, _, err = run_cli(capsys, "toy-bounds", "--T", "1", "--k", "-0.5")
     assert code == EXIT_CONFIG
+    assert json.loads(err)["error"] == "DomainError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["rate-terminal", "--preset", "bs_const", "--x", "0.1", "--restarts", "-1"],
+        ["exit-rate", "--preset", "bs_const", "--domain",
+         '{"kind":"half_space","normal":[1.0],"offset":0.17}', "--restarts", "-3"],
+    ],
+    ids=["rate-terminal", "exit-rate"],
+)
+def test_negative_restarts_exit_2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == EXIT_CONFIG and out == ""
     assert json.loads(err)["error"] == "DomainError"
 
 

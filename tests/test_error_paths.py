@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from ldpvol import TimeGrid
-from ldpvol.errors import ConvergenceError, DivergenceError
+from ldpvol.errors import ConvergenceError, DivergenceError, DomainError
 from ldpvol.paths import Control, PathFn
 from ldpvol.presets import mixed_demo
 from ldpvol.pricing import ExitDomain, exit_asymptote
@@ -49,6 +49,18 @@ def test_optimizer_nonconverged_flag():
     obj = TerminalObjective(toy_sabr(), GRID, 0.1)
     _, info = minimize_multistart(obj, GRID.n_steps, GRID, 1, restarts=0, maxiter=1)
     assert not info["converged"]
+
+
+@pytest.mark.parametrize("restarts", [-1, 2.5, True, "3"])
+def test_bad_restart_count_is_a_domain_error(restarts):
+    from ldpvol.presets import toy_sabr
+    from ldpvol.ratefn import TerminalObjective
+
+    obj = TerminalObjective(toy_sabr(), GRID, 0.1)
+    with pytest.raises(DomainError, match="restarts"):
+        minimize_multistart(obj, GRID.n_steps, GRID, 1, restarts=restarts)
+    _, info = minimize_multistart(obj, GRID.n_steps, GRID, 1, restarts=np.int64(1))
+    assert info["restarts"] == 1
 
 
 def test_optimizer_deterministic_given_seed():

@@ -144,6 +144,26 @@ def test_exit_half_space_oracle():
     assert rep.diagnostics["converged"]
 
 
+def test_zero_start_alone_reaches_the_exit_closed_forms():
+    # on the zero path every window node ties; the subgradient at the latest
+    # one aims the zero start at the deadline, not at an exit at t = dt
+    m = bs_const()
+    half = ExitDomain("half_space", normal=[1.0], offset=0.17)
+    rep = exit_asymptote(m, half, deadline=1.0, n_steps=200, restarts=0)
+    assert rep.rate == pytest.approx(0.17**2 / (2 * 0.04), rel=1e-8)
+    box = ExitDomain("box", lower=[0.0], upper=[1.25])
+    rep = barrier_asymptote(m, box, 1.0, n_steps=200, restarts=0)
+    assert rep.rate == pytest.approx(math.log(1.25) ** 2 / (2 * 0.04), rel=1e-8)
+
+
+@pytest.mark.parametrize("factory", [frac_heston, toy_sabr], ids=lambda f: f.__name__)
+def test_zero_start_alone_matches_the_multistart_exit(factory):
+    dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
+    alone = exit_asymptote(factory(), dom, deadline=1.0, n_steps=50, restarts=0)
+    multi = exit_asymptote(factory(), dom, deadline=1.0, n_steps=50)
+    assert alone.rate == pytest.approx(multi.rate, rel=1e-9)
+
+
 def test_exit_boundary_at_start_is_free():
     m = bs_const()
     dom = ExitDomain("half_space", normal=[1.0], offset=0.0)  # x0 = 0 on boundary
@@ -366,6 +386,8 @@ def test_pricer_diagnostics_carry_restarts():
     assert len(rep.diagnostics["restart_values"]) == 3
     assert len(rep.diagnostics["restart_iterations"]) == 3
     assert rep.diagnostics["gradient_evaluations"] >= rep.diagnostics["iterations"]
+    # each round evaluates every unfinished start in one call
+    assert 0 < rep.diagnostics["evaluation_rounds"] < rep.diagnostics["gradient_evaluations"]
     dom = ExitDomain("box", lower=[-0.2], upper=[0.25])
     rep = exit_asymptote(bs_const(), dom, deadline=1.0, n_steps=40, restarts=1)
     assert all(len(face["restart_values"]) == 2 for face in rep.diagnostics["faces"])
