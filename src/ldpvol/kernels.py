@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import special as _sp
 
-from .errors import AdmissibilityError, DimensionError, InvalidKernelError, require_number
+from .errors import AdmissibilityError, DimensionError, DomainError, InvalidKernelError, require_number
 from .paths import TimeGrid
 
 _FINITE_SLICE_LIMIT = 1e12
@@ -503,7 +503,7 @@ def slice_variance(kernel: KernelSpec, t: float) -> float:
     """int_0^t K(t, s)^2 ds; admissibility diagnostic for the slice at t."""
     t = float(t)
     if t < 0:
-        raise ValueError("t must be nonnegative")
+        raise DomainError("t must be nonnegative")
     if t == 0.0:
         return 0.0
     if kernel.kind == BROWNIAN:
@@ -548,7 +548,7 @@ def l2_modulus(kernel: KernelSpec, tau: float, grid: TimeGrid) -> float:
     """
     tau = float(tau)
     if tau < 0 or tau > grid.horizon:
-        raise ValueError("tau must lie in [0, horizon]")
+        raise DomainError("tau must lie in [0, horizon]")
     n = grid.n_steps
     width = int(math.floor(tau / grid.dt + 1e-9))
     if width == 0:

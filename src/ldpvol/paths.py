@@ -51,7 +51,7 @@ def _as_2d(values, n_rows, what):
     if a.ndim != 2 or a.shape[0] != n_rows:
         raise DimensionError(f"{what} must have shape ({n_rows}, dim), got {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError(f"{what} contains non-finite entries")
+        raise DomainError(f"{what} contains non-finite entries")
     return a
 
 

@@ -2,9 +2,10 @@
 
 All time integrals of model coefficients use the left-endpoint rule on the
 grid.  One log-price step (``_phi_increment``) serves the drift/volatility
-functional, its cumulative sum at eps = 0 driven by the controls, and the
-Monte Carlo simulator, driven by sqrt(eps) times the noise over dt.  The
-functional is exact on piecewise-linear controls, so constant-coefficient
+functional, its cumulative sum at eps = 0 driven by the controls; the
+terminal objective, whose numerator x - m(f) sums it at l = 0 for every m;
+and the Monte Carlo simulator, driven by sqrt(eps) times the noise over dt.
+The functional is exact on piecewise-linear controls, so constant-coefficient
 oracles are reproduced without discretization error.
 
 Model coefficient closures must be numpy-vectorized:
@@ -317,155 +318,103 @@ def phi_vjp(model: ModelSpec, grid: TimeGrid, l_dots, f_dots):
 
 
 class TerminalObjective:
-    """Explicit-ratio objective for the terminal rate at a scalar target."""
+    """Explicit-ratio objective for the terminal rate at a target x.
 
-    def __init__(self, model: ModelSpec, grid: TimeGrid, x: float):
-        if model.m != 1:
-            raise UnsupportedFormError("TerminalObjective is the m = 1 path")
-        self.model = model
-        self.grid = grid
-        self.x = float(x)
-        self.tk = _left_nodes(grid)
-
-    # -- pieces -------------------------------------------------------
-    def _coefficients(self, dots):
-        """Drift and scalar vol at the left nodes of the skeleton, (..., n)."""
-        hat = hat_map_batch(self.model.vol, dots[..., None], self.grid)
-        u = hat[..., :-1, :]
-        return self.model.drift_values(self.tk, u)[..., 0], self.model.sigma_values(self.tk, u)
-
-    def _integrals(self, dots, b, sv):
-        """(x - int b - rho int sigma fdot, int sigma^2) on the grid."""
-        dt = self.grid.dt
-        i_b = dt * np.sum(b, axis=-1)
-        i_sf = dt * np.sum(sv * dots, axis=-1)
-        i_s2 = dt * np.sum(sv**2, axis=-1)
-        return self.x - i_b - self.model.rho * i_sf, i_s2
-
-    def _value(self, dots, numer, i_s2):
-        dt = self.grid.dt
-        en = 0.5 * dt * np.sum(dots**2, axis=-1)
-        rb2 = self.model.rho_bar**2
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(i_s2 > 0.0, 0.5 * numer**2 / (rb2 * np.maximum(i_s2, 1e-300)), 0.0)
-        # vanishing volatility along the skeleton: feasible only if the drift
-        # alone reaches the target
-        degenerate = i_s2 <= 0.0
-        miss = np.abs(numer) > 1e-9 * max(1.0, abs(self.x))
-        return np.where(degenerate & miss, _INFEASIBLE, ratio + en)
-
-    def value_batch(self, dots):
-        dots = np.asarray(dots, float)
-        return self._value(dots, *self._integrals(dots, *self._coefficients(dots)))
-
-    def value(self, dots):
-        return float(self.value_batch(np.asarray(dots, float)))
-
-    def value_and_grad(self, dots):
-        dots = np.asarray(dots, float)
-        hat, pullback = hat_map_vjp(self.model.vol, dots[..., None], self.grid)
-        u = hat[..., :-1, :]
-        (b, b_u), (sv, s_u) = _coeff_jacs(
-            self.tk, u, self.model.drift_values, self.model.sigma_values
-        )
-        numer, i_s2 = self._integrals(dots, b[..., 0], sv)
-        value = self._value(dots, numer, i_s2)
-        dt = self.grid.dt
-        # where int sigma^2 = 0 the value is constant or the energy alone:
-        # those rows take their gradient from the last line
-        live = i_s2 > 0.0
-        i_s2 = np.where(live, i_s2, 1.0)[..., None]
-        numer = numer[..., None]
-        rho = self.model.rho
-        rb2 = self.model.rho_bar**2
-        g_b = -numer / (rb2 * i_s2)  # d value / d int b
-        g_s2 = -0.5 * numer**2 / (rb2 * i_s2**2)  # d value / d int sigma^2
-        u_bar = dt * (
-            g_b[..., None] * b_u[..., 0, :] + (g_b * rho * dots + 2.0 * g_s2 * sv)[..., None] * s_u
-        )
-        grad = dt * dots + g_b * rho * dt * sv + pullback(_pad_last_node(u_bar))[..., 0]
-        flat = np.where(value[..., None] < _INFEASIBLE, dt * dots, 0.0)
-        return _single_or_batch(dots, value, np.where(live[..., None], grad, flat))
-
-    def gradient(self, dots):
-        return self.value_and_grad(dots)[1]
-
-
-class TerminalObjectiveOrthogonal:
-    """Terminal rate objective for m > 1 rotation-times-scalar models."""
+    x is a scalar for m = 1 and an m-vector for m > 1, where the model must
+    be in rotation-times-scalar form.  For a volatility control f, the
+    cheapest auxiliary control l that reaches x costs
+    1/2 (x - m(f))' A^-1 (x - m(f)), where m(f) is the functional's terminal
+    value at l = 0 and A = int sigma cbar cbar' sigma' dt.  Both forms make
+    A a multiple of the identity (rho_bar^2 int sigma^2 for m = 1, int xi^2
+    for the rotation form), so A^-1 is m / tr(A).
+    """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid, x):
-        if model.m <= 1:
-            raise UnsupportedFormError("use TerminalObjective for m = 1")
-        if not model.orthogonal_scalar:
+        if model.m > 1 and not model.orthogonal_scalar:
             raise UnsupportedFormError(
                 "terminal rate for m > 1 needs the rotation-times-scalar "
                 "volatility declaration (xi and o_map)"
             )
         self.model = model
         self.grid = grid
-        self.x = np.asarray(x, float)
+        self.x = np.asarray(x, float).reshape(-1)
         if self.x.shape != (model.m,):
-            raise DimensionError(f"x must have shape ({model.m},)")
+            raise DimensionError(f"target x has {self.x.size} entries; the model has m = {model.m}")
+        if not np.all(np.isfinite(self.x)):
+            raise DomainError(f"target x must be finite, got {self.x.tolist()}")
+        self.miss_tol = 1e-9 * max(1.0, float(np.linalg.norm(self.x)))
         self.tk = _left_nodes(grid)
-        self.mix = model.cbar_inv @ model.C  # applied inside the rotation
 
-    def _value(self, flat, b, xi, O):
-        """(value, numer, int xi^2, rot) from the coefficients at the nodes."""
-        dt = self.grid.dt
-        rot = np.einsum("...nab,bc,...nc->...na", O, self.mix, flat)
-        i_b = dt * np.sum(b, axis=-2)
-        i_v = dt * np.sum(xi[..., None] * rot, axis=-2)
-        i_x2 = dt * np.sum(xi**2, axis=-1)
-        numer = self.x - i_b - i_v
-        en = 0.5 * dt * np.sum(flat**2, axis=(-1, -2))
+    def _forward(self, flat, b, sig):
+        """(value, x - m(f), the drive at l = 0, sigma cbar, tr(A)/m)."""
+        model, dt = self.model, self.grid.dt
+        drive = _phi_drive(model, np.zeros_like(flat), flat)
+        numer = self.x - np.sum(_phi_increment(model, b, sig, drive, dt), axis=-2)
+        if model.m == 1:
+            sc = model.rho_bar * sig
+            var = dt * np.sum(sc**2, axis=-1)
+        else:
+            sc = sig @ model.cbar
+            var = dt / model.m * np.sum(sc**2, axis=(-3, -2, -1))
         nn = np.sum(numer**2, axis=-1)
-        miss = np.sqrt(nn) > 1e-9 * max(1.0, float(np.linalg.norm(self.x)))
+        en = 0.5 * dt * np.sum(flat**2, axis=(-2, -1))
         with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(i_x2 > 0.0, 0.5 * nn / np.maximum(i_x2, 1e-300), 0.0)
-        return np.where((i_x2 <= 0.0) & miss, _INFEASIBLE, ratio + en), numer, i_x2, rot
+            ratio = np.where(var > 0.0, 0.5 * nn / np.maximum(var, 1e-300), 0.0)
+        # vanishing volatility along the skeleton: feasible only if the drift
+        # alone reaches the target
+        miss = np.sqrt(nn) > self.miss_tol
+        value = np.where((var <= 0.0) & miss, _INFEASIBLE, ratio + en)
+        return value, numer, drive, sc, var
+
+    def _flat(self, dots):
+        return dots.reshape(dots.shape[:-1] + (self.grid.n_steps, self.model.m))
 
     def value_batch(self, dots):
-        dots = np.asarray(dots, float)
-        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, self.model.m))
+        flat = self._flat(np.asarray(dots, float))
         u = hat_map_batch(self.model.vol, flat, self.grid)[..., :-1, :]
-        xi = np.asarray(self.model.xi(self.tk, u), float)
-        O = np.asarray(self.model.o_map(self.tk, u), float)
-        return self._value(flat, self.model.drift_values(self.tk, u), xi, O)[0]
+        b, sig = self.model.drift_values(self.tk, u), self.model.sigma_values(self.tk, u)
+        return self._forward(flat, b, sig)[0]
 
     def value(self, dots):
         return float(self.value_batch(np.asarray(dots, float)))
 
     def value_and_grad(self, dots):
         dots = np.asarray(dots, float)
-        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, self.model.m))
-        hat, pullback = hat_map_vjp(self.model.vol, flat, self.grid)
-        u = hat[..., :-1, :]
-        (b, b_u), (xi, xi_u), (O, O_u) = _coeff_jacs(
-            self.tk, u, self.model.drift_values, self.model.xi, self.model.o_map
+        model, dt = self.model, self.grid.dt
+        flat = self._flat(dots)
+        hat, pullback = hat_map_vjp(model.vol, flat, self.grid)
+        (b, b_u), (sig, sig_u) = _coeff_jacs(
+            self.tk, hat[..., :-1, :], model.drift_values, model.sigma_values
         )
-        value, numer, i_x2, rot = self._value(flat, b, xi, O)
-        dt = self.grid.dt
-        # rows with int xi^2 = 0 take their gradient from the last line
-        live = i_x2 > 0.0
-        i_x2 = np.where(live, i_x2, 1.0)[..., None]
-        g_n = -dt * numer / i_x2  # d value / d (b + xi rot) at each node, (..., m)
-        nn = np.sum(numer * numer, axis=-1, keepdims=True)
-        xi_bar = np.einsum("...na,...a->...n", rot, g_n) - dt * nn / i_x2**2 * xi
-        rot_bar = xi[..., None] * g_n[..., None, :]
-        mixed = flat @ self.mix.T
-        u_bar = (
-            np.einsum("...nad,...a->...nd", b_u, g_n)
-            + xi_bar[..., None] * xi_u
-            + np.einsum("...na,...nb,...nabd->...nd", rot_bar, mixed, O_u)
-        )
-        f_bar = np.einsum("...nab,...na->...nb", O, rot_bar) @ self.mix
+        value, numer, drive, sc, var = self._forward(flat, b, sig)
+        # rows with tr(A) = 0 take their gradient from the last line
+        live = var > 0.0
+        var = np.where(live, var, 1.0)[..., None]
+        incr_bar = -dt * numer / var  # d value / d (b + sigma drive) at every node
+        # d value / d sigma through tr(A) is this factor times sigma cbar cbar'
+        var_bar = -(dt / model.m) * np.sum(numer**2, axis=-1, keepdims=True) / var**2
+        u_bar = np.einsum("...a,...nad->...nd", incr_bar, b_u)
+        if model.m == 1:
+            sig_bar = incr_bar * drive + var_bar * model.rho_bar * sc
+            u_bar += sig_bar[..., None] * sig_u
+            f_bar = (model.rho * incr_bar * sig)[..., None]
+        else:
+            sig_bar = (
+                incr_bar[..., None, :, None] * drive[..., None, :]
+                + var_bar[..., None, None] * (sc @ model.cbar.T)
+            )
+            u_bar += np.einsum("...nab,...nabd->...nd", sig_bar, sig_u)
+            f_bar = np.einsum("...nab,...a->...nb", sig, incr_bar) @ model.C
         grad = (dt * flat + f_bar + pullback(_pad_last_node(u_bar))).reshape(dots.shape)
         flat_grad = np.where(value[..., None] < _INFEASIBLE, dt * dots, 0.0)
         return _single_or_batch(dots, value, np.where(live[..., None], grad, flat_grad))
 
     def gradient(self, dots):
         return self.value_and_grad(dots)[1]
+
+
+# The benchmark's probes and tracer still build and wrap the objective by this name.
+TerminalObjectiveOrthogonal = TerminalObjective
 
 
 # ---------------------------------------------------------------------------
@@ -502,12 +451,12 @@ class PathRateObjective:
         rhs = self.g_dots - b - np.einsum(
             "...nab,bc,...nc->...na", sig, self.model.C, f_dots
         )
-        sol = np.linalg.solve(sig, rhs[..., None])[..., 0]
         conds = np.linalg.cond(sig)
         if np.any(~np.isfinite(conds)) or np.max(conds) > _COND_LIMIT:
             raise SingularVolatilityError(
                 "volatility matrix numerically singular along the skeleton"
             )
+        sol = np.linalg.solve(sig, rhs[..., None])[..., 0]
         return np.einsum("ab,...nb->...na", self.model.cbar_inv, sol)
 
     def _check_scalar_vol(self, sv):
@@ -619,19 +568,20 @@ class _LockstepStart:
     Its objective posts the point, wakes the calling thread and sleeps
     until ``resume`` hands it the point's row of a batched evaluation;
     ``None`` in place of the row abandons the solve.  ``finished`` is set
-    before the last wake-up.
+    before the last wake-up.  ``to_caller`` and the (wait, wake) pipe are
+    unbuffered files the wave owns.
     """
 
-    def __init__(self, to_caller):
+    def __init__(self, to_caller, pipe):
         self.to_caller = to_caller
-        self.wait_fd, self.wake_fd = os.pipe()
+        self.wait, self.wake = pipe
         self.point = self.row = self.outcome = None
         self.finished = False
 
     def value_and_grad(self, x):
         self.point = x
-        os.write(self.to_caller, b"p")
-        os.read(self.wait_fd, 1)
+        self.to_caller.write(b"p")
+        self.wait.read(1)
         if self.row is None:
             raise _Abort
         return self.row
@@ -646,15 +596,27 @@ class _LockstepStart:
             self.outcome = exc
         finally:
             self.finished = True
-            os.write(self.to_caller, b"d")
+            self.to_caller.write(b"d")
 
     def resume(self, row):
         self.row = row
-        os.write(self.wake_fd, b"r")
+        self.wake.write(b"r")
 
-    def close(self):
-        os.close(self.wait_fd)
-        os.close(self.wake_fd)
+
+def _open_pipes(count, pipes, errors, opened):
+    """Append ``count`` pipes to ``pipes`` as (reader, writer) pairs of
+    unbuffered files, or an error to ``errors``, then set ``opened``.  Run
+    on a thread of its own: Python raises a KeyboardInterrupt only on the
+    main thread, so none can land between opening a pipe and recording it.
+    """
+    try:
+        for _ in range(count):
+            read_fd, write_fd = os.pipe()
+            pipes.append((open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0)))
+    except OSError as exc:
+        errors.append(exc)
+    finally:
+        opened.set()
 
 
 def _lockstep_lbfgs(objective, starts, maxiter: int):
@@ -671,6 +633,9 @@ def _lockstep_lbfgs(objective, starts, maxiter: int):
     which a virtual machine can take milliseconds to wake.  A lone start
     runs on the calling thread.
 
+    No interrupt leaves a pipe or a thread behind: the pipes are opened off
+    the main thread (``_open_pipes``), and the cleanup reruns until it ends.
+
     Returns (results in start order, number of batched calls).  The first
     error, of the objective or of a solve, is raised after every thread of
     the wave has ended.
@@ -678,20 +643,45 @@ def _lockstep_lbfgs(objective, starts, maxiter: int):
     if len(starts) == 1:
         res = lbfgs(objective, starts[0], maxiter)
         return [res], int(res.nfev)  # one value_and_grad call per function evaluation
-    wait_fd, wake_fd = os.pipe()
+    pipes, errors, opened = [], [], threading.Event()
+    opener = threading.Thread(target=_open_pipes, args=(len(starts) + 1, pipes, errors, opened))
     members, threads, waiting, rounds = [], [], {}, 0
 
     def run_until_post(j):
         """Wait for start j, the one running, to post its next point or end."""
-        os.read(wait_fd, 1)
+        pipes[0][0].read(1)
         if not members[j].finished:
             waiting[j] = members[j].point
         elif isinstance(members[j].outcome, BaseException):
             raise members[j].outcome
 
+    def end_wave():
+        """Abandon the wave, then join its threads and close its pipes; safe
+        to rerun.  Every unfinished solve ends at its next wait.  A thread
+        is listed by threading.enumerate() from start() until it ends, so
+        this also finds one whose start() was interrupted."""
+        alive = threading.enumerate()
+        if opener in alive:
+            opened.wait()
+        pending = [m for m, t in zip(members, threads) if t in alive and not m.finished]
+        for member in pending:
+            member.resume(None)
+        while not all(member.finished for member in pending):
+            pipes[0][0].read(1)
+        for thread in [opener] + threads:
+            if thread.ident is not None:  # it ran
+                thread.join()
+        for pipe in pipes:
+            for end in pipe:
+                end.close()
+
     try:
+        opener.start()
+        opener.join()
+        if errors:
+            raise errors[0]
         for j, x0 in enumerate(starts):
-            members.append(_LockstepStart(wake_fd))
+            members.append(_LockstepStart(pipes[0][1], pipes[j + 1]))
             threads.append(threading.Thread(target=members[j].solve, args=(x0, maxiter), daemon=True))
             threads[j].start()
             run_until_post(j)
@@ -703,22 +693,17 @@ def _lockstep_lbfgs(objective, starts, maxiter: int):
                 members[j].resume((float(values[r]), grads[r]))
                 run_until_post(j)
     finally:
-        # abandon the wave: every unfinished solve ends at its next wait.  A
-        # thread is listed by threading.enumerate() from start() until it
-        # ends, so this also finds one whose start() was interrupted.
-        alive = threading.enumerate()
-        pending = [m for m, t in zip(members, threads) if t in alive and not m.finished]
-        for member in pending:
-            member.resume(None)
-        while not all(member.finished for member in pending):
-            os.read(wait_fd, 1)
-        for thread in threads:
-            if thread.ident is not None:  # it ran
-                thread.join()
-        for member in members:
-            member.close()
-        os.close(wait_fd)
-        os.close(wake_fd)
+        # an interrupt that lands in end_wave reruns it and is raised after;
+        # inline, since a helper's entry would be a point it could land outside
+        interrupted = None
+        while True:
+            try:
+                end_wave()
+                break
+            except KeyboardInterrupt as exc:
+                interrupted = exc
+        if interrupted is not None:
+            raise interrupted
     return [member.outcome for member in members], rounds
 
 
@@ -797,13 +782,13 @@ RESTART_KEYS = (
 )
 
 
-def _result_from(objective, x, info, grid, m):
-    dots = x.reshape(grid.n_steps, m)
-    ctrl = Control(grid, dots)
-    value = objective.value(x)
+def _solve(objective, restarts, seed) -> RateResult:
+    """``minimize_multistart`` over the objective's (n, m) controls."""
+    grid, m = objective.grid, objective.model.m
+    x, info = minimize_multistart(objective, grid.n_steps * m, grid, m, restarts=restarts, seed=seed)
     return RateResult(
-        value=value,
-        minimizer_f=ctrl,
+        value=objective.value(x),
+        minimizer_f=Control(grid, x.reshape(grid.n_steps, m)),
         iterations=info["iterations"],
         restarts=info["restarts"],
         gradient_norm=info["gradient_norm"],
@@ -825,13 +810,8 @@ def qtilde_path(
 ) -> RateResult:
     """Sample-path rate of a target path, minimized over the volatility control."""
     obj = PathRateObjective(model, g)
-    grid = g.grid
-    x, info = minimize_multistart(
-        obj, grid.n_steps * model.m, grid, model.m, restarts=restarts, seed=seed
-    )
-    result = _result_from(obj, x, info, grid, model.m)
-    l_dots = obj.residual_l_dots(x.reshape(grid.n_steps, model.m))
-    result.minimizer_l = Control(grid, l_dots)
+    result = _solve(obj, restarts, seed)
+    result.minimizer_l = Control(g.grid, obj.residual_l_dots(result.minimizer_f.dot_values))
     result.diagnostics["energy_f"] = energy(result.minimizer_f)
     result.diagnostics["energy_l"] = energy(result.minimizer_l)
     return result
@@ -847,29 +827,7 @@ def itilde_terminal(
     """Terminal rate at target x (scalar for m = 1, vector otherwise)."""
     if grid is None:
         grid = TimeGrid(1.0, DEFAULT_TERMINAL_STEPS)
-    x = np.asarray(x, float)
-    if x.size != model.m:
-        raise DimensionError(f"target x has {x.size} entries; the model has m = {model.m}")
-    if not np.all(np.isfinite(x)):
-        raise DomainError(f"target x must be finite, got {x.tolist()}")
-    if model.m == 1:
-        obj = TerminalObjective(model, grid, float(x.reshape(())))
-        dim = grid.n_steps
-    else:
-        obj = TerminalObjectiveOrthogonal(model, grid, x)
-        dim = grid.n_steps * model.m
-    xbest, info = minimize_multistart(
-        obj, dim, grid, model.m, restarts=restarts, seed=seed
-    )
-    return _result_from(obj, xbest, info, grid, model.m)
-
-
-def drift_only_terminal(model: ModelSpec, grid: TimeGrid) -> float:
-    """Terminal value reached by the zero control (zero-cost target)."""
-    obj_zero = hat_map_batch(model.vol, np.zeros((grid.n_steps, model.m)), grid)
-    tk = _left_nodes(grid)
-    b = model.drift_values(tk, obj_zero[..., :-1, :])
-    return float(grid.dt * np.sum(b[..., 0]))
+    return _solve(TerminalObjective(model, grid, x), restarts, seed)
 
 
 def inf_tail(
@@ -908,7 +866,8 @@ def inf_tail_result(
     k = float(k)
     if not math.isfinite(k):
         raise DomainError(f"tail threshold k must be finite, got {k}")
-    attained = drift_only_terminal(model, grid)
+    zero = np.zeros((grid.n_steps, 1))
+    attained = float(phi_batch(model, grid, zero, zero)[-1, 0])  # m(0)
     if attained >= k:
         # the zero-cost terminal value already lies in the tail set
         res = itilde_terminal(model, attained, grid=grid, restarts=0, seed=seed)

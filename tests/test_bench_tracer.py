@@ -5,6 +5,8 @@ benchmark run."""
 import importlib.util
 from pathlib import Path
 
+import numpy as np
+
 from ldpvol import ratefn
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -26,3 +28,13 @@ def test_bench_tracer_installs_on_the_current_library():
     finally:
         tracer.uninstall()
     assert ratefn.TerminalObjective.__dict__["value_batch"] is original
+
+
+def test_bench_objective_probes_build_and_run(monkeypatch):
+    # the per-layer ratefn probes construct each objective class by name
+    monkeypatch.syspath_prepend(str(BENCH))
+    probes = _load("probes")  # which imports the bench's jobs by name
+    for name, (obj, grid, m) in probes._objective_cases(probes.jobs.TINY).items():
+        x = np.full(grid.n_steps * m, 0.1)
+        assert np.isfinite(obj.value(x)), name
+        assert np.all(np.isfinite(obj.gradient(x))), name

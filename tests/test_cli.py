@@ -451,6 +451,16 @@ def test_rate_path_command(tmp_path, capsys):
     assert obj["minimizer_l"] is not None
 
 
+def test_rate_path_with_a_nan_target_is_a_config_error(tmp_path, capsys):
+    # this once exited 2 as a bare ValueError
+    target = tmp_path / "target.csv"
+    target.write_text("t,x0\n0.0,0.0\n0.5,nan\n1.0,0.1\n")
+    code, out, err = run_cli(capsys, "rate-path", "--preset", "bs_const", "--target", str(target))
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 def test_frac_heston_restart_seed_105_converges(capsys):
     # this restart seed once ended at the right value with a gradient norm
     # just above L-BFGS's gtol and exited 3

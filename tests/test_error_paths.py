@@ -1,13 +1,19 @@
 import numpy as np
 import pytest
 
-from ldpvol import TimeGrid
-from ldpvol.errors import ConvergenceError, DivergenceError, DomainError
+from ldpvol import TimeGrid, brownian
+from ldpvol.errors import ConvergenceError, DivergenceError, DomainError, SingularVolatilityError
 from ldpvol.paths import Control, PathFn
 from ldpvol.presets import mixed_demo
 from ldpvol.pricing import ExitDomain, exit_asymptote
-from ldpvol.ratefn import itilde_terminal, minimize_multistart, qtilde_path
-from ldpvol.volmap import VOLTERRA_SDE, VolProcessSpec, gamma_y, solve_psi
+from ldpvol.ratefn import (
+    ModelSpec,
+    PathRateObjective,
+    itilde_terminal,
+    minimize_multistart,
+    qtilde_path,
+)
+from ldpvol.volmap import GAUSSIAN, VOLTERRA_SDE, VolProcessSpec, gamma_y, solve_psi
 
 GRID = TimeGrid(1.0, 50)
 
@@ -83,6 +89,21 @@ def test_multivariate_path_rate_runs():
     assert res.value == pytest.approx(
         res.diagnostics["energy_f"] + res.diagnostics["energy_l"], abs=1e-12
     )
+
+
+def test_exactly_singular_vol_matrix_is_a_singular_volatility_error():
+    # numpy's LinAlgError once escaped the sample-path rate before the check
+    vol = VolProcessSpec(family=GAUSSIAN, d=1, m=2, noise_kernels=[[brownian(), None]])
+    model = ModelSpec(
+        m=2, vol=vol, C=np.zeros((2, 2)),
+        sigma=lambda t, u: np.broadcast_to(np.diag([0.2, 0.0]), np.shape(u)[:-1] + (2, 2)),
+    )
+    grid = TimeGrid(1.0, 10)
+    g = PathFn(grid, np.outer(grid.nodes, [0.1, 0.05]))
+    obj, x = PathRateObjective(model, g), np.zeros(2 * grid.n_steps)
+    for call in (obj.value, obj.value_and_grad, lambda x: qtilde_path(model, g, restarts=0)):
+        with pytest.raises(SingularVolatilityError):
+            call(x)
 
 
 def test_multivariate_exit_box():

@@ -8,7 +8,7 @@ from scipy import integrate as sint
 from scipy.special import beta as beta_fn
 from scipy.special import gamma, hyp2f1
 
-from ldpvol.errors import AdmissibilityError, DimensionError, InvalidKernelError
+from ldpvol.errors import AdmissibilityError, DimensionError, DomainError, InvalidKernelError
 from ldpvol.kernels import (
     KernelSpec,
     _table_value,
@@ -213,6 +213,15 @@ def test_l2_modulus_monotone_in_tau():
     for k in (brownian(), riemann_liouville(0.3)):
         vals = [l2_modulus(k, tau, grid) for tau in (0.0, 0.1, 0.2, 0.4)]
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
+
+
+def test_slice_and_modulus_outside_their_domain_raise_domain_error():
+    grid = TimeGrid(1.0, 40)
+    with pytest.raises(DomainError, match="nonnegative"):
+        slice_variance(brownian(), -0.1)
+    for tau in (-0.1, 1.1):
+        with pytest.raises(DomainError, match="horizon"):
+            l2_modulus(brownian(), tau, grid)
 
 
 def test_tabulated_interpolation_and_volterra():

@@ -6,6 +6,7 @@ its own while the calling thread evaluates all posted points in one batched
 through ``lbfgs`` one by one on 1-D calls.
 """
 
+import io
 import math
 import os
 import signal
@@ -22,7 +23,6 @@ from ldpvol.pricing import PENALTY_MAXITER, _AsianProblem, _ExitFaceProblem
 from ldpvol.ratefn import (
     PathRateObjective,
     TerminalObjective,
-    TerminalObjectiveOrthogonal,
     _restart_points,
     lbfgs,
     minimize_multistart,
@@ -49,7 +49,7 @@ CASES = {
     "reflected_ou": (lambda: TerminalObjective(reflected_ou(), GRID, 0.2), 40, 1, 500, False),
     "volterra_sde": (lambda: TerminalObjective(_volterra_model(), GRID, 0.1), 40, 1, 500, False),
     "mixed_demo": (
-        lambda: TerminalObjectiveOrthogonal(mixed_demo(), GRID, np.array([0.05, 0.05])),
+        lambda: TerminalObjective(mixed_demo(), GRID, np.array([0.05, 0.05])),
         80, 2, 500, True,
     ),
     "path_bs_const": (
@@ -196,6 +196,80 @@ def test_interrupts_leave_no_thread_or_pipe_behind():
             timer.join()
         assert threading.active_count() == threads
         assert len(os.listdir("/proc/self/fd")) == fds
+
+
+def _open_fds():
+    return len(os.listdir("/proc/self/fd"))
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+@pytest.mark.parametrize("k", [1, 3, 6])
+def test_an_interrupt_after_the_kth_pipe_leaves_no_pipe_behind(monkeypatch, k):
+    # SIGINT to the main thread right after the k-th of the wave's 6 pipes
+    # is opened: every pipe opened has an owner that closes it
+    obj = TerminalObjective(toy_sabr(), GRID, 0.1)
+    threads, fds = threading.active_count(), _open_fds()
+    real_pipe, opened = os.pipe, []
+
+    def pipe():
+        opened.append(real_pipe())
+        if len(opened) == k:
+            signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+        return opened[-1]
+
+    monkeypatch.setattr(ratefn.os, "pipe", pipe)
+    with pytest.raises(KeyboardInterrupt):
+        minimize_multistart(obj, 40, GRID, 1, restarts=4)
+    monkeypatch.undo()
+    assert len(opened) >= k
+    assert threading.active_count() == threads
+    assert _open_fds() == fds
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+@pytest.mark.parametrize("fail_at", [None, 2], ids=["finished", "abandoned"])
+@pytest.mark.parametrize("after", [False, True], ids=["before", "after"])
+@pytest.mark.parametrize("k", [1, 6, 12])
+def test_an_interrupt_in_the_cleanup_closes_every_pipe(monkeypatch, k, after, fail_at):
+    # the cleanup's k-th close of the 12 pipe ends is interrupted, before or
+    # after the end closes, on a wave that finished or that an error abandoned
+    closes = []
+
+    class File(io.FileIO):
+        def close(self):
+            if after:
+                super().close()
+            closes.append(self)
+            if len(closes) == k:
+                raise KeyboardInterrupt
+            super().close()
+
+    monkeypatch.setattr(ratefn, "open", lambda fd, mode, buffering: File(fd, mode), raising=False)
+    threads, fds = threading.active_count(), _open_fds()
+    rec = _Recorder(TerminalObjective(toy_sabr(), GRID, 0.1), fail_at=fail_at)
+    with pytest.raises(KeyboardInterrupt):
+        minimize_multistart(rec, 40, GRID, 1, restarts=4, seed=3)
+    assert threading.active_count() == threads
+    assert _open_fds() == fds
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open descriptors in /proc")
+def test_an_interrupt_while_joining_leaves_no_thread_or_pipe_behind(monkeypatch):
+    class Thread(threading.Thread):
+        joins = 0
+
+        def join(self, timeout=None):
+            Thread.joins += 1
+            if Thread.joins == 2:
+                raise KeyboardInterrupt
+            super().join(timeout)
+
+    monkeypatch.setattr(ratefn.threading, "Thread", Thread)
+    threads, fds = threading.active_count(), _open_fds()
+    with pytest.raises(KeyboardInterrupt):
+        minimize_multistart(TerminalObjective(toy_sabr(), GRID, 0.1), 40, GRID, 1, restarts=4)
+    assert threading.active_count() == threads
+    assert _open_fds() == fds
 
 
 def test_solve_error_propagates_and_no_thread_outlives_the_call():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ldpvol.errors import DimensionError, UnsupportedDomainError
+from ldpvol.errors import DimensionError, DomainError, UnsupportedDomainError
 from ldpvol.paths import (
     Control,
     PathFn,
@@ -27,6 +27,14 @@ def test_grid_nodes():
         TimeGrid(-1.0, 4)
     with pytest.raises(ValueError):
         TimeGrid(1.0, 0)
+
+
+def test_non_finite_values_raise_domain_error():
+    g = TimeGrid(1.0, 2)
+    with pytest.raises(DomainError, match="non-finite"):
+        Control(g, np.array([[0.1], [np.inf]]))
+    with pytest.raises(DomainError, match="non-finite"):
+        PathFn(g, np.array([0.0, np.nan, 0.2]))
 
 
 def test_energy_examples():

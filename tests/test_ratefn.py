@@ -15,7 +15,6 @@ from ldpvol.ratefn import (
     ModelSpec,
     PathRateObjective,
     TerminalObjective,
-    TerminalObjectiveOrthogonal,
     check_gradient,
     inf_tail,
     inf_tail_result,
@@ -24,7 +23,7 @@ from ldpvol.ratefn import (
     phi_functional,
     qtilde_path,
 )
-from ldpvol.volmap import GAUSSIAN, VolProcessSpec
+from ldpvol.volmap import GAUSSIAN, VolProcessSpec, hat_map_batch
 
 GRID = TimeGrid(1.0, 200)
 
@@ -295,6 +294,19 @@ def test_orthogonal_scalar_constant_xi_oracle():
     assert res.value == pytest.approx(exact, rel=1e-6)
 
 
+@pytest.mark.parametrize(
+    "C, x, exact",
+    [(0.5 * np.eye(2), [0.05, 0.05], 0.046875), (np.zeros((2, 2)), [0.05, -0.03], 0.0425)],
+    ids=["C=0.5I", "C=0"],
+)
+def test_orthogonal_scalar_closed_form(C, x, exact):
+    # constant xi and identity O: the rate is (1 - c^2) |x|^2 / (2 xi^2) for C = c Id
+    vol = VolProcessSpec(family=GAUSSIAN, d=1, m=2, noise_kernels=[[brownian(), None]])
+    model = ModelSpec(m=2, vol=vol, xi=lambda t, u: np.full(np.shape(u)[:-1], 0.2), C=C)
+    res = itilde_terminal(model, x, grid=TimeGrid(1.0, 50), restarts=2)
+    assert res.value == pytest.approx(exact, rel=1e-12)
+
+
 def test_orthogonal_scalar_requires_declaration():
     vol = VolProcessSpec(family=GAUSSIAN, d=1, m=2, noise_kernels=[[brownian(), None]])
     m = ModelSpec(
@@ -304,7 +316,7 @@ def test_orthogonal_scalar_requires_declaration():
         C=np.zeros((2, 2)),
     )
     with pytest.raises(UnsupportedFormError):
-        TerminalObjectiveOrthogonal(m, TimeGrid(1.0, 10), np.zeros(2))
+        TerminalObjective(m, TimeGrid(1.0, 10), np.zeros(2))
 
 
 def test_mixed_demo_terminal_runs():
@@ -356,8 +368,8 @@ def _bounded_search_inf_tail(model, k, grid, restarts):
     def rate_at(x):
         return itilde_terminal(model, x, grid=grid, restarts=restarts).value
 
-    obj, zero = TerminalObjective(model, grid, k), np.zeros(grid.n_steps)
-    i_s2 = obj._integrals(zero, *obj._coefficients(zero))[1]
+    u = hat_map_batch(model.vol, np.zeros((grid.n_steps, 1)), grid)[:-1]
+    i_s2 = grid.dt * float(np.sum(model.sigma_values(grid.nodes[:-1], u) ** 2))
     scale = math.sqrt(max(i_s2 / grid.horizon, 1e-12))
     hi = k + 10.0 * scale * math.sqrt(grid.horizon)
     sres = minimize_scalar(
@@ -422,11 +434,30 @@ def test_terminal_gradient_oracle(factory):
         assert check_gradient(obj, x) < 1e-5
 
 
+@pytest.mark.parametrize(
+    "factory",
+    [lambda: bs_const(rho=-0.5), toy_sabr, rough_gauss, frac_heston, reflected_ou, _volterra_model],
+    ids=["bs_const_rho-0.5", "toy_sabr", "rough_gauss", "frac_heston", "reflected_ou",
+         "volterra_sde"],
+)
+def test_terminal_objective_is_the_explicit_ratio(factory):
+    # 1/2 int fdot^2 + (x - int b - rho int sigma fdot)^2 / (2 rho_bar^2 int sigma^2)
+    model, grid, x = factory(), TimeGrid(1.0, 40), 0.1
+    obj = TerminalObjective(model, grid, x)
+    dt, tk = grid.dt, grid.nodes[:-1]
+    for f in _restart_controls(grid, 1):
+        u = hat_map_batch(model.vol, f[:, None], grid)[:-1]
+        b, sig = model.drift_values(tk, u)[:, 0], model.sigma_values(tk, u)
+        numer = x - dt * np.sum(b) - model.rho * dt * np.sum(sig * f)
+        ref = 0.5 * dt * np.sum(f**2) + numer**2 / (2 * model.rho_bar**2 * dt * np.sum(sig**2))
+        assert obj.value(f) == pytest.approx(ref, rel=1e-12)
+
+
 def test_orthogonal_gradient_oracle():
     from ldpvol.presets import mixed_demo
 
     grid = TimeGrid(1.0, 40)
-    obj = TerminalObjectiveOrthogonal(mixed_demo(), grid, np.array([0.05, 0.05]))
+    obj = TerminalObjective(mixed_demo(), grid, np.array([0.05, 0.05]))
     for x in _restart_controls(grid, 2):
         assert check_gradient(obj, x) < 1e-5
 
