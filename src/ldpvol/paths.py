@@ -110,12 +110,6 @@ def integrate(control: Control) -> PathFn:
     return PathFn(control.grid, vals)
 
 
-def nodal_derivative(path: PathFn) -> Control:
-    """Per-interval difference quotients; inverse of :func:`integrate` up to the start value."""
-    dots = np.diff(path.values, axis=0) / path.grid.dt
-    return Control(path.grid, dots)
-
-
 def skorokhod_map(path: PathFn) -> PathFn:
     """Reflection at zero: (Gamma f)(t) = f(t) - min_{s<=t} (f(s) ^ 0).
 
@@ -175,11 +169,6 @@ def control_to_json_obj(control: Control) -> dict:
         "n_steps": control.grid.n_steps,
         "dot_values": control.dot_values.tolist(),
     }
-
-
-def control_from_json_obj(obj: dict) -> Control:
-    grid = TimeGrid(obj["horizon"], obj["n_steps"])
-    return Control(grid, np.asarray(obj["dot_values"], dtype=float))
 
 
 def dump_json(obj: dict, filename) -> None:

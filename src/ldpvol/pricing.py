@@ -8,9 +8,16 @@ geometric continuation on the penalty weight, followed by a feasibility
 polish along the found ray.  Their gradients are reverse mode through the
 functional (``ratefn.phi_vjp``) and the constraint: the trapezoid average of
 exp(phi) for Asian options, and the windowed maximum of the signed distance
-for exits, whose subgradient sits at the latest maximal node.  The penalty's
-first stage is a lock-step multistart (``ratefn.minimize_multistart``), so
-each objective evaluates a batch of control pairs in one call.
+for exits, whose subgradient sits at the latest maximal node.  Every stage
+runs on the one optimizer, ``ratefn.lbfgs_batch``: L-BFGS with memory 10
+over a batch of starts, whose line search accepts a first step of
+sufficient decrease that does not overshoot and else zooms to the
+strong-Wolfe conditions.  A start stops at max |g| <= 1e-10, at a relative
+decrease <= 1e-14 in one iteration, at the iteration limit, or on a failed
+line search, which leaves it unconverged.  The first stage is a multistart
+(``ratefn.minimize_multistart``), so each round evaluates a batch of
+control pairs in one call; each later stage is a batch of one start, warm
+from the stage before.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from .ratefn import (
     RateResult,
     _single_or_batch,
     inf_tail_result,
-    lbfgs,
+    lbfgs_batch,
     minimize_multistart,
     phi_batch,
     phi_vjp,
@@ -428,11 +435,11 @@ def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: in
     info = {k: info[k] for k in ("iterations",) + RESTART_KEYS}
     for _ in range(PENALTY_STAGES - 1):
         problem.mu *= PENALTY_FACTOR
-        res = lbfgs(problem, z, PENALTY_MAXITER)
+        (res,), rounds = lbfgs_batch(problem, [z], PENALTY_MAXITER)
         z = res.x
-        info["iterations"] += int(res.nit)
-        info["gradient_evaluations"] += int(res.njev)
-        info["evaluation_rounds"] += int(res.nfev)
+        info["iterations"] += res.iterations
+        info["gradient_evaluations"] += res.evaluations
+        info["evaluation_rounds"] += rounds
     return z, info
 
 
@@ -477,7 +484,7 @@ def _solve_constrained(problem: _JointControlProblem, restarts: int, seed: int):
     zero = np.zeros(problem.dim)
     if problem.violation_batch(zero) <= 0.0:
         info = {"iterations": 0, "restart_values": [], "restart_iterations": [],
-                "gradient_evaluations": 0, "evaluation_rounds": 0}
+                "restart_stops": [], "gradient_evaluations": 0, "evaluation_rounds": 0}
         return zero, 0.0, info
     z, info = _penalty_continuation(problem, restarts, seed)
     z, shortfall = _polish_to_feasibility(problem, z)

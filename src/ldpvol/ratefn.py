@@ -30,18 +30,16 @@ evaluated in the same closure calls as the forward pass, and
 
 ``value_and_grad`` takes leading batch axes: points (..., dim) give values
 (...,) and gradients (..., dim), while one point (dim,) gives (float, grad).
-``minimize_multistart`` uses the batch: its starts run scipy's L-BFGS-B in
-lock-step, one solve per thread, and each round evaluates the points of
-every unfinished start in one call on the calling thread, so the per-node
-loops of the skeleton run once per round rather than once per start.
+``minimize_multistart`` uses the batch: ``lbfgs_batch`` advances all its
+starts together, and each round evaluates the trial points of every
+unfinished start in one call, so the per-node loops of the skeleton run once
+per round rather than once per start.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
-import os
-import threading
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -540,171 +538,172 @@ def check_gradient(objective, x):
     return float(np.max(np.abs(g - ref))) / scale
 
 
-def lbfgs(objective, x0, maxiter: int):
-    """One L-BFGS solve on the objective's fused value and gradient."""
-    from scipy import optimize as _sopt  # loaded on first use: slow to import
-
-    return _sopt.minimize(
-        objective.value_and_grad,
-        x0,
-        jac=True,
-        method="L-BFGS-B",
-        options={"maxiter": maxiter, "ftol": 1e-14, "gtol": 1e-10},
-    )
+# The stopping rule: max |gradient| <= GTOL, a relative decrease of the value
+# in one iteration <= FTOL, or maxiter iterations.
+GTOL = 1e-10
+FTOL = 1e-14
+LBFGS_MEMORY = 10
+_WOLFE_C1, _WOLFE_C2 = 1e-4, 0.9  # sufficient decrease and curvature constants
+_SEARCH_TRIALS = 20  # evaluations one line search may take
+_PAIR_TOL = 1e-12  # a pair with s'y <= _PAIR_TOL y'y is not stored
 
 
-# At most this many starts are in flight at once: a multistart runs its
-# starts in waves of this size, one thread per start of a wave.
-LOCKSTEP_WAVE = 16
+@dataclass
+class StartResult:
+    """One start's L-BFGS solve: the last iterate, its value and gradient,
+    its iteration and evaluation counts, and why it stopped: "gtol",
+    "ftol", "maxiter" or "line_search"."""
+
+    x: np.ndarray
+    value: float
+    grad: np.ndarray
+    iterations: int
+    evaluations: int
+    stop: str
 
 
-class _Abort(Exception):
-    """Ends a start's L-BFGS solve when its wave is abandoned."""
+def _cubic_min(a, fa, da, b, fb, db):
+    """Minimizer of the cubic through the values and slopes (fa, da) at a
+    and (fb, db) at b (Nocedal & Wright, eq. 3.59); nan when it has none."""
+    d1 = da + db - 3.0 * (fa - fb) / (a - b)
+    disc = d1 * d1 - da * db
+    if not disc >= 0.0:
+        return math.nan
+    d2 = math.copysign(math.sqrt(disc), b - a)
+    den = db - da + 2.0 * d2
+    return b - (b - a) * (db + d2 - d1) / den if den != 0.0 else math.nan
 
 
-class _LockstepStart:
-    """One start of a lock-step wave, solved by ``lbfgs`` on its own thread.
+def _line_search(search, a, fa, da):
+    """Advance one start's line search on phi(s) = f(x + s p) by its trial
+    step a, where phi(a) = fa and phi'(a) = da.
 
-    Its objective posts the point, wakes the calling thread and sleeps
-    until ``resume`` hands it the point's row of a batched evaluation;
-    ``None`` in place of the row abandons the solve.  ``finished`` is set
-    before the last wake-up.  ``to_caller`` and the (wait, wake) pipe are
-    unbuffered files the wave owns.
+    ``search`` is [phi(0), phi'(0), lo, hi, trials], with lo and hi
+    (step, value, slope) triples: lo the best step so far with sufficient
+    decrease, hi the other end of the bracket, None before the first trial.
+    The first trial is accepted on sufficient decrease unless it overshoots
+    (phi'(a) > c2 |phi'(0)|).  Otherwise the bracket is zoomed (Nocedal &
+    Wright, Alg. 3.6, with the safeguarded cubic step of eq. 3.59) until a
+    trial meets the strong-Wolfe conditions.  Returns "accept", else the
+    next trial step.  When the first step's first-order change a |phi'(0)|
+    is below FTOL relative, rounding hides both conditions: a decrease is
+    accepted and anything else stops the start with "ftol".  The search
+    fails with "line_search" after ``_SEARCH_TRIALS`` trials or on a
+    bracket narrower than rounding.
     """
-
-    def __init__(self, to_caller, pipe):
-        self.to_caller = to_caller
-        self.wait, self.wake = pipe
-        self.point = self.row = self.outcome = None
-        self.finished = False
-
-    def value_and_grad(self, x):
-        self.point = x
-        self.to_caller.write(b"p")
-        self.wait.read(1)
-        if self.row is None:
-            raise _Abort
-        return self.row
-
-    def solve(self, x0, maxiter):
-        """Leaves the result, or its error, in ``outcome``."""
-        try:
-            self.outcome = lbfgs(self, x0, maxiter)
-        except _Abort:
-            pass
-        except BaseException as exc:  # handed to the calling thread, which raises it
-            self.outcome = exc
-        finally:
-            self.finished = True
-            self.to_caller.write(b"d")
-
-    def resume(self, row):
-        self.row = row
-        self.wake.write(b"r")
+    f0, d0, lo, hi, trials = search
+    if hi is None and -a * d0 <= FTOL * max(abs(f0), 1.0):
+        return "accept" if fa < f0 else "ftol"
+    if not (fa <= f0 + _WOLFE_C1 * a * d0 and fa < lo[1]):  # a nan value too
+        hi = (a, fa, da)
+    elif (da if hi is None else abs(da)) <= -_WOLFE_C2 * d0:
+        return "accept"
+    else:
+        if hi is None or da * (hi[0] - lo[0]) >= 0.0:
+            hi = lo
+        lo = (a, fa, da)
+    left, right = sorted((lo[0], hi[0]))
+    if right - left <= 1e-14 * right or trials + 1 >= _SEARCH_TRIALS:
+        return "line_search"
+    search[2:] = [lo, hi, trials + 1]
+    step, margin = _cubic_min(*lo, *hi), 0.1 * (right - left)
+    return min(max(step, left + margin), right - margin) if step == step else 0.5 * (left + right)
 
 
-def _open_pipes(count, pipes, errors, opened):
-    """Append ``count`` pipes to ``pipes`` as (reader, writer) pairs of
-    unbuffered files, or an error to ``errors``, then set ``opened``.  Run
-    on a thread of its own: Python raises a KeyboardInterrupt only on the
-    main thread, so none can land between opening a pipe and recording it.
+def _directions(g, S, Y, rho):
+    """-H g for each row by the two-loop recursion (Nocedal 1980), with H0
+    the newest pair's s'y / y'y, or the identity without pairs.  Memories
+    are aligned by age, newest last; an empty slot holds rho = 0, which
+    leaves a row's result as it would be alone."""
+    q = g.copy()
+    slots = range(rho.shape[1] - int(np.max(np.count_nonzero(rho, axis=1))), rho.shape[1])
+    alpha = np.zeros(rho.shape)
+    for i in reversed(slots):
+        alpha[:, i] = rho[:, i] * np.vecdot(S[:, i], q)
+        q -= alpha[:, i, None] * Y[:, i]
+    with np.errstate(divide="ignore"):
+        gamma = 1.0 / (rho[:, -1] * np.vecdot(Y[:, -1], Y[:, -1]))
+    q *= np.where(rho[:, -1] > 0.0, gamma, 1.0)[:, None]
+    for i in slots:
+        beta = rho[:, i] * np.vecdot(Y[:, i], q)
+        q += (alpha[:, i] - beta)[:, None] * S[:, i]
+    return -q
+
+
+def lbfgs_batch(objective, starts, maxiter: int):
+    """L-BFGS from each start (Liu & Nocedal 1989), all starts advancing together.
+
+    Each start keeps ``LBFGS_MEMORY`` curvature pairs and runs its own line
+    search (``_line_search``) from step 1, or from 1 / |g| while its memory
+    is empty.  Every round evaluates the trial points of all running starts
+    in one ``objective.value_and_grad`` call on the stacked (k, dim) array.
+    A start stops at max |g| <= GTOL ("gtol"), at a relative decrease
+    <= FTOL in one iteration ("ftol"), after ``maxiter`` iterations
+    ("maxiter"), or when its line search fails ("line_search").  Returns
+    (a ``StartResult`` per start, the number of rounds).
     """
-    try:
-        for _ in range(count):
-            read_fd, write_fd = os.pipe()
-            pipes.append((open(read_fd, "rb", buffering=0), open(write_fd, "wb", buffering=0)))
-    except OSError as exc:
-        errors.append(exc)
-    finally:
-        opened.set()
+    x = np.array(starts, dtype=float)
+    k, dim = x.shape
+    value, grad = objective.value_and_grad(x)
+    f, g = np.array(value, dtype=float), np.array(grad, dtype=float)
+    rounds, nit, nfev, stop, searches = 1, [0] * k, [1] * k, [None] * k, [None] * k
+    S, Y = np.zeros((2, k, LBFGS_MEMORY, dim))
+    rho, p, step = np.zeros((k, LBFGS_MEMORY)), np.zeros((k, dim)), np.zeros(k)
 
+    def begin(rows, before=None):
+        """Stop each row that meets the stopping rule (``before`` holds the
+        rows' values before their last iteration), and start a line search
+        on every other one."""
+        small = (np.max(np.abs(g[rows]), axis=-1) <= GTOL).tolist()
+        for r, j in enumerate(rows):
+            if small[r]:
+                stop[j] = "gtol"
+            elif before is not None and before[r] - f[j] <= FTOL * max(abs(before[r]), abs(f[j]), 1.0):
+                stop[j] = "ftol"
+            elif nit[j] >= maxiter:
+                stop[j] = "maxiter"
+        rows = [j for j in rows if stop[j] is None]
+        if rows:
+            p[rows] = _directions(g[rows], S[rows], Y[rows], rho[rows])
+        for j, d0 in zip(rows, np.vecdot(p[rows], g[rows]).tolist()):
+            if not d0 < 0.0:  # not a descent direction
+                stop[j] = "line_search"
+                continue
+            step[j] = 1.0 if rho[j, -1] else 1.0 / math.sqrt(-d0)
+            searches[j] = [float(f[j]), d0, (0.0, float(f[j]), d0), None, 0]
 
-def _lockstep_lbfgs(objective, starts, maxiter: int):
-    """One ``lbfgs`` solve per start, every start advancing in lock-step.
-
-    Each start's solve runs on a thread of its own, but only one thread
-    runs at a time: the calling thread lets each start in turn run until it
-    posts the point it needs next (or ends), then evaluates all posted
-    points in one batched ``objective.value_and_grad`` call on the stacked
-    (k, dim) array and hands each start its row.  So the batch is evaluated
-    on the calling thread, and no two threads contend for the interpreter
-    lock.  The hand-offs are pipe writes: Linux wakes a pipe's reader on the
-    writer's CPU, while a lock's wake-up may move the thread to an idle CPU,
-    which a virtual machine can take milliseconds to wake.  A lone start
-    runs on the calling thread.
-
-    No interrupt leaves a pipe or a thread behind: the pipes are opened off
-    the main thread (``_open_pipes``), and the cleanup reruns until it ends.
-
-    Returns (results in start order, number of batched calls).  The first
-    error, of the objective or of a solve, is raised after every thread of
-    the wave has ended.
-    """
-    if len(starts) == 1:
-        res = lbfgs(objective, starts[0], maxiter)
-        return [res], int(res.nfev)  # one value_and_grad call per function evaluation
-    pipes, errors, opened = [], [], threading.Event()
-    opener = threading.Thread(target=_open_pipes, args=(len(starts) + 1, pipes, errors, opened))
-    members, threads, waiting, rounds = [], [], {}, 0
-
-    def run_until_post(j):
-        """Wait for start j, the one running, to post its next point or end."""
-        pipes[0][0].read(1)
-        if not members[j].finished:
-            waiting[j] = members[j].point
-        elif isinstance(members[j].outcome, BaseException):
-            raise members[j].outcome
-
-    def end_wave():
-        """Abandon the wave, then join its threads and close its pipes; safe
-        to rerun.  Every unfinished solve ends at its next wait.  A thread
-        is listed by threading.enumerate() from start() until it ends, so
-        this also finds one whose start() was interrupted."""
-        alive = threading.enumerate()
-        if opener in alive:
-            opened.wait()
-        pending = [m for m, t in zip(members, threads) if t in alive and not m.finished]
-        for member in pending:
-            member.resume(None)
-        while not all(member.finished for member in pending):
-            pipes[0][0].read(1)
-        for thread in [opener] + threads:
-            if thread.ident is not None:  # it ran
-                thread.join()
-        for pipe in pipes:
-            for end in pipe:
-                end.close()
-
-    try:
-        opener.start()
-        opener.join()
-        if errors:
-            raise errors[0]
-        for j, x0 in enumerate(starts):
-            members.append(_LockstepStart(pipes[0][1], pipes[j + 1]))
-            threads.append(threading.Thread(target=members[j].solve, args=(x0, maxiter), daemon=True))
-            threads[j].start()
-            run_until_post(j)
-        while waiting:
-            rows = sorted(waiting)
-            values, grads = objective.value_and_grad(np.stack([waiting.pop(j) for j in rows]))
-            rounds += 1
-            for r, j in enumerate(rows):
-                members[j].resume((float(values[r]), grads[r]))
-                run_until_post(j)
-    finally:
-        # an interrupt that lands in end_wave reruns it and is raised after;
-        # inline, since a helper's entry would be a point it could land outside
-        interrupted = None
-        while True:
-            try:
-                end_wave()
-                break
-            except KeyboardInterrupt as exc:
-                interrupted = exc
-        if interrupted is not None:
-            raise interrupted
-    return [member.outcome for member in members], rounds
+    begin(list(range(k)))
+    while rows := [j for j in range(k) if stop[j] is None]:
+        value, grad = objective.value_and_grad(x[rows] + step[rows, None] * p[rows])
+        ft, gt = np.array(value, dtype=float), np.array(grad, dtype=float)
+        rounds += 1
+        accepted = []
+        for r, (j, slope) in enumerate(zip(rows, np.vecdot(gt, p[rows]).tolist())):
+            nfev[j] += 1
+            out = _line_search(searches[j], float(step[j]), float(ft[r]), slope)
+            if out == "accept":
+                accepted.append(r)
+                nit[j] += 1
+            elif isinstance(out, str):
+                stop[j] = out
+            else:
+                step[j] = out
+        if not accepted:
+            continue
+        acc = [rows[r] for r in accepted]
+        s, y = step[acc, None] * p[acc], gt[accepted] - g[acc]
+        before = f[acc].tolist()
+        x[acc] += s
+        f[acc], g[acc] = ft[accepted], gt[accepted]
+        sy = np.vecdot(s, y)
+        good = sy > _PAIR_TOL * np.vecdot(y, y)
+        keep = [j for j, ok in zip(acc, good.tolist()) if ok]
+        if keep:  # the oldest pair makes room for the newest
+            for a, new in ((S, s[good]), (Y, y[good]), (rho, 1.0 / sy[good])):
+                a[keep, :-1] = a[keep, 1:]
+                a[keep, -1] = new
+        begin(acc, before)
+    return [StartResult(x[j], float(f[j]), g[j], nit[j], nfev[j], stop[j]) for j in range(k)], rounds
 
 
 def restart_count(restarts) -> int:
@@ -735,26 +734,21 @@ def minimize_multistart(
 ):
     """L-BFGS from a zero start plus Gaussian restarts of unit trial energy.
 
-    The starts run in lock-step waves of at most ``LOCKSTEP_WAVE`` (see
-    ``_lockstep_lbfgs``): each round evaluates the point of every unfinished
-    start in one batched ``value_and_grad`` call on the calling thread.
+    The starts run together (``lbfgs_batch``): each round evaluates the
+    point of every unfinished start in one batched ``value_and_grad`` call.
 
     Returns (best_x, info).  Ties in value are broken toward the smaller
     control energy, which makes the reported minimizer deterministic.
-    ``info`` carries the final value and iteration count of every start, in
-    start order, the number of gradient evaluations and the number of
-    batched evaluation rounds.
+    ``info`` carries the final value, iteration count and stop reason of
+    every start, in start order, the number of gradient evaluations and the
+    number of batched evaluation rounds.
     """
     starts = _restart_points(dim, grid, control_dim, restarts, seed)
-    results, rounds = [], 0
-    for first in range(0, len(starts), LOCKSTEP_WAVE):
-        wave, wave_rounds = _lockstep_lbfgs(objective, starts[first:first + LOCKSTEP_WAVE], maxiter)
-        results += wave
-        rounds += wave_rounds
+    results, rounds = lbfgs_batch(objective, starts, maxiter)
     best = None
     for res in results:
         cand_energy = 0.5 * grid.dt * float(np.sum(res.x**2))
-        cand = (float(res.fun), cand_energy, res)
+        cand = (res.value, cand_energy, res)
         if best is None:
             best = cand
             continue
@@ -763,22 +757,24 @@ def minimize_multistart(
         if better or (tied and cand[1] < best[1]):
             best = cand
     res = best[2]
-    iterations = [int(r.nit) for r in results]
+    iterations = [r.iterations for r in results]
     info = {
         "iterations": sum(iterations),
         "restarts": len(starts) - 1,
-        "gradient_norm": float(np.max(np.abs(res.jac))),
-        "converged": bool(res.success) and best[0] < _INFEASIBLE / 2,
-        "restart_values": [float(r.fun) for r in results],
+        "gradient_norm": float(np.max(np.abs(res.grad))),
+        "converged": res.stop in ("gtol", "ftol") and best[0] < _INFEASIBLE / 2,
+        "restart_values": [r.value for r in results],
         "restart_iterations": iterations,
-        "gradient_evaluations": sum(int(r.njev) for r in results),
+        "restart_stops": [r.stop for r in results],
+        "gradient_evaluations": sum(r.evaluations for r in results),
         "evaluation_rounds": rounds,
     }
     return res.x, info
 
 
 RESTART_KEYS = (
-    "restart_values", "restart_iterations", "gradient_evaluations", "evaluation_rounds"
+    "restart_values", "restart_iterations", "restart_stops", "gradient_evaluations",
+    "evaluation_rounds",
 )
 
 

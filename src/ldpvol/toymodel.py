@@ -120,12 +120,6 @@ def h_inverse_series(y: float, max_terms: int = _SERIES_MAX_TERMS) -> float:
     return total
 
 
-def a_of_k(params: ToyParams) -> float:
-    """Solution of a * exp(2a) = T k^2 / (1 - e^-T), through h_inverse."""
-    y = 2.0 * params.horizon * params.k**2 / (1.0 - math.exp(-params.horizon))
-    return 0.5 * h_inverse(y)
-
-
 def rate_bounds(params: ToyParams) -> tuple[float, float]:
     """Closed-form two-sided bounds for the terminal rate at k."""
     params.require_window()

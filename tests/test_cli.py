@@ -19,17 +19,28 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_import_loads_no_scipy_integrate():
-    # kernels imports scipy.integrate at its two quadratures only, and ratefn
-    # scipy.optimize at its one solve; a module level import of either would
-    # slow the start of every command
+    # kernels imports scipy.integrate at its two quadratures only, and the
+    # rate solves run on ratefn's own optimizer; a module level import of
+    # either, or scipy.optimize anywhere, would slow the start of every command
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
-    code = ("import sys, ldpvol.cli; print(sorted(m for m in sys.modules "
-            "if m.startswith(('scipy.integrate', 'scipy.optimize'))))")
+    code = (
+        "import contextlib, io, sys, ldpvol.cli\n"
+        "def loaded():\n"
+        "    return sorted(m for m in sys.modules\n"
+        "                  if m.startswith(('scipy.integrate', 'scipy.optimize')))\n"
+        "print(loaded())\n"
+        "with contextlib.redirect_stdout(io.StringIO()):\n"
+        "    codes = [ldpvol.cli.main(argv) for argv in (\n"
+        "        ['rate-terminal', '--preset', 'bs_const', '--x', '0.1', '--n-steps', '40'],\n"
+        "        ['exit-rate', '--preset', 'bs_const', '--n-steps', '40', '--domain',\n"
+        "         '{\"kind\":\"half_space\",\"normal\":[1.0],\"offset\":0.17}'])]\n"
+        "print(codes, loaded())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
-    assert proc.stdout.strip() == "[]"
+    assert proc.stdout.split("\n")[:2] == ["[]", f"{[EXIT_OK, EXIT_OK]} []"]
 
 
 def test_toy_bounds_command(capsys):

@@ -55,6 +55,10 @@ def test_optimizer_nonconverged_flag():
     obj = TerminalObjective(toy_sabr(), GRID, 0.1)
     _, info = minimize_multistart(obj, GRID.n_steps, GRID, 1, restarts=0, maxiter=1)
     assert not info["converged"]
+    assert info["restart_stops"] == ["maxiter"]
+    assert info["restart_iterations"] == [1]
+    _, info = minimize_multistart(obj, GRID.n_steps, GRID, 1, restarts=2, maxiter=1)
+    assert info["restart_stops"] == ["maxiter"] * 3 and not info["converged"]
 
 
 @pytest.mark.parametrize("restarts", [-1, 2.5, True, "3"])

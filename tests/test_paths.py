@@ -8,11 +8,9 @@ from ldpvol.paths import (
     Control,
     PathFn,
     TimeGrid,
-    control_from_json_obj,
     control_to_json_obj,
     energy,
     integrate,
-    nodal_derivative,
     path_from_csv,
     path_to_csv,
     skorokhod_map,
@@ -63,8 +61,6 @@ def test_integrate_terminal_telescopes():
     dots = rng.normal(size=(37, 2))
     p = integrate(Control(g, dots))
     np.testing.assert_allclose(p.terminal, dots.sum(axis=0) * g.dt, rtol=0, atol=1e-13)
-    back = nodal_derivative(p)
-    np.testing.assert_allclose(back.dot_values, dots, atol=1e-10)
 
 
 @given(scale=st.floats(-5.0, 5.0), seed=st.integers(0, 2**32 - 1))
@@ -129,6 +125,6 @@ def test_csv_json_roundtrip(tmp_path):
     np.testing.assert_allclose(q.values, p.values, atol=1e-15)
 
     c = Control(g, rng.normal(size=(6, 2)))
-    c2 = control_from_json_obj(control_to_json_obj(c))
-    assert c2.grid == g
-    np.testing.assert_allclose(c2.dot_values, c.dot_values, atol=1e-15)
+    obj = control_to_json_obj(c)
+    assert (obj["horizon"], obj["n_steps"]) == (1.5, 6)
+    np.testing.assert_array_equal(obj["dot_values"], c.dot_values)

@@ -275,6 +275,7 @@ def test_asian_zero_rate_at_or_below_spot():
         assert rep.diagnostics["iterations"] == 0
         assert rep.diagnostics["restart_values"] == []
         assert rep.diagnostics["restart_iterations"] == []
+        assert rep.diagnostics["restart_stops"] == []
         assert rep.diagnostics["gradient_evaluations"] == 0
 
 
@@ -385,6 +386,8 @@ def test_pricer_diagnostics_carry_restarts():
     rep = asian_asymptote(bs_const(), 1.05, 1.0, n_steps=40, restarts=2)
     assert len(rep.diagnostics["restart_values"]) == 3
     assert len(rep.diagnostics["restart_iterations"]) == 3
+    assert len(rep.diagnostics["restart_stops"]) == 3
+    assert set(rep.diagnostics["restart_stops"]) <= {"gtol", "ftol"}
     assert rep.diagnostics["gradient_evaluations"] >= rep.diagnostics["iterations"]
     # each round evaluates every unfinished start in one call
     assert 0 < rep.diagnostics["evaluation_rounds"] < rep.diagnostics["gradient_evaluations"]

@@ -8,7 +8,6 @@ from ldpvol import TimeGrid
 from ldpvol.errors import DomainError
 from ldpvol.toymodel import (
     ToyParams,
-    a_of_k,
     h_forward,
     h_inverse,
     h_inverse_series,
@@ -67,13 +66,6 @@ def test_example_residual_point():
     u = h_inverse(y)
     assert abs(h_forward(u) - y) < 1e-13
     assert u >= y - y**2
-
-
-def test_a_of_k_identity():
-    p = ToyParams(1.0, 0.1)
-    a = a_of_k(p)
-    target = p.horizon * p.k**2 / (1.0 - math.exp(-p.horizon))
-    assert a * math.exp(2 * a) == pytest.approx(target, abs=1e-12)
 
 
 def test_rate_bounds_values():
