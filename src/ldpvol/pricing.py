@@ -18,6 +18,17 @@ line search, which leaves it unconverged.  The first stage is a multistart
 (``ratefn.minimize_multistart``), so each round evaluates a batch of
 control pairs in one call; each later stage is a batch of one start, warm
 from the stage before.
+
+Some exits need no penalty.  For m = 1 with the default drift b = r >= 0,
+the zero control leaves phi nondecreasing, and constant when r = 0.  A
+control that touches an upper face at a window node t_j therefore costs
+nothing more after t_j and still lies beyond the face at the last window
+node t_J; a lower face behaves the same way when r = 0.  Such a face is
+the terminal tail at t_J (``ratefn.inf_tail_result``, mirrored for a lower
+face): one terminal solve on the grid cut at t_J, with the cheapest l in
+closed form.  Each face reports the path it took in ``method``, "terminal"
+or "penalty"; m > 1, a custom drift and a lower face with r > 0 keep the
+penalty path.
 """
 
 from __future__ import annotations
@@ -43,6 +54,7 @@ from .ratefn import (
     RateResult,
     _single_or_batch,
     inf_tail_result,
+    itilde_terminal,
     lbfgs_batch,
     minimize_multistart,
     phi_batch,
@@ -423,9 +435,11 @@ class _ExitFaceProblem(_JointControlProblem):
 def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: int):
     """Increase the penalty weight geometrically, warm-starting every stage.
 
-    Returns (z, info): the multistart's per-restart values and iteration
-    counts, and iteration, gradient-evaluation and evaluation-round totals
-    over all stages (each later stage is one start, one point per round).
+    Returns (z, info): the multistart's per-restart values, iteration
+    counts and stop reasons, the stop reason of each later stage
+    (``stage_stops``), and iteration, gradient-evaluation and
+    evaluation-round totals over all stages (each later stage is one start,
+    one point per round).
     """
     problem.mu = PENALTY_START
     z, info = minimize_multistart(
@@ -433,6 +447,7 @@ def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: in
         restarts=restarts, seed=seed, maxiter=PENALTY_MAXITER,
     )
     info = {k: info[k] for k in ("iterations",) + RESTART_KEYS}
+    info["stage_stops"] = []
     for _ in range(PENALTY_STAGES - 1):
         problem.mu *= PENALTY_FACTOR
         (res,), rounds = lbfgs_batch(problem, [z], PENALTY_MAXITER)
@@ -440,6 +455,7 @@ def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: in
         info["iterations"] += res.iterations
         info["gradient_evaluations"] += res.evaluations
         info["evaluation_rounds"] += rounds
+        info["stage_stops"].append(res.stop)
     return z, info
 
 
@@ -474,6 +490,18 @@ def _polish_to_feasibility(problem: _JointControlProblem, z):
     return hi * base, short(hi)
 
 
+def _zero_path(problem: _JointControlProblem):
+    """(z, shortfall, info) of the zero path when it already meets the
+    constraint, with every solve diagnostic zero or empty; else None."""
+    zero = np.zeros(problem.dim)
+    if problem.violation_batch(zero) > 0.0:
+        return None
+    info = {"iterations": 0, "restart_values": [], "restart_iterations": [],
+            "restart_stops": [], "gradient_evaluations": 0, "evaluation_rounds": 0,
+            "stage_stops": []}
+    return zero, 0.0, info
+
+
 def _solve_constrained(problem: _JointControlProblem, restarts: int, seed: int):
     """Least-energy control pair meeting the constraint: the zero path when it
     already does, else penalty continuation and the feasibility polish.
@@ -481,14 +509,54 @@ def _solve_constrained(problem: _JointControlProblem, restarts: int, seed: int):
     Returns (z, shortfall, info); info holds the solve diagnostics, all zero
     or empty for the zero path.
     """
-    zero = np.zeros(problem.dim)
-    if problem.violation_batch(zero) <= 0.0:
-        info = {"iterations": 0, "restart_values": [], "restart_iterations": [],
-                "restart_stops": [], "gradient_evaluations": 0, "evaluation_rounds": 0}
-        return zero, 0.0, info
+    zero = _zero_path(problem)
+    if zero is not None:
+        return zero
     z, info = _penalty_continuation(problem, restarts, seed)
     z, shortfall = _polish_to_feasibility(problem, z)
     return z, shortfall, info
+
+
+def _exit_is_terminal(model: ModelSpec, face) -> bool:
+    """Whether the zero control keeps phi on the far side of the face once it
+    got there: m = 1 with b = r, an upper face, or a lower face with r = 0."""
+    return model.m == 1 and model.drift is None and (face[0][0] > 0.0 or model.r == 0.0)
+
+
+def _solve_exit_terminal(problem: _ExitFaceProblem, restarts: int, seed: int):
+    """The face of an exit that ``_exit_is_terminal`` admits, as the terminal
+    tail at the last window node t_J: the zero path when it already exits,
+    else one terminal solve at a.c on the grid cut at t_J.
+
+    The zero path failing puts a.c beyond the zero-control point, so the
+    solve at a.c is the tail infimum of ``ratefn.inf_tail_result`` (its
+    mirror image for a lower face).  The cheapest l reaching a.c against
+    the found f is the minimum-norm solution of one linear equation,
+    phi_J(l, f) = a.c, whose coefficients d phi_J / d l are rho_bar sigma dt
+    along the skeleton of f.  Both controls are zero after t_J.  Returns
+    (z, shortfall, info) as ``_solve_constrained`` does.
+    """
+    zero = _zero_path(problem)
+    if zero is not None:
+        return zero
+    grid, model = problem.grid, problem.model
+    last = int(np.flatnonzero(problem.window)[-1])
+    cut = grid if last == grid.n_steps else TimeGrid(last * grid.dt, last)
+    target = float(problem.a[0]) * problem.c
+    res = itilde_terminal(model, target, grid=cut, restarts=restarts, seed=seed)
+    f_dots = res.minimizer_f.dot_values
+    phi, pullback = phi_vjp(model, cut, np.zeros_like(f_dots), f_dots)
+    phi_bar = np.zeros_like(phi)
+    phi_bar[-1] = 1.0
+    slope = pullback(phi_bar)[0]
+    norm = float(np.sum(slope**2))
+    scale = (target - float(phi[-1, 0])) / norm if norm > 0.0 else 0.0
+    l_dots, f_full = np.zeros((2, grid.n_steps, 1))
+    l_dots[:last] = scale * slope
+    f_full[:last] = f_dots
+    z = np.concatenate([l_dots.ravel(), f_full.ravel()])
+    info = {"iterations": res.iterations, **_restarts(res), "stage_stops": []}
+    return z, float(problem.violation_batch(z)), info
 
 
 def asian_asymptote(
@@ -549,7 +617,9 @@ def exit_asymptote(
     seed: int = 0,
 ) -> AsymptoteReport:
     """Decay rate of the probability that the log-price leaves the domain
-    by the deadline; faces of the shifted domain are searched independently."""
+    by the deadline; faces of the shifted domain are searched independently,
+    each by one terminal solve where ``_exit_is_terminal`` admits it and by
+    the penalty path otherwise."""
     if domain.dim != model.m:
         raise DimensionError("domain dimension must equal m")
     horizon = float(horizon if horizon is not None else deadline)
@@ -562,10 +632,14 @@ def exit_asymptote(
     per_face = []
     for idx, face in enumerate(domain.shifted_faces(model.x0)):
         problem = _ExitFaceProblem(model, grid, face, deadline)
-        z, shortfall, info = _solve_constrained(problem, restarts, seed)
+        method = "terminal" if _exit_is_terminal(model, face) else "penalty"
+        solve = _solve_exit_terminal if method == "terminal" else _solve_constrained
+        z, shortfall, info = solve(problem, restarts, seed)
         rate = float(problem.energies(z))
         ok = shortfall <= FEASIBILITY_TOL
-        per_face.append({"face": idx, "rate": rate, "converged": bool(ok), **info})
+        per_face.append(
+            {"face": idx, "rate": rate, "converged": bool(ok), "method": method, **info}
+        )
         if ok and (best is None or rate < best[0]):
             best = (rate, idx, z, problem, info)
     if best is None:

@@ -195,6 +195,26 @@ def test_barrier_rate(capsys):
     assert obj["diagnostics"]["discount_prefactor"] == 1.0
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["exit-rate", "--preset", "bs_const", "--domain",
+         '{"kind":"half_space","normal":[1.0],"offset":0.17}'],
+        ["barrier-rate", "--preset", "bs_const", "--domain",
+         '{"kind":"box","lower":[0.0],"upper":[1.25]}'],
+    ],
+    ids=["exit-rate", "barrier-rate"],
+)
+def test_readme_exit_commands_take_few_rounds(capsys, argv):
+    # one terminal solve per face: the penalty path takes 82 and 98 rounds
+    # here, and the count repeats exactly, so a silent fall back shows
+    code, out, _ = run_cli(capsys, *argv, "--n-steps", "200")
+    assert code == EXIT_OK
+    diag = json.loads(out)["diagnostics"]
+    assert diag["converged"] and diag["faces"][0]["method"] == "terminal"
+    assert diag["evaluation_rounds"] <= 10
+
+
 def test_kernel_info(capsys):
     code, out, _ = run_cli(
         capsys,

@@ -215,6 +215,50 @@ def test_l2_modulus_monotone_in_tau():
         assert all(b >= a - 1e-12 for a, b in zip(vals, vals[1:]))
 
 
+def _l2_modulus_loop(kernel, tau, grid):
+    """Reference: the modulus pair by pair, one trapezoid and one scalar
+    kernel value per pair."""
+    from ldpvol.kernels import _row_values, pc_weights
+
+    n = grid.n_steps
+    width = int(math.floor(tau / grid.dt + 1e-9))
+    if width == 0:
+        return 0.0
+    nodes = grid.nodes
+    V = np.array([slice_variance(kernel, t) for t in nodes])
+    rows = _row_values(kernel, grid)
+    pc = pc_weights(kernel, grid)
+    best = 0.0
+    for i in range(1, n + 1):
+        for j in range(max(0, i - width), i):
+            cross = 0.0
+            if j > 0:
+                prod = rows[i, :j] * rows[j, :j]
+                cross = float(np.trapezoid(prod, nodes[:j]))
+                mid = eval_kernel(kernel, nodes[i], 0.5 * (nodes[j - 1] + nodes[j]))
+                cross += pc[j, j - 1] * mid
+            best = max(best, V[i] + V[j] - 2.0 * cross)
+    return float(max(best, 0.0))
+
+
+@pytest.mark.parametrize(
+    "kernel",
+    [
+        riemann_liouville(0.3),
+        riemann_liouville(0.7),
+        brownian(),
+        logarithmic(2.0),
+        tabulated([0.0, 0.5, 1.0], [0.0, 0.5, 1.0], [[0, 0, 0], [1.0, 0.5, 0], [1.2, 0.8, 0.3]]),
+    ],
+    ids=lambda k: f"{k.kind}-{k.hurst}",
+)
+def test_l2_modulus_equals_the_pairwise_loop(kernel):
+    grid = TimeGrid(0.9 if kernel.kind == "logarithmic" else 1.0, 64)
+    for tau in (grid.horizon / 8, grid.horizon / 4, grid.horizon):
+        want = _l2_modulus_loop(kernel, tau, grid)
+        assert abs(l2_modulus(kernel, tau, grid) - want) <= 1e-13 * want
+
+
 def test_slice_and_modulus_outside_their_domain_raise_domain_error():
     grid = TimeGrid(1.0, 40)
     with pytest.raises(DomainError, match="nonnegative"):

@@ -11,6 +11,7 @@ from ldpvol.errors import (
 )
 from ldpvol.presets import bs_const, frac_heston, reflected_ou, rough_gauss, toy_sabr
 from ldpvol.pricing import (
+    PENALTY_STAGES,
     ExitDomain,
     asian_asymptote,
     barrier_asymptote,
@@ -208,6 +209,95 @@ def test_barrier_oracle_and_prefactor():
     assert rep0.rate == pytest.approx(math.log(1.25) ** 2 / (2 * 0.04), rel=1e-2)
 
 
+# The exits that need no penalty: m = 1 with b = r, an upper face, or a lower
+# face with r = 0.  The penalty path, called directly, is their oracle.
+M1_PRESETS = [bs_const, toy_sabr, rough_gauss, frac_heston, reflected_ou]
+
+
+def _penalty_rate(model, face, deadline, n_steps, restarts=4):
+    from ldpvol.pricing import _ExitFaceProblem, _solve_constrained
+
+    problem = _ExitFaceProblem(model, TimeGrid(1.0, n_steps), face, deadline)
+    z, _, info = _solve_constrained(problem, restarts, 0)
+    return float(problem.energies(z)), info
+
+
+@pytest.mark.parametrize("deadline", [1.0, 0.63])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+@pytest.mark.parametrize("factory", M1_PRESETS, ids=lambda f: f.__name__)
+def test_terminal_exit_equals_the_penalty_path(factory, side, deadline):
+    from ldpvol.paths import energy
+    from ldpvol.pricing import FEASIBILITY_TOL, _ExitFaceProblem
+
+    model, n = factory(), 50
+    assert model.r == 0.0 and model.drift is None
+    dom = ExitDomain("half_space", normal=[side], offset=0.1)
+    rep = exit_asymptote(model, dom, deadline=deadline, horizon=1.0, n_steps=n)
+    (face,) = rep.diagnostics["faces"]
+    assert face["method"] == "terminal" and rep.diagnostics["converged"]
+    want, _ = _penalty_rate(model, dom.shifted_faces(model.x0)[0], deadline, n)
+    assert abs(rep.rate - want) <= 1e-8 * want
+    # the reported pair touches the face inside the window, and costs the rate
+    grid = TimeGrid(1.0, n)
+    problem = _ExitFaceProblem(model, grid, dom.shifted_faces(model.x0)[0], deadline)
+    z = np.concatenate([rep.minimizer_l.dot_values.ravel(), rep.minimizer_f.dot_values.ravel()])
+    assert problem.violation_batch(z) <= FEASIBILITY_TOL
+    assert abs(energy(rep.minimizer_l) + energy(rep.minimizer_f) - rep.rate) <= 1e-12 * rep.rate
+    last = int(np.flatnonzero(problem.window)[-1])
+    assert not np.any(rep.minimizer_l.dot_values[last:]) and not np.any(rep.minimizer_f.dot_values[last:])
+    if factory is bs_const:  # h^2 / (2 sigma^2 t_J)
+        assert rep.rate == pytest.approx(0.1**2 / (2 * 0.04 * grid.nodes[last]), rel=1e-12)
+
+
+def test_exit_two_sided_box_takes_the_terminal_path_on_both_faces():
+    dom = ExitDomain("box", lower=[-0.2], upper=[0.3])
+    rep = exit_asymptote(bs_const(), dom, deadline=1.0, n_steps=N_FAST)
+    faces = rep.diagnostics["faces"]
+    assert [f["method"] for f in faces] == ["terminal", "terminal"]
+    assert [f["rate"] for f in faces] == pytest.approx([0.3**2 / 0.08, 0.2**2 / 0.08], rel=1e-12)
+    assert rep.diagnostics["best_face"] == 1
+    assert all(f["evaluation_rounds"] <= 10 and f["stage_stops"] == [] for f in faces)
+
+
+def _negative_drift():
+    model = bs_const()
+    model.drift = lambda t, u: np.full(np.shape(u)[:-1] + (1,), -0.05)
+    return model
+
+
+@pytest.mark.parametrize(
+    "model, dom",
+    [
+        (_negative_drift(), ExitDomain("half_space", normal=[1.0], offset=0.1)),
+        (bs_const(r=0.05), ExitDomain("half_space", normal=[-1.0], offset=0.1)),
+    ],
+    ids=["custom_drift", "lower_face_r>0"],
+)
+def test_exit_falls_back_to_the_penalty_path(model, dom):
+    rep = exit_asymptote(model, dom, deadline=1.0, n_steps=40, restarts=2)
+    (face,) = rep.diagnostics["faces"]
+    assert face["method"] == "penalty" and rep.diagnostics["converged"]
+    want, info = _penalty_rate(model, dom.shifted_faces(model.x0)[0], 1.0, 40, restarts=2)
+    assert rep.rate == want
+    assert face["stage_stops"] == info["stage_stops"]
+    assert len(face["stage_stops"]) == PENALTY_STAGES - 1
+
+
+def test_multivariate_exit_box_takes_the_penalty_path():
+    from ldpvol.presets import mixed_demo
+    from ldpvol.pricing import _ExitFaceProblem, _solve_constrained
+
+    model = mixed_demo()
+    dom = ExitDomain("box", lower=[-0.4, -0.5], upper=[0.3, 0.6])
+    rep = exit_asymptote(model, dom, deadline=1.0, n_steps=24, restarts=1, seed=1)
+    grid = TimeGrid(1.0, 24)
+    for face, shifted in zip(rep.diagnostics["faces"], dom.shifted_faces(model.x0)):
+        assert face["method"] == "penalty"
+        problem = _ExitFaceProblem(model, grid, shifted, 1.0)
+        z, _, _ = _solve_constrained(problem, 1, 1)
+        assert face["rate"] == float(problem.energies(z))
+
+
 def test_constant_vol_rates_equal_the_brownian_kernel_spec():
     # bs_const's sigma never reads its vol, so declaring the vol constant (no
     # noise kernel) instead of Brownian changes no rate and no minimizer
@@ -391,9 +481,14 @@ def test_pricer_diagnostics_carry_restarts():
     assert rep.diagnostics["gradient_evaluations"] >= rep.diagnostics["iterations"]
     # each round evaluates every unfinished start in one call
     assert 0 < rep.diagnostics["evaluation_rounds"] < rep.diagnostics["gradient_evaluations"]
+    # each later penalty stage reports why it stopped; the zero path has none
+    assert len(rep.diagnostics["stage_stops"]) == PENALTY_STAGES - 1
+    assert set(rep.diagnostics["stage_stops"]) <= {"gtol", "ftol", "maxiter", "line_search"}
+    assert asian_asymptote(bs_const(), 1.0, 1.0, n_steps=40).diagnostics["stage_stops"] == []
     dom = ExitDomain("box", lower=[-0.2], upper=[0.25])
     rep = exit_asymptote(bs_const(), dom, deadline=1.0, n_steps=40, restarts=1)
     assert all(len(face["restart_values"]) == 2 for face in rep.diagnostics["faces"])
     assert len(rep.diagnostics["restart_values"]) == 2
+    assert all(face["stage_stops"] == [] for face in rep.diagnostics["faces"])
     call = call_asymptote(toy_sabr(), 1.105, 1.0, n_steps=40, restarts=2)
     assert len(call.diagnostics["restart_values"]) == 3
