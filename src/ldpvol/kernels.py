@@ -264,9 +264,10 @@ def _kind(kernel: KernelSpec) -> str:
 
 @functools.lru_cache(maxsize=128)
 def _row_values(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """K(t_i, t_j) for j < i, zero elsewhere.  Left-limit value on the
-    diagonal for the non-singular power kernels, so H = 1/2 matches brownian,
-    and for tabulated kernels, whose left limit is the table's value there."""
+    """K(t_i, t_j) for j < i, zero elsewhere.  The diagonal holds the left
+    limit where it is finite: 1 for brownian (and so for H = 1/2), 0 for
+    Riemann-Liouville with H > 1/2, the table's value for tabulated kernels;
+    a singular diagonal holds 0."""
     n = grid.n_steps
     nodes = grid.nodes
     kind = _kind(kernel)
@@ -280,7 +281,7 @@ def _row_values(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
         lag = np.arange(n + 1) * grid.dt
         with np.errstate(divide="ignore"):
             vals = np.where(lag > 0, lag, np.nan) ** (h - 0.5) / _sp.gamma(h + 0.5)
-        vals[0] = 1.0 / _sp.gamma(h + 0.5) if h >= 0.5 else 0.0
+        vals[0] = 0.0  # the left limit for H > 1/2; H < 1/2 has none
         for i in range(1, n + 1):
             out[i, : i + 1] = vals[i::-1]
         out[0, 0] = 0.0
@@ -517,16 +518,8 @@ def slice_variance(kernel: KernelSpec, t: float) -> float:
                 "logarithmic kernel slice is not square integrable for t >= 1"
             )
         val = math.log(1.0 / t) ** (-kernel.beta)
-    elif kernel.kind == MOLCHAN_GOLOSOV:
-        h = kernel.hurst
-        if h == 0.5:
-            return t
-        from scipy import integrate as _sint  # loaded on first use, as above
-
-        val, _ = _sint.quad(
-            lambda s: _mg_value(h, t, s) ** 2, 0.0, t, limit=200,
-            points=[0.0, t],
-        )
+    elif kernel.kind == MOLCHAN_GOLOSOV:  # the kernel of fBM: its variance t^(2H)
+        val = t ** (2 * kernel.hurst)
     else:
         ss = np.asarray(kernel.table.s)
         mask = ss <= t

@@ -10,6 +10,7 @@ exact.
 from __future__ import annotations
 
 import csv
+import functools
 import json
 import math
 import numbers
@@ -39,9 +40,12 @@ class TimeGrid:
     def dt(self) -> float:
         return self.horizon / self.n_steps
 
-    @property
+    @functools.cached_property
     def nodes(self) -> np.ndarray:
-        return np.linspace(0.0, self.horizon, self.n_steps + 1)
+        """The n + 1 nodes, computed once per grid and read-only."""
+        nodes = np.linspace(0.0, self.horizon, self.n_steps + 1)
+        nodes.flags.writeable = False
+        return nodes
 
 
 def _as_2d(values, n_rows, what):

@@ -8,8 +8,10 @@ geometric continuation on the penalty weight, followed by a feasibility
 polish along the found ray.  Their gradients are reverse mode through the
 functional (``ratefn.phi_vjp``) and the constraint: the trapezoid average of
 exp(phi) for Asian options, and the windowed maximum of the signed distance
-for exits, whose subgradient sits at the latest maximal node.  Every stage
-runs on the one optimizer, ``ratefn.lbfgs_batch``: L-BFGS with memory 10
+for exits, whose subgradient sits at the latest maximal node.  Each
+constraint is one method, ``shortfall_and_grad``, which gives its value and
+gradient together; the penalty value and the polish read its value.  Every
+stage runs on the one optimizer, ``ratefn.lbfgs_batch``: L-BFGS with memory 10
 over a batch of starts, whose line search accepts a first step of
 sufficient decrease that does not overshoot and else zooms to the
 strong-Wolfe conditions.  A start stops at max |g| <= 1e-10, at a relative
@@ -337,9 +339,9 @@ def implied_vol_limit(
 class _JointControlProblem:
     """Energy of a joint (l, f) control pair plus a penalized constraint.
 
-    Subclasses provide ``shortfall`` (batched over functional paths phi,
-    positive when the constraint is violated) and ``shortfall_and_grad``
-    (the shortfall and its gradient in phi, batched the same way).
+    Subclasses provide one constraint method, ``shortfall_and_grad``: over
+    a batch of functional paths phi, the shortfall (positive when the
+    constraint is violated) and its gradient in phi.
     """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid):
@@ -367,7 +369,7 @@ class _JointControlProblem:
         return phi_batch(self.model, self.grid, l, f)
 
     def violation_batch(self, z):
-        return np.maximum(0.0, self.shortfall(self.phi_values(z)))
+        return np.maximum(0.0, self.shortfall_and_grad(self.phi_values(z))[0])
 
     def value(self, z):
         return float(self.energies(z) + self.mu * self.violation_batch(z) ** 2)
@@ -396,14 +398,11 @@ class _AsianProblem(_JointControlProblem):
         self.weights = np.full(grid.n_steps + 1, grid.dt / grid.horizon)
         self.weights[[0, -1]] *= 0.5
 
-    def shortfall(self, phi):
-        ex = np.exp(phi[..., 0])
-        return self.moneyness - np.trapezoid(ex, dx=self.grid.dt, axis=-1) / self.grid.horizon
-
     def shortfall_and_grad(self, phi):
+        ex = np.exp(phi[..., 0])
         grad = np.zeros(phi.shape)
-        grad[..., 0] = -self.weights * np.exp(phi[..., 0])
-        return self.shortfall(phi), grad
+        grad[..., 0] = -self.weights * ex
+        return self.moneyness - np.sum(self.weights * ex, axis=-1), grad
 
 
 class _ExitFaceProblem(_JointControlProblem):
@@ -414,17 +413,11 @@ class _ExitFaceProblem(_JointControlProblem):
         self.a, self.c = face  # (unit normal, offset), see ExitDomain.shifted_faces
         self.window = exit_window(grid, deadline)
 
-    def _signed_distance(self, phi):
-        return np.einsum("a,...na->...n", self.a, phi) - self.c
-
-    def shortfall(self, phi):
-        return -np.max(self._signed_distance(phi)[..., self.window], axis=-1)
-
     def shortfall_and_grad(self, phi):
-        # the windowed max, with its subgradient at the latest maximal node:
-        # on the zero path every node ties, and the first node would aim
-        # the zero start at an exit at t = dt
-        sd = self._signed_distance(phi)[..., self.window]
+        # minus the windowed max of the signed distance, with its subgradient
+        # at the latest maximal node: on the zero path every node ties, and
+        # the first node would aim the zero start at an exit at t = dt
+        sd = np.einsum("a,...na->...n", self.a, phi)[..., self.window] - self.c
         last = sd.shape[-1] - 1 - np.argmax(sd[..., ::-1], axis=-1)
         top = np.flatnonzero(self.window)[last]
         at_top = np.arange(phi.shape[-2]) == top[..., None]

@@ -20,13 +20,19 @@ rotation-times-scalar form: sigma = xi(t, u) * O(t, u) @ inv(cbar), with
 instead of ``sigma``.  ``ModelSpec.sigma_values`` evaluates either form.
 
 Gradients are exact for the discretized objective and come from one
-mechanism: reverse mode through the explicit stages of the forward map
-(``phi_vjp`` and ``volmap.hat_map_vjp``).  Each objective's
-``value_and_grad`` runs one forward pass and one backward pass, and L-BFGS
-takes both from it.  The only finite differences are the state derivatives
-of the coefficient closures, central differences over the d state columns
-evaluated in the same closure calls as the forward pass, and
-``check_gradient``, the oracle every objective is tested against.
+mechanism: reverse mode through the explicit stages of the forward map, one
+adjoint per stage.  ``_step_vjp`` pulls a step's cotangent back onto the
+coefficients and the controls, ``_coefficients_vjp`` pulls the
+coefficients' cotangents back through the skeleton
+(``volmap.hat_map_vjp``), and every objective composes the two:
+``phi_vjp`` after a reverse cumulative sum, the terminal objective with its
+node-constant cotangent, the sample-path objective with the adjoint of its
+residual solve.  Each objective's ``value_and_grad`` runs one forward pass
+and one backward pass, and L-BFGS takes both from it.  The only finite
+differences are the state derivatives of the coefficient closures, central
+differences over the d state columns evaluated in the same closure calls as
+the forward pass, and ``check_gradient``, the oracle every objective is
+tested against.
 
 ``value_and_grad`` takes leading batch axes: points (..., dim) give values
 (...,) and gradients (..., dim), while one point (dim,) gives (float, grad).
@@ -188,23 +194,6 @@ class RateResult:
 # ---------------------------------------------------------------------------
 
 
-def _left_nodes(grid: TimeGrid) -> np.ndarray:
-    return grid.nodes[:-1]
-
-
-def _coeff_jacs(t, u, *funcs):
-    """Each coefficient closure's values at the states u and its state
-    derivatives (state axis last), from one call on a perturbed stack."""
-    stack, h = perturbed(u)
-    return [central_jac(func(t, stack), h) for func in funcs]
-
-
-def _pad_last_node(u_bar):
-    """Adjoint of the left-node values u = hat[..., :-1, :] as a hat adjoint."""
-    pad = np.zeros(u_bar.shape[:-2] + (1, u_bar.shape[-1]))
-    return np.concatenate([u_bar, pad], axis=-2)
-
-
 def _single_or_batch(x, value, grad):
     """A value-and-gradient result: (float, (dim,)) for one point x of shape
     (dim,), arrays of values (...,) and gradients (..., dim) for a batch."""
@@ -246,6 +235,22 @@ def _phi_increment(model: ModelSpec, b, sig, drive, dt, epsilon=0.0):
     return ((drive * sig + b[..., 0]) * dt)[..., None]
 
 
+def _step_vjp(model: ModelSpec, sig, drive, step_bar):
+    """Adjoint of the eps = 0 step, carried through ``_phi_drive``.
+
+    step_bar (..., n, m) is the cotangent of the step's rate b + sigma drive
+    (the increment over dt), or (..., 1, m) when it is the same at every
+    node.  Returns its pullback (b_bar, sig_bar, l_bar, f_bar) onto the
+    coefficients and the two controls' dots."""
+    if model.m == 1:
+        sb = step_bar[..., 0]
+        drive_bar = (sb * sig)[..., None]
+        return step_bar, sb * drive, model.rho_bar * drive_bar, model.rho * drive_bar
+    sig_bar = step_bar[..., :, None] * drive[..., None, :]
+    drive_bar = np.einsum("...nab,...na->...nb", sig, step_bar)
+    return step_bar, sig_bar, drive_bar @ model.cbar, drive_bar @ model.C
+
+
 def _phi_from(model: ModelSpec, grid: TimeGrid, b, sig, drive) -> np.ndarray:
     """Nodal path of the functional: the cumulative sum of its eps = 0 steps."""
     incr = _phi_increment(model, b, sig, drive, grid.dt)
@@ -254,17 +259,46 @@ def _phi_from(model: ModelSpec, grid: TimeGrid, b, sig, drive) -> np.ndarray:
     return out
 
 
+def _coefficients(model: ModelSpec, grid: TimeGrid, f_dots):
+    """Drift b (..., n, m) and volatility sigma at the left nodes of the
+    skeleton that the volatility control drives."""
+    u = hat_map_batch(model.vol, f_dots, grid)[..., :-1, :]
+    tk = grid.nodes[:-1]
+    return model.drift_values(tk, u), model.sigma_values(tk, u)
+
+
+def _coefficients_vjp(model: ModelSpec, grid: TimeGrid, f_dots):
+    """``_coefficients`` and its pullback (b_bar, sig_bar) -> f_bar.
+
+    The closures run once, on the skeleton's states stacked with their
+    central-difference perturbations; the pullback contracts the cotangents
+    with those state derivatives and hands the result to the skeleton's
+    adjoint (``volmap.hat_map_vjp``)."""
+    hat, hat_pullback = hat_map_vjp(model.vol, f_dots, grid)
+    tk = grid.nodes[:-1]
+    stack, h = perturbed(hat[..., :-1, :])
+    b, b_u = central_jac(model.drift_values(tk, stack), h)
+    sig, sig_u = central_jac(model.sigma_values(tk, stack), h)
+
+    def pullback(b_bar, sig_bar):
+        hat_bar = np.zeros(hat.shape)
+        u_bar = hat_bar[..., :-1, :]
+        np.einsum("...na,...nad->...nd", b_bar, b_u, out=u_bar)
+        if model.m == 1:
+            u_bar += sig_bar[..., None] * sig_u
+        else:
+            u_bar += np.einsum("...nab,...nabd->...nd", sig_bar, sig_u)
+        return hat_pullback(hat_bar)
+
+    return (b, sig), pullback
+
+
 def phi_batch(model: ModelSpec, grid: TimeGrid, l_dots, f_dots) -> np.ndarray:
     """Batched functional; dots have shape (..., n, m), output (..., n+1, m)."""
     l_dots = np.asarray(l_dots, float)
     f_dots = np.asarray(f_dots, float)
-    hat = hat_map_batch(model.vol, f_dots, grid)
-    tk = _left_nodes(grid)
-    u = hat[..., :-1, :]
-    return _phi_from(
-        model, grid, model.drift_values(tk, u), model.sigma_values(tk, u),
-        _phi_drive(model, l_dots, f_dots),
-    )
+    b, sig = _coefficients(model, grid, f_dots)
+    return _phi_from(model, grid, b, sig, _phi_drive(model, l_dots, f_dots))
 
 
 def phi_vjp(model: ModelSpec, grid: TimeGrid, l_dots, f_dots):
@@ -272,33 +306,19 @@ def phi_vjp(model: ModelSpec, grid: TimeGrid, l_dots, f_dots):
 
     Returns (phi, pullback) with pullback(phi_bar) = (l_bar, f_bar), the
     gradients of <phi_bar, phi> in the two controls: a reverse cumulative
-    sum over the increments, their coefficient terms, then the skeleton's
-    adjoint for the coefficients' dependence on the volatility control.
+    sum over the increments, the step's adjoint (``_step_vjp``), then the
+    coefficients' (``_coefficients_vjp``).
     """
     l_dots = np.asarray(l_dots, float)
     f_dots = np.asarray(f_dots, float)
-    hat, hat_pullback = hat_map_vjp(model.vol, f_dots, grid)
-    tk = _left_nodes(grid)
-    u = hat[..., :-1, :]
-    (b, b_u), (sig, sig_u) = _coeff_jacs(tk, u, model.drift_values, model.sigma_values)
+    (b, sig), coefficients_pullback = _coefficients_vjp(model, grid, f_dots)
     drive = _phi_drive(model, l_dots, f_dots)
     phi = _phi_from(model, grid, b, sig, drive)
 
     def pullback(phi_bar):
-        incr_bar = grid.dt * reverse_cumsum(phi_bar[..., 1:, :], -2)
-        u_bar = np.einsum("...na,...nad->...nd", incr_bar, b_u)
-        if model.m == 1:
-            ib = incr_bar[..., 0]
-            u_bar += (ib * drive)[..., None] * sig_u
-            drive_bar = (ib * sig)[..., None]
-            l_bar = model.rho_bar * drive_bar
-            f_bar = model.rho * drive_bar
-        else:
-            u_bar += np.einsum("...na,...nb,...nabd->...nd", incr_bar, drive, sig_u)
-            drive_bar = np.einsum("...nab,...na->...nb", sig, incr_bar)
-            l_bar = np.einsum("ab,...na->...nb", model.cbar, drive_bar)
-            f_bar = np.einsum("ab,...na->...nb", model.C, drive_bar)
-        return l_bar, f_bar + hat_pullback(_pad_last_node(u_bar))
+        step_bar = grid.dt * reverse_cumsum(phi_bar[..., 1:, :], -2)
+        b_bar, sig_bar, l_bar, f_bar = _step_vjp(model, sig, drive, step_bar)
+        return l_bar, f_bar + coefficients_pullback(b_bar, sig_bar)
 
     return phi, pullback
 
@@ -309,10 +329,11 @@ def phi_vjp(model: ModelSpec, grid: TimeGrid, l_dots, f_dots):
 #
 # Every objective computes its exact discrete gradient by reverse mode
 # through the stages of its forward map (``value_and_grad``, one forward
-# pass per call, over any leading batch axes); coefficient closures
-# contribute their state derivatives by central differences over the d
-# state columns only (``_coeff_jacs``).  ``check_gradient`` is the
-# finite-difference oracle for all of them.
+# pass per call, over any leading batch axes): each hands the cotangent of
+# its steps to ``_step_vjp`` and the coefficients' cotangents to the pullback
+# of ``_coefficients_vjp``, whose closures contribute their state
+# derivatives by central differences over the d state columns only.
+# ``check_gradient`` is the finite-difference oracle for all of them.
 
 
 class TerminalObjective:
@@ -341,7 +362,6 @@ class TerminalObjective:
         if not np.all(np.isfinite(self.x)):
             raise DomainError(f"target x must be finite, got {self.x.tolist()}")
         self.miss_tol = 1e-9 * max(1.0, float(np.linalg.norm(self.x)))
-        self.tk = _left_nodes(grid)
 
     def _forward(self, flat, b, sig):
         """(value, x - m(f), the drive at l = 0, sigma cbar, tr(A)/m)."""
@@ -369,9 +389,7 @@ class TerminalObjective:
 
     def value_batch(self, dots):
         flat = self._flat(np.asarray(dots, float))
-        u = hat_map_batch(self.model.vol, flat, self.grid)[..., :-1, :]
-        b, sig = self.model.drift_values(self.tk, u), self.model.sigma_values(self.tk, u)
-        return self._forward(flat, b, sig)[0]
+        return self._forward(flat, *_coefficients(self.model, self.grid, flat))[0]
 
     def value(self, dots):
         return float(self.value_batch(np.asarray(dots, float)))
@@ -380,30 +398,21 @@ class TerminalObjective:
         dots = np.asarray(dots, float)
         model, dt = self.model, self.grid.dt
         flat = self._flat(dots)
-        hat, pullback = hat_map_vjp(model.vol, flat, self.grid)
-        (b, b_u), (sig, sig_u) = _coeff_jacs(
-            self.tk, hat[..., :-1, :], model.drift_values, model.sigma_values
-        )
+        (b, sig), coefficients_pullback = _coefficients_vjp(model, self.grid, flat)
         value, numer, drive, sc, var = self._forward(flat, b, sig)
         # rows with tr(A) = 0 take their gradient from the last line
         live = var > 0.0
         var = np.where(live, var, 1.0)[..., None]
-        incr_bar = -dt * numer / var  # d value / d (b + sigma drive) at every node
+        # d value / d (b + sigma drive), the same at every node
+        step_bar = (-dt * numer / var)[..., None, :]
+        b_bar, sig_bar, _, f_bar = _step_vjp(model, sig, drive, step_bar)
         # d value / d sigma through tr(A) is this factor times sigma cbar cbar'
         var_bar = -(dt / model.m) * np.sum(numer**2, axis=-1, keepdims=True) / var**2
-        u_bar = np.einsum("...a,...nad->...nd", incr_bar, b_u)
         if model.m == 1:
-            sig_bar = incr_bar * drive + var_bar * model.rho_bar * sc
-            u_bar += sig_bar[..., None] * sig_u
-            f_bar = (model.rho * incr_bar * sig)[..., None]
+            sig_bar = sig_bar + var_bar * model.rho_bar * sc
         else:
-            sig_bar = (
-                incr_bar[..., None, :, None] * drive[..., None, :]
-                + var_bar[..., None, None] * (sc @ model.cbar.T)
-            )
-            u_bar += np.einsum("...nab,...nabd->...nd", sig_bar, sig_u)
-            f_bar = np.einsum("...nab,...a->...nb", sig, incr_bar) @ model.C
-        grad = (dt * flat + f_bar + pullback(_pad_last_node(u_bar))).reshape(dots.shape)
+            sig_bar = sig_bar + var_bar[..., None, None] * (sc @ model.cbar.T)
+        grad = (dt * flat + f_bar + coefficients_pullback(b_bar, sig_bar)).reshape(dots.shape)
         flat_grad = np.where(value[..., None] < _INFEASIBLE, dt * dots, 0.0)
         return _single_or_batch(dots, value, np.where(live[..., None], grad, flat_grad))
 
@@ -431,15 +440,11 @@ class PathRateObjective:
         if float(np.max(np.abs(g.values[0]))) > 1e-12:
             raise DimensionError("target path must start at zero")
         self.g_dots = np.diff(g.values, axis=0) / g.grid.dt
-        self.tk = _left_nodes(g.grid)
 
     def residual_l_dots(self, f_dots):
         """Eliminated auxiliary control along the target path, (n, m)."""
         f_dots = np.asarray(f_dots, float)
-        u = hat_map_batch(self.model.vol, f_dots, self.grid)[..., :-1, :]
-        return self._residual(
-            f_dots, self.model.drift_values(self.tk, u), self.model.sigma_values(self.tk, u)
-        )
+        return self._residual(f_dots, *_coefficients(self.model, self.grid, f_dots))
 
     def _residual(self, f_dots, b, sig):
         if self.model.m == 1:
@@ -483,33 +488,21 @@ class PathRateObjective:
 
     def value_and_grad(self, dots):
         dots = np.asarray(dots, float)
-        m = self.model.m
-        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, m))
-        hat, pullback = hat_map_vjp(self.model.vol, flat, self.grid)
-        u = hat[..., :-1, :]
-        (b, b_u), (sig, sig_u) = _coeff_jacs(
-            self.tk, u, self.model.drift_values, self.model.sigma_values
-        )
+        model, dt = self.model, self.grid.dt
+        flat = dots.reshape(dots.shape[:-1] + (self.grid.n_steps, model.m))
+        (b, sig), coefficients_pullback = _coefficients_vjp(model, self.grid, flat)
         l_dots = self._residual(flat, b, sig)
         value = self._value(flat, l_dots)
-        l_bar = self.grid.dt * l_dots
-        if m == 1:
-            rb = self.model.rho_bar
-            rhs_bar = l_bar[..., 0] / (sig * rb)  # adjoint of the residual
-            sig_bar = -rhs_bar * (l_dots[..., 0] * rb + self.model.rho * flat[..., 0])
-            u_bar = -rhs_bar[..., None] * b_u[..., 0, :] + sig_bar[..., None] * sig_u
-            f_bar = -(rhs_bar * sig * self.model.rho)[..., None]
+        # l is pinned by the step reaching the target's, b + sigma drive =
+        # g dot, so its cotangent dt l reaches the step as -(sigma cbar)^-T dt l
+        if model.m == 1:
+            step_bar = -dt * l_dots / (sig * model.rho_bar)[..., None]
         else:
-            sol = l_dots @ self.model.cbar.T  # sigma^-1 of the residual
-            c_f = flat @ self.model.C.T
-            sol_bar = l_bar @ self.model.cbar_inv
-            rhs_bar = np.linalg.solve(np.swapaxes(sig, -1, -2), sol_bar[..., None])[..., 0]
-            sig_bar = -rhs_bar[..., :, None] * (sol + c_f)[..., None, :]
-            u_bar = -np.einsum("...na,...nad->...nd", rhs_bar, b_u) + np.einsum(
-                "...nab,...nabd->...nd", sig_bar, sig_u
-            )
-            f_bar = -np.einsum("...nab,...na->...nb", sig, rhs_bar) @ self.model.C
-        grad = self.grid.dt * flat + f_bar + pullback(_pad_last_node(u_bar))
+            step_bar = -np.linalg.solve(
+                np.swapaxes(sig, -1, -2), (dt * l_dots @ model.cbar_inv)[..., None]
+            )[..., 0]
+        b_bar, sig_bar, _, f_bar = _step_vjp(model, sig, _phi_drive(model, l_dots, flat), step_bar)
+        grad = dt * flat + f_bar + coefficients_pullback(b_bar, sig_bar)
         return _single_or_batch(dots, value, grad.reshape(dots.shape))
 
     def gradient(self, dots):

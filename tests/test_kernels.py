@@ -165,9 +165,21 @@ def test_slice_variance_examples():
 
 
 def test_slice_variance_mg_matches_fbm_variance():
-    for h in (0.3, 0.7):
-        v = slice_variance(molchan_golosov(h), 0.8)
-        assert v == pytest.approx(0.8 ** (2 * h), rel=1e-8)
+    # the Molchan-Golosov kernel represents fBM: its slice variance is t^(2H)
+    for h in (0.1, 0.3, 0.49, 0.505, 0.7, 0.9):
+        for t in (0.01, 0.25, 0.8, 2.0):
+            v = slice_variance(molchan_golosov(h), t)
+            assert v == pytest.approx(t ** (2 * h), rel=1e-14), (h, t)
+
+
+def test_rl_row_values_diagonal_is_the_left_limit():
+    # (t - s)^(H - 1/2) vanishes as s -> t for H > 1/2
+    from ldpvol.kernels import _row_values
+
+    grid = TimeGrid(1.0, 20)
+    rows = _row_values(riemann_liouville(0.7), grid)
+    assert np.all(rows.diagonal() == 0.0)
+    assert rows[1, 0] == pytest.approx(grid.dt**0.2 / gamma(1.2), rel=1e-14)
 
 
 def test_slice_variance_logarithmic():

@@ -9,7 +9,7 @@ from ldpvol.errors import (
     DomainError,
     UnsupportedDomainError,
 )
-from ldpvol.presets import bs_const, frac_heston, reflected_ou, rough_gauss, toy_sabr
+from ldpvol.presets import bs_const, frac_heston, mixed_demo, reflected_ou, rough_gauss, toy_sabr
 from ldpvol.pricing import (
     PENALTY_STAGES,
     ExitDomain,
@@ -448,17 +448,25 @@ def test_asian_vanishing_sigma_threshold():
 
 
 def _joint_problems(model, grid):
+    """The Asian problem and the half-space faces for m = 1; box-exit faces
+    for every m."""
     from ldpvol.pricing import _AsianProblem, _ExitFaceProblem
 
-    half = ExitDomain("half_space", normal=[1.0], offset=0.17)
-    box = ExitDomain("box", lower=[-0.2], upper=[0.25])
-    yield "asian", _AsianProblem(model, grid, 1.05)
-    for idx, face in enumerate(half.faces() + box.faces()):
+    m = model.m
+    box = ExitDomain("box", lower=[-0.2] * m, upper=[0.25] * m)
+    faces = box.faces()
+    if m == 1:
+        yield "asian", _AsianProblem(model, grid, 1.05)
+        faces = ExitDomain("half_space", normal=[1.0], offset=0.17).faces() + faces
+    for idx, face in enumerate(faces):
         yield f"exit_face{idx}", _ExitFaceProblem(model, grid, face, 0.9)
 
 
 @pytest.mark.parametrize("mu", [10.0, 1e4])
-@pytest.mark.parametrize("factory", [bs_const, rough_gauss], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "factory", [bs_const, rough_gauss, frac_heston, mixed_demo],
+    ids=lambda f: f.__name__.strip("_"),
+)
 def test_joint_problem_gradient_oracle(factory, mu):
     from ldpvol.ratefn import check_gradient
 

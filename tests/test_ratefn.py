@@ -10,7 +10,7 @@ from ldpvol.errors import (
     UnsupportedFormError,
 )
 from ldpvol.paths import Control, energy
-from ldpvol.presets import bs_const, frac_heston, reflected_ou, rough_gauss, toy_sabr
+from ldpvol.presets import bs_const, frac_heston, mixed_demo, reflected_ou, rough_gauss, toy_sabr
 from ldpvol.ratefn import (
     ModelSpec,
     PathRateObjective,
@@ -462,21 +462,63 @@ def test_orthogonal_gradient_oracle():
         assert check_gradient(obj, x) < 1e-5
 
 
-@pytest.mark.parametrize("factory", [bs_const, rough_gauss], ids=lambda f: f.__name__)
+def _rotation_model():
+    """m = 2 rotation-times-scalar model with a state-dependent rotation and
+    a nonsymmetric correlation C."""
+    vol = VolProcessSpec(family=GAUSSIAN, d=1, m=2, noise_kernels=[[brownian(), None]])
+
+    def o_map(t, u):
+        c, s = np.cos(u[..., 0]), np.sin(u[..., 0])
+        return np.stack([np.stack([c, -s], -1), np.stack([s, c], -1)], -2)
+
+    return ModelSpec(
+        m=2, vol=vol, xi=lambda t, u: 0.2 * np.exp(0.5 * u[..., 0]), o_map=o_map,
+        C=np.array([[0.3, 0.1], [-0.2, 0.4]]),
+    )
+
+
+def _target_path(grid, m):
+    """A straight target path through 0.1 (m = 1) or (0.1, -0.05)."""
+    slope = [0.1] if m == 1 else [0.1, -0.05]
+    return PathFn(grid, np.outer(grid.nodes, slope))
+
+
+@pytest.mark.parametrize(
+    "factory",
+    [bs_const, rough_gauss, frac_heston, reflected_ou, _volterra_model, mixed_demo,
+     _rotation_model],
+    ids=lambda f: f.__name__.strip("_"),
+)
 def test_path_gradient_oracle(factory):
-    grid = TimeGrid(1.0, 40)
-    obj = PathRateObjective(factory(), PathFn(grid, 0.1 * grid.nodes))
-    for x in _restart_controls(grid, 1):
+    # m = 1 covers the scalar residual, m = 2 the adjoint of the linear solve
+    model, grid = factory(), TimeGrid(1.0, 40)
+    obj = PathRateObjective(model, _target_path(grid, model.m))
+    for x in _restart_controls(grid, model.m):
         assert check_gradient(obj, x) < 1e-5
 
 
 def test_value_and_grad_matches_value():
-    # the fused evaluation L-BFGS sees reports the same value as value()
+    # the fused evaluation L-BFGS sees reports the same value as value(), for
+    # every objective class: the two forward paths agree bit for bit
+    from ldpvol.pricing import ExitDomain, _AsianProblem, _ExitFaceProblem
+
     grid = TimeGrid(1.0, 40)
-    for factory in (toy_sabr, rough_gauss, frac_heston):
-        obj = TerminalObjective(factory(), grid, 0.1)
-        for x in _restart_controls(grid, 1):
-            assert obj.value_and_grad(x)[0] == obj.value(x)
+    for factory in (bs_const, toy_sabr, rough_gauss, frac_heston, reflected_ou, mixed_demo):
+        model = factory()
+        m = model.m
+        face = ExitDomain("box", lower=[-0.2] * m, upper=[0.25] * m).faces()[0]
+        objectives = [
+            TerminalObjective(model, grid, [0.05] * m if m > 1 else 0.1),
+            PathRateObjective(model, _target_path(grid, m)),
+            _AsianProblem(model, grid, 1.05),
+            _ExitFaceProblem(model, grid, face, 0.9),
+        ]
+        for obj in objectives:
+            rng = np.random.default_rng(2718)
+            scale = math.sqrt(2.0 / (m * grid.horizon))
+            for _ in range(3):
+                x = rng.normal(scale=scale, size=getattr(obj, "dim", grid.n_steps * m))
+                assert obj.value_and_grad(x)[0] == obj.value(x), (factory, type(obj))
 
 
 # ---------------------------------------------------------------------------
