@@ -9,6 +9,7 @@ reproduced from their own output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -106,6 +107,7 @@ def _model_command(sub, name: str, help: str):
     return p
 
 
+@functools.cache  # built once per process: parse_args leaves the parser as it was
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="ldpvol",

@@ -41,7 +41,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special as _sp
 
 from .errors import AdmissibilityError, DimensionError, DomainError, InvalidKernelError, require_number
 from .paths import TimeGrid
@@ -168,15 +167,20 @@ def tabulated(t, s, values) -> KernelSpec:
 # ---------------------------------------------------------------------------
 
 
+def _beta(a: float, b: float) -> float:
+    """The beta function B(a, b) for a, b > 0."""
+    return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
+
+
 def _rl_value(h: float, t: float, s: float) -> float:
-    return (t - s) ** (h - 0.5) / _sp.gamma(h + 0.5)
+    return (t - s) ** (h - 0.5) / math.gamma(h + 0.5)
 
 
 @functools.lru_cache(maxsize=None)
 def _mg_prefactor(h: float) -> float:
     if h > 0.5:
-        return math.sqrt(h * (2 * h - 1) / _sp.beta(h - 0.5, 2 - 2 * h))
-    return math.sqrt(2 * h / ((1 - 2 * h) * _sp.beta(h + 0.5, 1 - 2 * h)))
+        return math.sqrt(h * (2 * h - 1) / _beta(h - 0.5, 2 - 2 * h))
+    return math.sqrt(2 * h / ((1 - 2 * h) * _beta(h + 0.5, 1 - 2 * h)))
 
 
 def _mg_values(h: float, s, lag):
@@ -190,13 +194,15 @@ def _mg_values(h: float, s, lag):
     - x^a (1-x)^b) / a with a = 1-2H, b = H-1/2.  The lag enters directly,
     so values next to the diagonal keep full relative precision.
     """
+    from scipy.special import betainc  # loaded on first use: slow to import
+
     t = s + lag
     x, y = s / t, lag / t
     if h < 0.5:
-        inner = (0.5 - h) * _sp.beta(1 - 2 * h, h + 0.5) * _sp.betainc(h + 0.5, 1 - 2 * h, y)
+        inner = (0.5 - h) * _beta(1 - 2 * h, h + 0.5) * betainc(h + 0.5, 1 - 2 * h, y)
         return _mg_prefactor(h) * (x ** (0.5 - h) * lag ** (h - 0.5) + s ** (h - 0.5) * inner)
     a, b = 1 - 2 * h, h - 0.5
-    inner = ((a + b) * _sp.beta(a + 1, b) * _sp.betainc(b, a + 1, y) - x**a * y**b) / a
+    inner = ((a + b) * _beta(a + 1, b) * betainc(b, a + 1, y) - x**a * y**b) / a
     return _mg_prefactor(h) * s ** (h - 0.5) * inner
 
 
@@ -280,7 +286,7 @@ def _row_values(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
         h = kernel.hurst
         lag = np.arange(n + 1) * grid.dt
         with np.errstate(divide="ignore"):
-            vals = np.where(lag > 0, lag, np.nan) ** (h - 0.5) / _sp.gamma(h + 0.5)
+            vals = np.where(lag > 0, lag, np.nan) ** (h - 0.5) / math.gamma(h + 0.5)
         vals[0] = 0.0  # the left limit for H > 1/2; H < 1/2 has none
         for i in range(1, n + 1):
             out[i, : i + 1] = vals[i::-1]
@@ -317,7 +323,7 @@ def _rl_cell_moments(h: float, dt: float, n: int):
     cell [t - L*dt, t - (L-1)*dt]):
       I0[L] = int (t-s)^(H-1/2) ds,   I1[L] = int (t-s)^(H-1/2) (s-a) ds.
     """
-    g = _sp.gamma(h + 0.5)
+    g = math.gamma(h + 0.5)
     a1 = h + 0.5
     a2 = h + 1.5
     A = np.arange(1, n + 1) * dt  # t - a
@@ -462,7 +468,7 @@ def rms_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
         h = kernel.hurst
         A = np.arange(1, n + 1) * dt
         B = A - dt
-        cell = ((A ** (2 * h) - B ** (2 * h)) / (2 * h) / _sp.gamma(h + 0.5) ** 2)[i - j - 1]
+        cell = ((A ** (2 * h) - B ** (2 * h)) / (2 * h) / math.gamma(h + 0.5) ** 2)[i - j - 1]
     elif kind == LOGARITHMIC:
         if grid.horizon >= 1.0:
             raise AdmissibilityError("logarithmic kernel needs horizon < 1")
@@ -511,7 +517,7 @@ def slice_variance(kernel: KernelSpec, t: float) -> float:
         return t
     if kernel.kind == RIEMANN_LIOUVILLE:
         h = kernel.hurst
-        val = t ** (2 * h) / (2 * h * _sp.gamma(h + 0.5) ** 2)
+        val = t ** (2 * h) / (2 * h * math.gamma(h + 0.5) ** 2)
     elif kernel.kind == LOGARITHMIC:
         if t >= 1.0:
             raise AdmissibilityError(

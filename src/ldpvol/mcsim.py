@@ -31,12 +31,17 @@ reads one contiguous row of per node.  The vol spec picks one of three
 block kinds:
 
 - A constant vol (unreflected Gaussian with every noise kernel None, as
-  bs_const, ``volmap.is_constant``) is its offset y: each epsilon's nodes
-  read one row filled with y, and no vol part is built or kept.  dB is
-  drawn only if the price reads it (``model.C`` nonzero), in chunks parked
-  in the drive buffer as below; otherwise the block draws dW alone and
-  mixes it with zero driver noise.  The block holds one block array, the
-  drive.
+  bs_const, ``volmap.is_constant``) is its offset y, so b and sigma are the
+  same for every path; they are evaluated on the n nodes (t_j, y), not per
+  path, and no vol part is built or kept.  dB is drawn only if the price reads it
+  (``model.C`` nonzero), in chunks parked in the drive buffer as below;
+  otherwise the block draws dW alone and mixes it with zero driver noise.
+  Right after mixing, the drive is turned in place into its running sum
+  R_k = sum_{j <= k} sigma_j drive_j (``_running_noise``), and each
+  epsilon's displacement is X_{k+1} - x0 = D_k(eps) + sqrt(eps) R_k, D(eps)
+  being the cumulative sum of the functional's step at zero drive: a tail
+  or call ladder reads one row, an exit watcher two array operations per
+  node.  The block holds one block array, the drive.
 - An affine vol (the other unreflected Gaussian families, the toy model's
   Brownian kernel included, ``volmap.is_affine``) has
   vol_state(sqrt(eps) dB) = y + sqrt(eps) L(dB), y being the spec's own
@@ -54,12 +59,13 @@ block kinds:
   read through the same per-node accessor; the block holds dB and the
   drive.
 
-The kinds agree to rounding: where sigma ignores the vol, the constant and
-affine kinds give the same bits whenever both draw dB; toy_sabr and the
-Gaussian ones are only statistically equal to the per-epsilon scheme.
+The kinds agree to rounding: the constant kind's displacements lie within
+rounding of the node loop, and toy_sabr and the Gaussian ones are only
+statistically equal to the per-epsilon scheme.
 Antithetic blocks draw the first half of the rows and write its negation
-into the rest, of dB, of the (linear) drive and of L alike.  Block
-functions must neither write to these buffers nor return a view of them.
+into the rest, of dB, of the (linear) drive or its running sum and of L
+alike.  Block functions must neither write to these buffers nor return a
+view of them.
 Payoff moments are merged per block, in block order, from (count, mean, sum
 of squared deviations) (Chan, Golub & LeVeque), each mean held as a pivot
 (the block's first payoff) plus an offset so that merges lose no precision
@@ -82,7 +88,7 @@ from . import kernels as _k
 from .errors import ConvergenceError, DimensionError, DomainError, require_number
 from .paths import TimeGrid
 from .pricing import ExitDomain, call_asymptote, exit_asymptote, exit_window
-from .ratefn import ModelSpec, _phi_drive, _phi_increment, inf_tail
+from .ratefn import ModelSpec, _phi_drive, _phi_increment, _sigma_drive, inf_tail
 from .volmap import (
     BLOWUP_LIMIT, VolProcessSpec, is_affine, is_constant, output_map, vol_state,
 )
@@ -217,10 +223,11 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     node-major in ``drive``.  A constant vol with ``model.C`` zero reads no
     dB, so none is drawn and dW is mixed with zero driver noise.  The second
     loop draws dW in chunks and mixes each with its columns of dB, parked or
-    whole-block, node-major.  The chunks keep the stream order of whole-block
-    fills (dB, then dW); antithetic blocks fill the first ceil(size/2) rows
-    and write the negation into the rest (both parts are linear in the
-    noise).
+    whole-block, node-major.  A constant vol's drive then becomes its running
+    sum (``_running_noise``).  The chunks keep the stream order of
+    whole-block fills (dB, then dW); antithetic blocks fill the first
+    ceil(size/2) rows and write the negation into the rest (every part is
+    linear in the noise, and negation is exact).
     """
     size, n = drive.shape[1], grid.n_steps
     half = (size + 1) // 2 if antithetic else size
@@ -246,7 +253,31 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
         _draw_increments(rng, chunk[:rows], grid.dt, False)
         f = zero if park is None else park[:, r0 : r0 + rows]
         drive[:, r0 : r0 + rows] = _phi_drive(model, np.swapaxes(chunk[:rows], 0, 1), f)
+    if is_constant(model.vol):
+        _running_noise(model, grid, drive[:, :half])
     np.negative(drive[:, : size - half], out=drive[:, half:])
+
+
+def _constant_coefficients(model, grid):
+    """Drift b (n, m) and sigma, (n,) for m = 1 else (n, m, m), of a constant
+    vol at the left nodes (t_j, y), in the skeleton's layout: every path
+    shares them."""
+    n, m = grid.n_steps, model.m
+    tk, u = grid.nodes[:-1], np.full((n, model.vol.d), model.vol.y)
+    sig = model.sigma_values(tk, u)
+    return (np.broadcast_to(model.drift_values(tk, u), (n, m)),
+            np.broadcast_to(sig, (n,) if m == 1 else (n, m, m)))
+
+
+def _running_noise(model, grid, drive):
+    """Turn a constant vol's node-major drive (n, size, ...), in place, into
+    its running sigma-weighted sum R_k = sum_{j <= k} sigma_j drive_j, one
+    row at a time (a cumulative sum along the node axis is several times
+    slower on a block)."""
+    _, sig = _constant_coefficients(model, grid)
+    prev = 0.0
+    for k in range(grid.n_steps):
+        prev = np.add(_sigma_drive(model, sig[k], drive[k]), prev, out=drive[k])
 
 
 def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, model=None):
@@ -267,7 +298,8 @@ def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=
     - constant (``volmap.is_constant``): ``db`` and ``lin`` are None and the
       vol is y; dB is drawn in chunks and parked in ``drive`` until its dW
       is mixed in if ``model.C`` is nonzero, and not drawn at all otherwise
-      (the drive is then ``_phi_drive(model, dW, 0)``).  A worker holds one
+      (the drive is then ``_phi_drive(model, dW, 0)``); ``drive`` holds its
+      running sigma-weighted sum (``_running_noise``).  A worker holds one
       block array, ``drive``.
     - affine (``volmap.is_affine``): vol_state(sqrt(eps) dB) is
       y + sqrt(eps) L(dB), and ``lin`` is L(dB) at the left nodes, stored
@@ -338,17 +370,14 @@ def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
     return output_map(spec, vol_state(spec, incr, grid, _k.rms_weights))
 
 
-def _vol_nodes(spec: VolProcessSpec, grid, epsilon, db, lin, size):
+def _vol_nodes(spec: VolProcessSpec, grid, epsilon, db, lin):
     """Accessor of the left-node vol rows: ``vol(k)`` is (size, d) at node k.
 
-    A constant vol reads one row filled with y at every node.  With the
-    block's eps-free part ``lin`` (n, size, d) of an affine vol, row k is
-    y + sqrt(eps) lin[k], formed in one reused buffer (valid until the next
-    call); otherwise it is a column of this epsilon's whole vol block.
+    With the block's eps-free part ``lin`` (n, size, d) of an affine vol,
+    row k is y + sqrt(eps) lin[k], formed in one reused buffer (valid until
+    the next call); otherwise it is a column of this epsilon's whole vol
+    block.
     """
-    if is_constant(spec):
-        row = np.full((size, spec.d), spec.y)
-        return lambda k: row
     if lin is None:
         paths = _vol_block(spec, db, grid, epsilon)
         return lambda k: paths[:, k, :]
@@ -398,13 +427,15 @@ def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, lin=None, watch=
     """Terminal log-price displacement X_T - x0 per path and the finite mask.
 
     ``drive`` is the price noise mixed by ``_phi_drive``, node-major: row k
-    is the (size,) or (size, m) drive of step k.  A constant vol reads
-    neither ``db`` nor ``lin``, which may then be None.  ``lin`` is the
-    block's eps-free vol part of an affine vol, and ``db`` may then be None;
-    else ``lin`` is None and the vol is built from ``db`` (see
-    ``_run_blocks``).  ``watch(k, x)`` sees the displacement at every node
-    k = 1..n on the way."""
-    vol = _vol_nodes(model.vol, grid, epsilon, db, lin, drive.shape[1])
+    is the (size,) or (size, m) drive of step k; for a constant vol it is
+    the running sum R of ``_running_noise``, and ``db`` and ``lin`` are not
+    read (see ``_constant_logprice``).  ``lin`` is the block's eps-free vol
+    part of an affine vol, and ``db`` may then be None; else ``lin`` is None
+    and the vol is built from ``db`` (see ``_run_blocks``).  ``watch(k, x)``
+    sees the displacement at every node k = 1..n on the way."""
+    if is_constant(model.vol):
+        return _constant_logprice(model, grid, epsilon, drive, watch)
+    vol = _vol_nodes(model.vol, grid, epsilon, db, lin)
     scale = math.sqrt(epsilon) / grid.dt
     x = np.zeros((drive.shape[1], model.m))
     noise = np.empty(drive.shape[1:])
@@ -413,6 +444,26 @@ def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, lin=None, watch=
         b, sig = model.drift_values(t, u), model.sigma_values(t, u)
         np.multiply(drive[k], scale, out=noise)
         x += _phi_increment(model, b, sig, noise, grid.dt, epsilon)
+        if watch is not None:
+            watch(k + 1, x)
+    return x, _finite_rows(x)
+
+
+def _constant_logprice(model: ModelSpec, grid, epsilon, running, watch=None):
+    """``_logprice_block`` of a constant vol, whose displacement is affine in
+    the noise: X_{k+1} - x0 = D_k(eps) + sqrt(eps) R_k, with R the block's
+    running sum (``_running_noise``) and D(eps) the cumulative sum of the
+    functional's step at zero drive (drift and Ito terms, shared by every
+    path).  Without a ``watch`` only the last node is formed."""
+    b, sig = _constant_coefficients(model, grid)
+    zero = np.zeros(b.shape if model.m > 1 else b.shape[:-1])
+    shift = np.cumsum(_phi_increment(model, b, sig, zero, grid.dt, epsilon), axis=0)
+    rows = running[..., None] if model.m == 1 else running
+    scale = math.sqrt(epsilon)
+    x = np.empty(rows.shape[1:])
+    for k in range(grid.n_steps) if watch is not None else [grid.n_steps - 1]:
+        np.multiply(rows[k], scale, out=x)
+        x += shift[k]
         if watch is not None:
             watch(k + 1, x)
     return x, _finite_rows(x)

@@ -137,9 +137,10 @@ class ModelSpec:
         return float(self.cbar[0, 0]) if self.m == 1 else None
 
     def drift_values(self, t, u):
-        """(..., m) drift values; defaults to the constant interest rate."""
+        """(..., m) drift values; defaults to the constant interest rate, as a
+        read-only broadcast of r."""
         if self.drift is None:
-            return np.full(np.shape(u)[:-1] + (self.m,), self.r)
+            return np.broadcast_to(self.r, np.shape(u)[:-1] + (self.m,))
         return np.asarray(self.drift(t, u), float)
 
     def sigma_values(self, t, u):
@@ -222,6 +223,14 @@ def _phi_drive(model: ModelSpec, l_dots, f_dots):
     )
 
 
+def _sigma_drive(model: ModelSpec, sig, drive):
+    """The noise term sigma drive: elementwise for m = 1, sigma @ drive per
+    node for m > 1 (sig (..., m, m), drive (..., m))."""
+    if model.m == 1:
+        return sig * drive
+    return np.einsum("...ab,...b->...a", sig, drive)
+
+
 def _phi_increment(model: ModelSpec, b, sig, drive, dt, epsilon=0.0):
     """One log-price step, (b - eps/2 diag(sigma sigma') + sigma drive) dt.
 
@@ -229,10 +238,10 @@ def _phi_increment(model: ModelSpec, b, sig, drive, dt, epsilon=0.0):
     (..., m).  Returns (..., m)."""
     if model.m > 1:
         ito = np.einsum("...ab,...ab->...a", sig, sig) if epsilon else 0.0
-        return (b - (0.5 * epsilon) * ito + np.einsum("...ab,...b->...a", sig, drive)) * dt
+        return (b - (0.5 * epsilon) * ito + _sigma_drive(model, sig, drive)) * dt
     if epsilon:  # sigma (drive - eps sigma / 2) is sigma drive - eps sigma^2 / 2
         drive = drive - (0.5 * epsilon) * sig
-    return ((drive * sig + b[..., 0]) * dt)[..., None]
+    return ((_sigma_drive(model, sig, drive) + b[..., 0]) * dt)[..., None]
 
 
 def _step_vjp(model: ModelSpec, sig, drive, step_bar):

@@ -19,9 +19,10 @@ def run_cli(capsys, *argv):
 
 
 def test_cli_import_loads_no_scipy_integrate():
-    # kernels imports scipy.integrate at its two quadratures only, and the
-    # rate solves run on ratefn's own optimizer; a module level import of
-    # either, or scipy.optimize anywhere, would slow the start of every command
+    # kernels imports scipy.integrate at its two quadratures and
+    # scipy.special at its incomplete-beta calls only, and the rate solves
+    # run on ratefn's own optimizer; a module level import of any of them
+    # would slow the start of every command
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         p for p in (src, os.environ.get("PYTHONPATH")) if p)}
@@ -29,7 +30,7 @@ def test_cli_import_loads_no_scipy_integrate():
         "import contextlib, io, sys, ldpvol.cli\n"
         "def loaded():\n"
         "    return sorted(m for m in sys.modules\n"
-        "                  if m.startswith(('scipy.integrate', 'scipy.optimize')))\n"
+        "                  if m == 'scipy' or m.startswith('scipy.'))\n"
         "print(loaded())\n"
         "with contextlib.redirect_stdout(io.StringIO()):\n"
         "    codes = [ldpvol.cli.main(argv) for argv in (\n"
@@ -41,6 +42,20 @@ def test_cli_import_loads_no_scipy_integrate():
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
                           check=True)
     assert proc.stdout.split("\n")[:2] == ["[]", f"{[EXIT_OK, EXIT_OK]} []"]
+
+
+def test_parser_is_built_once_and_survives_a_usage_error(capsys):
+    # main parses with one cached parser; an argparse error (exit 2) in
+    # between leaves it as it was, so a repeated command prints the same
+    argv = ["toy-bounds", "--T", "1", "--k", "0.1", "--n-steps", "40"]
+    assert cli.build_parser() is cli.build_parser()
+    first = run_cli(capsys, *argv)
+    with pytest.raises(SystemExit) as exc:
+        main(["toy-bounds", "--T", "1", "--bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert first[0] == EXIT_OK
+    assert run_cli(capsys, *argv) == first
 
 
 def test_toy_bounds_command(capsys):

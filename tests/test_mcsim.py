@@ -20,6 +20,7 @@ from ldpvol.mcsim import (
     _per_eps_payoff_stats,
     _reduce_report,
     _run_blocks,
+    _running_noise,
     _vol_block,
     ldp_tail_report,
     mc_call_report,
@@ -55,6 +56,16 @@ def _lin(spec, grid, db):
         return None
     vals = vol_state(spec, db, grid, rms_weights)[:, :-1] - spec.y
     return np.moveaxis(vals, 1, 0)
+
+
+def _block_drive(model, grid, dw, db):
+    """A hand-made block's drive as ``_run_blocks`` stores it: the mixed
+    noise ``_phi_drive(model, dW, dB)`` node-major, turned into its running
+    sigma-weighted sum (``_running_noise``) for a constant vol."""
+    drive = np.moveaxis(_phi_drive(model, dw, db), 1, 0).copy()
+    if is_constant(model.vol):
+        _running_noise(model, grid, drive)
+    return drive
 
 
 def _cfg(model, ladder=(0.4,), n_paths=20000, seed=1, grid=GRID, **kw):
@@ -189,7 +200,7 @@ def test_logprice_block_runs_the_functional_step(name):
     def keep(k, x):
         path[:, k, :] = x
 
-    drive = np.moveaxis(_phi_drive(model, l_dots * dt, f_dots * dt), 1, 0)
+    drive = _block_drive(model, grid, l_dots * dt, f_dots * dt)
     lin = _lin(model.vol, grid, f_dots * dt)
     x, ok = _logprice_block(model, grid, 1.0, f_dots * dt, drive, lin, keep)
     assert np.all(ok)
@@ -319,8 +330,9 @@ def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
     # bit, the mix of whole-block fills (db, then dW) stored node-major, also
     # where an affine or constant vol draws db in chunks and parks it in the
     # drive buffer (db is None then), and where a constant vol with C = 0
-    # draws no db at all; the second block is odd and not a multiple of
-    # MIX_ROWS
+    # draws no db at all; a constant vol's drive is its running
+    # sigma-weighted sum, summed before the antithetic negation (exact); the
+    # second block is odd and not a multiple of MIX_ROWS
     model = _DRIVE_MODELS[name]()
     grid = TimeGrid(1.0, 5)
     seed, sizes, m = 23, [BLOCK_SIZE, 1001], model.vol.m
@@ -338,7 +350,7 @@ def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
             assert got[b][0] is None
         else:
             np.testing.assert_array_equal(got[b][0], db)
-        np.testing.assert_array_equal(got[b][1], np.moveaxis(_phi_drive(model, dw, db), 1, 0))
+        np.testing.assert_array_equal(got[b][1], _block_drive(model, grid, dw, db))
         # the eps-free vol part rides in the same chunks, for a non-constant
         # affine vol only;
         # an antithetic block negates its first half (L(-z) = -L(z) only up to
@@ -413,14 +425,15 @@ def _per_eps_terminal(model, grid, eps, db, drive):
 @pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("name", sorted(_LADDER_MODELS))
 def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
-    # every ladder epsilon of one block: a constant vol (bs_const) reads y at
-    # every node, bit for bit; an affine vol (toy, unreflected Gaussian)
-    # reads y + sqrt(eps) L built once per block, within rounding of
-    # vol_state(sqrt(eps) dB); every other vol keeps the per-epsilon scheme,
-    # bit for bit
+    # every ladder epsilon of one block: a constant vol (bs_const) reads one
+    # row of its running noise sum, within rounding of the node loop; an
+    # affine vol (toy, unreflected Gaussian) reads y + sqrt(eps) L built once
+    # per block, within rounding of vol_state(sqrt(eps) dB); every other vol
+    # keeps the per-epsilon scheme, bit for bit
     model = _LADDER_MODELS[name]()
     grid = TimeGrid(1.0, 40)
-    whole, _ = _block_noise(9, 0, 3001, grid, model, antithetic)
+    whole, dw = _block_noise(9, 0, 3001, grid, model, antithetic)
+    raw = np.moveaxis(_phi_drive(model, dw, whole), 1, 0)
     seen = []
 
     def block(eps, db, drive, lin):
@@ -432,7 +445,7 @@ def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
             np.testing.assert_array_equal(db, whole)
         x, ok = _logprice_block(model, grid, eps, db, drive, lin)
         assert np.all(ok)
-        return x, _per_eps_terminal(model, grid, eps, whole, drive)
+        return x, _per_eps_terminal(model, grid, eps, whole, raw)
 
     ladder = [0.4, 0.2, 0.1, 0.05]
     per_eps = _run_blocks(block, ladder, 3001, grid, model.vol.m, 9, antithetic, 1, model)
@@ -442,6 +455,8 @@ def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
     for ((got, want),) in per_eps:
         if name in ("toy_sabr", "rough_gauss", "mg_h03"):
             assert np.max(np.abs(got - want)) <= 1e-12
+        elif name == "bs_const":
+            assert np.max(np.abs(got - want)) <= 1e-13
         else:
             np.testing.assert_array_equal(got, want)
 
@@ -636,8 +651,7 @@ def test_first_row_keeps_the_single_epsilon_key():
             if _reads_db(model):
                 db = rng.standard_normal(db.shape) * s
             dw = rng.standard_normal((size, grid.n_steps, 1)) * s
-            drive = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
-            x, ok = _logprice_block(model, grid, 0.4, db, drive)
+            x, ok = _logprice_block(model, grid, 0.4, db, _block_drive(model, grid, dw, db))
             moms.append(_Moments.of((x[ok, 0] >= k).astype(float)))
         row, hits = _row(model, grid, 0.4, moms)
         assert rep.rows[0].to_json_obj() == row.to_json_obj()
@@ -649,8 +663,9 @@ def test_first_row_keeps_the_single_epsilon_key():
 def test_constant_vol_matches_the_brownian_kernel_bit_for_bit(antithetic, workers):
     # with rho != 0 a constant-vol block draws dB as the Brownian-kernel vol
     # does and skips only the vol part its sigma never reads, so tail and exit
-    # ladders, and the kept terminal values, are bit-identical; the last of
-    # the two blocks is odd
+    # ladders are bit-identical; the kept terminal values, read off the
+    # running noise sum instead of the node loop, agree to rounding; the last
+    # of the two blocks is odd
     grid = TimeGrid(1.0, 20)
     dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
     got = []
@@ -664,7 +679,96 @@ def test_constant_vol_matches_the_brownian_kernel_bit_for_bit(antithetic, worker
         ))
     assert is_constant(bs_const().vol) and not is_constant(_brownian_bs().vol)
     assert got[0][:2] == got[1][:2]
-    np.testing.assert_array_equal(got[0][2], got[1][2])
+    assert np.max(np.abs(got[0][2] - got[1][2])) <= 1e-13
+
+
+def _constant_pair():
+    """A constant d = m = 2 vol (every noise kernel None, y nonzero) under a
+    full sigma and a full correlation matrix C."""
+    model = _affine_pair()
+    model.vol = VolProcessSpec(family=GAUSSIAN, d=2, m=2, y=[0.1, -0.1],
+                               noise_kernels=[[None, None], [None, None]])
+    return model
+
+
+def _bs_sigma_of_t():
+    """bs_const with a time-dependent sigma and a time-dependent drift."""
+    model = bs_const(rho=0.4)
+    model.sigma = lambda t, u: (0.2 + 0.1 * np.asarray(t)) * np.ones(np.shape(u)[:-1])
+    model.drift = lambda t, u: 0.02 * np.asarray(t)[..., None] * np.ones(np.shape(u))
+    return model
+
+
+_CONSTANT_MODELS = {
+    "bs_const": bs_const,
+    "pair": _constant_pair,
+    "sigma_of_t": _bs_sigma_of_t,
+    "r_rho": functools.partial(bs_const, r=0.05, rho=-0.5),
+}
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("name", sorted(_CONSTANT_MODELS))
+def test_constant_kind_matches_the_node_loop(name, antithetic):
+    # a constant vol's terminal values and kept paths, read off the block's
+    # running noise sum, lie within 1e-13 of the per-epsilon node loop on the
+    # same whole-block fills, and its tail and exit ladders (deadline < T)
+    # equal the node loop's rows exactly; the second block is odd
+    model = _CONSTANT_MODELS[name]()
+    assert is_constant(model.vol)
+    grid, seed, ladder, deadline = TimeGrid(1.0, 40), 37, [0.4, 0.2, 0.1], 0.6
+    sizes = [BLOCK_SIZE, 1001]
+    x0 = np.asarray(model.x0, float)
+    if model.m == 1:
+        dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
+    else:
+        dom = ExitDomain("box", lower=x0 - 0.15, upper=x0 + 0.1)
+    faces = [(a, c - float(a @ x0)) for a, c in dom.faces()]
+    window = (grid.nodes <= deadline + 1e-12) & (grid.nodes > 0)
+    cfg = _cfg(model, ladder=ladder, n_paths=sum(sizes), seed=seed, grid=grid,
+               antithetic=antithetic)
+    reports = {"exit_probability": mc_exit_report(cfg, dom, deadline, reference_rate=0.0)}
+    if model.m == 1:
+        reports["tail_probability"] = ldp_tail_report(cfg, 0.1, reference_rate=0.0)
+    kept = simulate_logprice(cfg, ladder[1], keep_paths=True)
+    moms = {q: [[] for _ in ladder] for q in reports}
+    start = 0
+    for b, size in enumerate(sizes):
+        db, dw = _block_noise(seed, b, size, grid, model, antithetic)
+        raw = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
+        running = _block_drive(model, grid, dw, db)
+        for li, eps in enumerate(ladder):
+            want = np.zeros((size, grid.n_steps + 1, model.m))
+            for k, t in enumerate(grid.nodes[:-1]):
+                u = np.full((size, model.vol.d), model.vol.y)
+                want[:, k + 1] = want[:, k] + _phi_increment(
+                    model, model.drift_values(t, u), model.sigma_values(t, u),
+                    math.sqrt(eps) / grid.dt * raw[k], grid.dt, eps)
+            got = np.zeros_like(want)
+
+            def keep(k, x):
+                got[:, k] = x
+
+            x, ok = _logprice_block(model, grid, eps, None, running, None, keep)
+            assert np.all(ok)
+            np.testing.assert_array_equal(x, got[:, -1])
+            assert np.max(np.abs(got - want)) <= 1e-13
+            if li == 1:
+                assert np.max(np.abs(kept.paths[start : start + size] - want)) <= 1e-13
+            hit = np.zeros(size, dtype=bool)
+            for a, c in faces:
+                hit |= np.any(want[:, window] @ a >= c, axis=1)
+            moms["exit_probability"][li].append(_Moments.of(hit.astype(float)))
+            if model.m == 1:
+                tail = (want[:, -1, 0] >= 0.1).astype(float)
+                moms["tail_probability"][li].append(_Moments.of(tail))
+        start += size
+    for quantity, rep in reports.items():
+        for li, eps in enumerate(ladder):
+            row, hits = _row(model, grid, eps, moms[quantity][li], quantity)
+            assert rep.rows[li].to_json_obj() == row.to_json_obj()
+            assert rep.diagnostics["hits"][li] == hits
+            assert 0 < hits < sum(sizes)
 
 
 def test_shared_noise_ladder_rows_are_unbiased():

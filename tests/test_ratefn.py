@@ -40,6 +40,18 @@ def test_model_spec_validation():
     np.testing.assert_allclose(m.cbar @ m.cbar, np.eye(1) - m.C.T @ m.C, atol=1e-12)
 
 
+def test_default_drift_is_a_read_only_broadcast_of_r():
+    # b = r is read, never written: every state gets r without a drift array
+    for model, shape in ((bs_const(r=0.03), (7, 5, 1)), (mixed_demo(), (7, 5, 2))):
+        u = np.zeros((7, 5, model.vol.d))
+        b = model.drift_values(0.5, u)
+        assert b.shape == shape
+        np.testing.assert_array_equal(b, np.full(shape, model.r))
+        assert not b.flags.writeable
+        with pytest.raises(ValueError):
+            b[0, 0, 0] = 1.0
+
+
 def test_cbar_square_root_multivariate():
     C = np.array([[0.3, 0.1], [-0.2, 0.4]])
     vol = VolProcessSpec(family=GAUSSIAN, d=1, m=2, noise_kernels=[[brownian(), None]])
