@@ -23,13 +23,17 @@ tabulated
     the diagonal, zero above it.  The grid tables take the interpolated value
     on the diagonal, the kernel's left limit there.
 
-Every evaluator enforces the Volterra property K(t, s) = 0 for s >= t.
-Quadrature rules integrate the kernel factor exactly on cells touching a
-singular endpoint (power-law diagonals, the s = 0 edge of the
-Molchan-Golosov kernel) and fall back to the trapezoid rule on the smooth
-interior: in closed form for the power and logarithmic kernels, and for
-Molchan-Golosov by one batched cell rule (``_mg_cell_moments``), fixed
-Gauss-Legendre nodes after a power map that sends the singular end away.
+One evaluator, ``_kernel_values``, holds the per-kind formula of K(t, s):
+``eval_kernel`` adds the Volterra zero for s >= t and the edge rules, and
+the node table ``_row_values`` reads it on the grid.  One cell rule,
+``_cells``, gives the node weights of ``quad_weights`` and the cell masses
+of ``pc_weights``: exact on cells touching a singular endpoint (power-law
+diagonals, the s = 0 edge of the Molchan-Golosov kernel), the trapezoid
+rule on the smooth interior; in closed form for the power and logarithmic
+kernels, and for Molchan-Golosov by fixed Gauss-Legendre nodes after a
+power map that sends the singular end away (``_mg_cell_moments``).  The
+cells of ``rms_weights`` for the convolution kernels (Riemann-Liouville,
+logarithmic) are differences of ``slice_variance`` at consecutive lags.
 Every table is built from array evaluations; the Molchan-Golosov and
 tabulated tables take milliseconds at n = 200.
 """
@@ -172,10 +176,6 @@ def _beta(a: float, b: float) -> float:
     return math.exp(math.lgamma(a) + math.lgamma(b) - math.lgamma(a + b))
 
 
-def _rl_value(h: float, t: float, s: float) -> float:
-    return (t - s) ** (h - 0.5) / math.gamma(h + 0.5)
-
-
 @functools.lru_cache(maxsize=None)
 def _mg_prefactor(h: float) -> float:
     if h > 0.5:
@@ -206,23 +206,6 @@ def _mg_values(h: float, s, lag):
     return _mg_prefactor(h) * s ** (h - 0.5) * inner
 
 
-def _mg_value(h: float, t: float, s: float) -> float:
-    if s <= 0.0:
-        return math.inf if h > 0.5 else 0.0
-    if h == 0.5:
-        return 1.0
-    return float(_mg_values(h, s, t - s))
-
-
-def _log_value(beta: float, x: float) -> float:
-    """Convolution kernel tau(x) at lag x in (0, 1)."""
-    if x >= 1.0:
-        raise InvalidKernelError("logarithmic kernel is defined for lags < 1")
-    if x <= 0.0:
-        return math.inf
-    return math.sqrt(beta / x * math.log(1.0 / x) ** (-beta - 1.0))
-
-
 def _table_value(table: TabulatedTable, t, s):
     """Bilinear interpolation at (t, s); arrays broadcast elementwise."""
     tt, ss, vv = table.arrays
@@ -238,29 +221,45 @@ def _table_value(table: TabulatedTable, t, s):
     )
 
 
+def _kind(kernel: KernelSpec) -> str:
+    """The kind that evaluates the kernel and builds its tables; H = 1/2 is
+    brownian."""
+    if kernel.kind in _FRACTIONAL_KINDS and kernel.hurst == 0.5:
+        return BROWNIAN
+    return kernel.kind
+
+
+def _kernel_values(kernel: KernelSpec, t, s) -> np.ndarray:
+    """K(t, s) at arrays of points with 0 < s < t (lags below 1 for the
+    logarithmic kernel): the one per-kind formula of the kernel."""
+    t, s = np.asarray(t, float), np.asarray(s, float)
+    kind = _kind(kernel)
+    if kind == BROWNIAN:
+        return np.ones(np.broadcast_shapes(t.shape, s.shape))
+    if kind == RIEMANN_LIOUVILLE:
+        return (t - s) ** (kernel.hurst - 0.5) / math.gamma(kernel.hurst + 0.5)
+    if kind == MOLCHAN_GOLOSOV:
+        return _mg_values(kernel.hurst, s, t - s)
+    if kind == LOGARITHMIC:
+        lag = t - s
+        return np.sqrt(kernel.beta / lag * np.log(1.0 / lag) ** (-kernel.beta - 1.0))
+    return _table_value(kernel.table, t, s)
+
+
 def eval_kernel(kernel: KernelSpec, t: float, s: float) -> float:
     """K(t, s); zero whenever s >= t (Volterra convention, also at singular
-    diagonal points where quadrature routines substitute cell-exact masses)."""
+    diagonal points where quadrature routines substitute cell-exact masses).
+    The Molchan-Golosov kernel reads 0 (H <= 1/2) or inf (H > 1/2) at s <= 0;
+    the logarithmic kernel raises InvalidKernelError for lags >= 1."""
     t = float(t)
     s = float(s)
     if s >= t:
         return 0.0
-    if kernel.kind == BROWNIAN:
-        return 1.0
-    if kernel.kind == RIEMANN_LIOUVILLE:
-        return _rl_value(kernel.hurst, t, s)
-    if kernel.kind == MOLCHAN_GOLOSOV:
-        return _mg_value(kernel.hurst, t, s)
-    if kernel.kind == LOGARITHMIC:
-        return _log_value(kernel.beta, t - s)
-    return float(_table_value(kernel.table, t, s))
-
-
-def _kind(kernel: KernelSpec) -> str:
-    """The kind that builds the kernel's tables; H = 1/2 is brownian."""
-    if kernel.kind in _FRACTIONAL_KINDS and kernel.hurst == 0.5:
-        return BROWNIAN
-    return kernel.kind
+    if kernel.kind == MOLCHAN_GOLOSOV and s <= 0.0:
+        return math.inf if kernel.hurst > 0.5 else 0.0
+    if kernel.kind == LOGARITHMIC and t - s >= 1.0:
+        raise InvalidKernelError("logarithmic kernel is defined for lags < 1")
+    return float(_kernel_values(kernel, t, s))
 
 
 # ---------------------------------------------------------------------------
@@ -273,56 +272,31 @@ def _row_values(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """K(t_i, t_j) for j < i, zero elsewhere.  The diagonal holds the left
     limit where it is finite: 1 for brownian (and so for H = 1/2), 0 for
     Riemann-Liouville with H > 1/2, the table's value for tabulated kernels;
-    a singular diagonal holds 0."""
+    a singular diagonal holds 0.  The s = 0 column of Molchan-Golosov holds
+    the ``eval_kernel`` value there, 0 for H < 1/2 and inf for H > 1/2."""
     n = grid.n_steps
     nodes = grid.nodes
     kind = _kind(kernel)
+    if kind == LOGARITHMIC and grid.horizon >= 1.0:
+        raise AdmissibilityError(
+            "logarithmic kernel slices are square integrable only for t < 1; "
+            "use a grid with horizon < 1"
+        )
+    i, j = np.tril_indices(n + 1, 0 if kind in (BROWNIAN, TABULATED) else -1)
+    if kind == MOLCHAN_GOLOSOV:
+        i, j = i[j > 0], j[j > 0]
     out = np.zeros((n + 1, n + 1))
-    if kind == BROWNIAN:
-        out[np.tril_indices(n + 1)] = 1.0
-        out[0, 0] = 0.0
-        return out
-    if kind == RIEMANN_LIOUVILLE:
-        h = kernel.hurst
-        lag = np.arange(n + 1) * grid.dt
-        with np.errstate(divide="ignore"):
-            vals = np.where(lag > 0, lag, np.nan) ** (h - 0.5) / math.gamma(h + 0.5)
-        vals[0] = 0.0  # the left limit for H > 1/2; H < 1/2 has none
-        for i in range(1, n + 1):
-            out[i, : i + 1] = vals[i::-1]
-        out[0, 0] = 0.0
-        return out
-    if kind == LOGARITHMIC:
-        if grid.horizon >= 1.0:
-            raise AdmissibilityError(
-                "logarithmic kernel slices are square integrable only for t < 1; "
-                "use a grid with horizon < 1"
-            )
-        lag = np.arange(1, n + 1) * grid.dt
-        vals = np.array([_log_value(kernel.beta, x) for x in lag])
-        for i in range(1, n + 1):
-            out[i, :i] = vals[i - 1 :: -1]
-        return out
-    if kind == TABULATED:
-        i, j = np.tril_indices(n + 1)
-        out[i, j] = _table_value(kernel.table, nodes[i], nodes[j])
-        out[0, 0] = 0.0
-        return out
-    # Molchan-Golosov, H != 1/2: the s = 0 column keeps the scalar convention
-    i, j = np.tril_indices(n + 1, -1)
-    i, j = i[j > 0], j[j > 0]
-    out[i, j] = _mg_values(kernel.hurst, nodes[j], nodes[i] - nodes[j])
-    out[1:, 0] = 0.0 if kernel.hurst < 0.5 else np.inf
+    out[i, j] = _kernel_values(kernel, nodes[i], nodes[j])
+    out[0, 0] = 0.0
+    if kind == MOLCHAN_GOLOSOV:
+        out[1:, 0] = 0.0 if kernel.hurst < 0.5 else np.inf
     return out
 
 
 def _rl_cell_moments(h: float, dt: float, n: int):
-    """Exact cell integrals of the power factor against 1 and (s - a).
-
-    For lag index L >= 1 (cell ending L*dt before the evaluation time... the
-    cell [t - L*dt, t - (L-1)*dt]):
-      I0[L] = int (t-s)^(H-1/2) ds,   I1[L] = int (t-s)^(H-1/2) (s-a) ds.
-    """
+    """Exact integrals of the Riemann-Liouville kernel against 1 and (s - a)
+    over the cell [a, b] = [t - L dt, t - (L-1) dt] of lag index L >= 1:
+      I0[L] = int K(t, s) ds,   I1[L] = int K(t, s) (s - a) ds."""
     g = math.gamma(h + 0.5)
     a1 = h + 0.5
     a2 = h + 1.5
@@ -331,14 +305,6 @@ def _rl_cell_moments(h: float, dt: float, n: int):
     i0 = (A**a1 - B**a1) / a1 / g
     i1 = (A * (A**a1 - B**a1) / a1 - (A**a2 - B**a2) / a2) / g
     return i0, i1
-
-
-@functools.lru_cache(maxsize=32)
-def _log_diag_cell_mass(beta: float, dt: float) -> float:
-    from scipy import integrate as _sint  # loaded on first use: rare and slow to import
-
-    val, _ = _sint.quad(lambda x: _log_value(beta, x), 0.0, dt, limit=200)
-    return val
 
 
 _GL_X, _GL_W = np.polynomial.legendre.leggauss(64)
@@ -379,38 +345,47 @@ def _mg_cell_moments(h: float, grid: TimeGrid, i, j):
     ]
 
 
-@functools.lru_cache(maxsize=128)
-def quad_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """Lower-triangular W with (Kf)(t_i) ~= sum_j W[i, j] f(t_j).
-
-    Cells touching a singular endpoint integrate the kernel factor exactly
-    (closed form where available, quadrature otherwise) against a piecewise
-    constant co-factor; smooth cells use the trapezoid rule.  For the
-    Riemann-Liouville kind every cell is integrated in closed form against a
-    piecewise linear co-factor, which is exact on that class.
-    """
-    n = grid.n_steps
-    dt = grid.dt
+def _cells(kernel: KernelSpec, grid: TimeGrid):
+    """The cell rule behind ``quad_weights`` and ``pc_weights``: (i, j, left,
+    right, mass) over the cells [t_j, t_{j+1}] of the rows i > j.  Against a
+    piecewise linear co-factor, cell j of row i puts ``left`` on node j and
+    ``right`` on node j + 1; ``mass`` is its integral of K(t_i, .).  Closed
+    form for Riemann-Liouville; the exact mass, on the left node, for the
+    logarithmic diagonal cell; exact moments for Molchan-Golosov (unbounded
+    s-derivative at s = 0 and s = t) on the cells within 4 of either end of
+    a row; the trapezoid rule elsewhere."""
+    n, dt = grid.n_steps, grid.dt
     kind = _kind(kernel)
-    W = np.zeros((n + 1, n + 1))
-    # cell j of row i puts weight `left` on node j and `right` on node j + 1
     i, j = np.tril_indices(n + 1, -1)
     if kind == RIEMANN_LIOUVILLE:
         i0, i1 = _rl_cell_moments(kernel.hurst, dt, n)
-        left, right = (i0 - i1 / dt)[i - j - 1], (i1 / dt)[i - j - 1]
-    else:  # trapezoid rule
-        rows = _row_values(kernel, grid)
-        left, right = dt / 2 * rows[i, j], dt / 2 * rows[i, j + 1]
-    if kind == LOGARITHMIC:  # diagonal cell: exact mass, left value
+        lag = i - j - 1
+        return i, j, (i0 - i1 / dt)[lag], (i1 / dt)[lag], i0[lag]
+    rows = _row_values(kernel, grid)
+    left, right = dt / 2 * rows[i, j], dt / 2 * rows[i, j + 1]
+    mass = dt / 2 * (rows[i, j] + rows[i, j + 1])
+    if kind == LOGARITHMIC:
+        from scipy import integrate  # loaded on first use: rare and slow to import
+
+        tau = lambda x: eval_kernel(kernel, x, 0.0)  # the kernel at lag x
         diag = j == i - 1
-        left[diag], right[diag] = _log_diag_cell_mass(kernel.beta, dt), 0.0
+        left[diag] = mass[diag] = integrate.quad(tau, 0.0, dt, limit=200)[0]
+        right[diag] = 0.0
     elif kind == MOLCHAN_GOLOSOV:
-        # the kernel has an unbounded s-derivative at both s = 0 and s = t:
-        # cells within 4 of either end take its exact moments against a
-        # piecewise linear co-factor
         band = (j < 4) | (i - 1 - j < 4)
         m0, m1, _ = _mg_cell_moments(kernel.hurst, grid, i[band], j[band])
-        left[band], right[band] = m0 - m1 / dt, m1 / dt
+        left[band], right[band], mass[band] = m0 - m1 / dt, m1 / dt, m0
+    return i, j, left, right, mass
+
+
+@functools.lru_cache(maxsize=128)
+def quad_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
+    """Lower-triangular W with (Kf)(t_i) ~= sum_j W[i, j] f(t_j): the cells
+    of ``_cells`` against a piecewise linear co-factor, exact on the
+    Riemann-Liouville class."""
+    n = grid.n_steps
+    i, j, left, right, _ = _cells(kernel, grid)
+    W = np.zeros((n + 1, n + 1))
     W[i, j] = left
     W[i, j + 1] += right
     return W
@@ -418,30 +393,25 @@ def quad_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
 
 @functools.lru_cache(maxsize=128)
 def pc_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
-    """Cell masses M[i, j] = int_{t_j}^{t_{j+1}} K(t_i, s) ds for j < i.
+    """Cell masses M[i, j] = int_{t_j}^{t_{j+1}} K(t_i, s) ds for j < i, from
+    ``_cells``, against piecewise-constant (left-value) co-factors such as
+    the path-wise Euler quadrature of the volatility convolution.
 
-    Used against piecewise-constant (left-value) co-factors, e.g. path-wise
-    Euler quadrature of the volatility convolution.
+    Except for Molchan-Golosov: there M[i, j] is the ``quad_weights`` weight
+    of node j, the diagonal node's added to the last cell, so node weights
+    shifted half a cell, not cell masses (near H = 1/2 a row reads
+    [0.5, 1, ..., 1, 1.5] dt where every cell mass is dt).
     """
     n = grid.n_steps
-    dt = grid.dt
-    kind = _kind(kernel)
-    diag = np.arange(1, n + 1)
-    if kind == MOLCHAN_GOLOSOV:
-        # redistribute the node weights onto cells (left-node convention)
+    if _kind(kernel) == MOLCHAN_GOLOSOV:
+        diag = np.arange(1, n + 1)
         W = quad_weights(kernel, grid)
         M = np.tril(W[:, :n], -1)
         M[diag, diag - 1] += W[diag, diag]
         return M
+    i, j, _, _, mass = _cells(kernel, grid)
     M = np.zeros((n + 1, n))
-    i, j = np.tril_indices(n + 1, -1)
-    if kind == RIEMANN_LIOUVILLE:
-        M[i, j] = _rl_cell_moments(kernel.hurst, dt, n)[0][i - j - 1]
-        return M
-    rows = _row_values(kernel, grid)  # trapezoid rule
-    M[i, j] = dt / 2 * (rows[i, j] + rows[i, j + 1])
-    if kind == LOGARITHMIC:
-        M[diag, diag - 1] = _log_diag_cell_mass(kernel.beta, dt)
+    M[i, j] = mass
     return M
 
 
@@ -450,30 +420,22 @@ def rms_weights(kernel: KernelSpec, grid: TimeGrid) -> np.ndarray:
     """R[i, j] = sqrt(int_cell K(t_i, s)^2 ds / dt).
 
     Convolving R against independent increments of variance dt reproduces the
-    slice variance of the kernel on every row: exactly where the cell
-    integrals of K^2 are closed form (Brownian, Riemann-Liouville,
-    logarithmic), up to the trapezoid rule on the interior cells for the
-    Molchan-Golosov and tabulated kernels.  The diagonal cell j = i - 1 takes
-    the left limit K(t_i, t_i-), not the Volterra zero: closed form for
-    Molchan-Golosov with H < 1/2, the batched cell rule for H > 1/2 (as on
-    the first cell), and the diagonal of ``_row_values`` for tabulated
-    kernels.
+    slice variance of the kernel on every row: exactly for the Brownian
+    kernel and the convolution kernels (Riemann-Liouville, logarithmic), whose
+    cells are differences of ``slice_variance`` at consecutive lags, up to
+    the trapezoid rule on the interior cells for the Molchan-Golosov and
+    tabulated kernels.  The diagonal cell j = i - 1 takes the left limit
+    K(t_i, t_i-), not the Volterra zero: closed form for Molchan-Golosov with
+    H < 1/2, the batched cell rule for H > 1/2 (as on the first cell), and
+    the diagonal of ``_row_values`` for tabulated kernels.
     """
     n = grid.n_steps
     dt = grid.dt
     kind = _kind(kernel)
     R = np.zeros((n + 1, n))
     i, j = np.tril_indices(n + 1, -1)
-    if kind == RIEMANN_LIOUVILLE:  # cell integrals by lag i - j - 1
-        h = kernel.hurst
-        A = np.arange(1, n + 1) * dt
-        B = A - dt
-        cell = ((A ** (2 * h) - B ** (2 * h)) / (2 * h) / math.gamma(h + 0.5) ** 2)[i - j - 1]
-    elif kind == LOGARITHMIC:
-        if grid.horizon >= 1.0:
-            raise AdmissibilityError("logarithmic kernel needs horizon < 1")
-        lb = lambda x: math.log(1.0 / x) ** (-kernel.beta) if x > 0 else 0.0
-        cell = np.diff([lb(x) for x in np.arange(0, n + 1) * dt])[i - j - 1]
+    if kind in (RIEMANN_LIOUVILLE, LOGARITHMIC):  # cells by lag i - j - 1
+        cell = np.diff([slice_variance(kernel, x) for x in np.arange(n + 1) * dt])[i - j - 1]
     else:  # trapezoid rule on K^2
         rows = _row_values(kernel, grid)
         cell = dt / 2 * (rows[i, j] ** 2 + rows[i, j + 1] ** 2)
@@ -537,21 +499,6 @@ def slice_variance(kernel: KernelSpec, t: float) -> float:
     if not np.isfinite(val) or val > _FINITE_SLICE_LIMIT:
         raise AdmissibilityError(f"slice at t={t} is numerically non-square-integrable")
     return float(val)
-
-
-def _kernel_values(kernel: KernelSpec, t, s) -> np.ndarray:
-    """K(t, s) at arrays of points with 0 < s < t; ``eval_kernel`` elementwise."""
-    t, s = np.asarray(t, float), np.asarray(s, float)
-    if _kind(kernel) == BROWNIAN:
-        return np.ones(np.broadcast_shapes(t.shape, s.shape))
-    if kernel.kind == RIEMANN_LIOUVILLE:
-        return _rl_value(kernel.hurst, t, s)
-    if kernel.kind == MOLCHAN_GOLOSOV:
-        return _mg_values(kernel.hurst, s, t - s)
-    if kernel.kind == LOGARITHMIC:  # lags below 1: the tables reject horizons >= 1
-        lag = t - s
-        return np.sqrt(kernel.beta / lag * np.log(1.0 / lag) ** (-kernel.beta - 1.0))
-    return _table_value(kernel.table, t, s)
 
 
 def l2_modulus(kernel: KernelSpec, tau: float, grid: TimeGrid) -> float:

@@ -32,7 +32,8 @@ block kinds:
 
 - A constant vol (unreflected Gaussian with every noise kernel None, as
   bs_const, ``volmap.is_constant``) is its offset y, so b and sigma are the
-  same for every path; they are evaluated on the n nodes (t_j, y), not per
+  same for every path; they are the skeleton's coefficients at the zero
+  control (``ratefn._coefficients``), evaluated once on the n nodes, not per
   path, and no vol part is built or kept.  dB is drawn only if the price reads it
   (``model.C`` nonzero), in chunks parked in the drive buffer as below;
   otherwise the block draws dW alone and mixes it with zero driver noise.
@@ -88,7 +89,7 @@ from . import kernels as _k
 from .errors import ConvergenceError, DimensionError, DomainError, require_number
 from .paths import TimeGrid
 from .pricing import ExitDomain, call_asymptote, exit_asymptote, exit_window
-from .ratefn import ModelSpec, _phi_drive, _phi_increment, _sigma_drive, inf_tail
+from .ratefn import ModelSpec, _coefficients, _phi_drive, _phi_increment, _sigma_drive, inf_tail
 from .volmap import (
     BLOWUP_LIMIT, VolProcessSpec, is_affine, is_constant, output_map, vol_state,
 )
@@ -258,23 +259,12 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     np.negative(drive[:, : size - half], out=drive[:, half:])
 
 
-def _constant_coefficients(model, grid):
-    """Drift b (n, m) and sigma, (n,) for m = 1 else (n, m, m), of a constant
-    vol at the left nodes (t_j, y), in the skeleton's layout: every path
-    shares them."""
-    n, m = grid.n_steps, model.m
-    tk, u = grid.nodes[:-1], np.full((n, model.vol.d), model.vol.y)
-    sig = model.sigma_values(tk, u)
-    return (np.broadcast_to(model.drift_values(tk, u), (n, m)),
-            np.broadcast_to(sig, (n,) if m == 1 else (n, m, m)))
-
-
 def _running_noise(model, grid, drive):
     """Turn a constant vol's node-major drive (n, size, ...), in place, into
     its running sigma-weighted sum R_k = sum_{j <= k} sigma_j drive_j, one
     row at a time (a cumulative sum along the node axis is several times
     slower on a block)."""
-    _, sig = _constant_coefficients(model, grid)
+    _, sig = _coefficients(model, grid, np.zeros((grid.n_steps, model.m)))
     prev = 0.0
     for k in range(grid.n_steps):
         prev = np.add(_sigma_drive(model, sig[k], drive[k]), prev, out=drive[k])
@@ -455,7 +445,7 @@ def _constant_logprice(model: ModelSpec, grid, epsilon, running, watch=None):
     running sum (``_running_noise``) and D(eps) the cumulative sum of the
     functional's step at zero drive (drift and Ito terms, shared by every
     path).  Without a ``watch`` only the last node is formed."""
-    b, sig = _constant_coefficients(model, grid)
+    b, sig = _coefficients(model, grid, np.zeros((grid.n_steps, model.m)))
     zero = np.zeros(b.shape if model.m > 1 else b.shape[:-1])
     shift = np.cumsum(_phi_increment(model, b, sig, zero, grid.dt, epsilon), axis=0)
     rows = running[..., None] if model.m == 1 else running

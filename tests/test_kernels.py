@@ -306,10 +306,50 @@ def test_rms_weights_reproduce_slice_variance():
     ]
     for kern, grid, tol in cases:
         R = rms_weights(kern, grid)
-        for i in (grid.n_steps // 2, grid.n_steps):
+        # the closed-form cells reproduce every row; Molchan-Golosov is checked
+        # at the middle and last rows
+        rows = range(1, grid.n_steps + 1)
+        if kern.kind == "fbm_molchan_golosov":
+            rows = (grid.n_steps // 2, grid.n_steps)
+        for i in rows:
             var = float(np.sum(R[i] ** 2)) * grid.dt
             want = slice_variance(kern, grid.nodes[i])
             assert abs(var - want) <= tol * max(want, 1e-12)
+
+
+TT = np.linspace(0.0, 1.0, 41)
+
+
+@pytest.mark.parametrize("n", [16, 50])
+@pytest.mark.parametrize(
+    "kernel",
+    ALL_PRESET_KERNELS + [tabulated(TT, TT, np.exp(-np.subtract.outer(TT, TT) ** 2))],
+    ids=lambda k: f"{k.kind}-{k.hurst}",
+)
+def test_row_values_equal_eval_kernel(kernel, n):
+    # the grid table and the pointwise value read one evaluator; numpy's array
+    # and scalar paths for pow and log may differ in the last bit
+    from ldpvol.kernels import _row_values
+
+    grid = TimeGrid(0.9 if kernel.kind == "logarithmic" else 1.0, n)
+    nodes = grid.nodes
+    rows = _row_values(kernel, grid)
+    first = 1 if kernel.kind == "fbm_molchan_golosov" else 0
+    for i in range(1, n + 1):
+        for j in range(first, i):
+            want = eval_kernel(kernel, nodes[i], nodes[j])
+            assert abs(rows[i, j] - want) <= 1e-14 * abs(want), (i, j)
+
+
+def test_logarithmic_lag_and_horizon_errors():
+    from ldpvol.kernels import pc_weights, quad_weights, rms_weights
+
+    with pytest.raises(InvalidKernelError):
+        eval_kernel(logarithmic(2.0), 1.5, 0.2)
+    for n in (16, 49, 50):  # at n = 49, n * dt rounds below 1
+        for table in (pc_weights, quad_weights, rms_weights):
+            with pytest.raises(AdmissibilityError):
+                table(logarithmic(2.0), TimeGrid(1.0, n))
 
 
 @pytest.mark.parametrize("n", [16, 50])
