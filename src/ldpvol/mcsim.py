@@ -25,7 +25,9 @@ SeedSequence-hashed starting states make overlap between substreams
 negligible in practice.  Each worker thread reuses its buffers for every
 block it runs.  The price noise dW follows the driver noise dB in the same
 stream, drawn in chunks of ``MIX_ROWS`` paths; each chunk is mixed with its
-paths of dB, node-major, by the functional's own ``ratefn._phi_drive`` and
+paths of dB, node-major, as the functional's ``ratefn._phi_drive`` mixes
+them (for m = 1 in place, in the chunk and over the parked dB, with no
+temporary of a chunk's size; for m > 1 by ``_phi_drive`` itself), and
 stored in the per-worker drive buffer, which every epsilon of the ladder
 reads one contiguous row of per node.  The vol spec picks one of three
 block kinds:
@@ -41,8 +43,15 @@ block kinds:
   R_k = sum_{j <= k} sigma_j drive_j (``_running_noise``), and each
   epsilon's displacement is X_{k+1} - x0 = D_k(eps) + sqrt(eps) R_k, D(eps)
   being the cumulative sum of the functional's step at zero drive: a tail
-  or call ladder reads one row, an exit watcher two array operations per
-  node.  The block holds one block array, the drive.
+  or call ladder reads one row, kept paths two array operations per node.
+  For m = 1 an exit face is a threshold on R: a x >= c at node k + 1 holds
+  where R_k >= theta_k (a > 0) or R_k <= theta_k (a < 0), tested on slices
+  of R up to the deadline with no x formed.  The node loop's test
+  fl(fl(fl(sqrt(eps) R) + D_k) a) >= c is monotone in R (every rounding is
+  nondecreasing), so the float theta_k where it flips is found once per
+  epsilon and face by bisection (``_face_thresholds``) and the hit flags
+  are the per-node test's, bit for bit.  The block holds one block array,
+  the drive.
 - An affine vol (the other unreflected Gaussian families, the toy model's
   Brownian kernel included, ``volmap.is_affine``) has
   vol_state(sqrt(eps) dB) = y + sqrt(eps) L(dB), y being the spec's own
@@ -224,8 +233,10 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     node-major in ``drive``.  A constant vol with ``model.C`` zero reads no
     dB, so none is drawn and dW is mixed with zero driver noise.  The second
     loop draws dW in chunks and mixes each with its columns of dB, parked or
-    whole-block, node-major.  A constant vol's drive then becomes its running
-    sum (``_running_noise``).  The chunks keep the stream order of
+    whole-block, node-major: for m = 1 in place, rho_bar dW in the chunk
+    and rho dB over the drive's columns, so no chunk-sized temporary is
+    made; for m > 1 by ``ratefn._phi_drive``.  A constant vol's drive
+    then becomes its running sum (``_running_noise``).  The chunks keep the stream order of
     whole-block fills (dB, then dW); antithetic blocks fill the first
     ceil(size/2) rows and write the negation into the rest (every part is
     linear in the noise, and negation is exact).
@@ -252,8 +263,15 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     for r0 in range(0, half, MIX_ROWS):
         rows = min(MIX_ROWS, half - r0)
         _draw_increments(rng, chunk[:rows], grid.dt, False)
-        f = zero if park is None else park[:, r0 : r0 + rows]
-        drive[:, r0 : r0 + rows] = _phi_drive(model, np.swapaxes(chunk[:rows], 0, 1), f)
+        cols = drive[:, r0 : r0 + rows]
+        if model.m > 1:
+            f = zero if park is None else park[:, r0 : r0 + rows]
+            cols[...] = _phi_drive(model, np.swapaxes(chunk[:rows], 0, 1), f)
+        elif park is None:  # nothing reads dB: rho_bar dW, formed in the chunk
+            cols[...] = np.multiply(chunk[:rows, :, 0], model.rho_bar, out=chunk[:rows, :, 0]).T
+        else:  # rho dB written over the parked dB, plus rho_bar dW formed in the chunk
+            np.multiply(park[:, r0 : r0 + rows, 0], model.rho, out=cols)
+            cols += np.multiply(chunk[:rows, :, 0], model.rho_bar, out=chunk[:rows, :, 0]).T
     if is_constant(model.vol):
         _running_noise(model, grid, drive[:, :half])
     np.negative(drive[:, : size - half], out=drive[:, half:])
@@ -442,21 +460,80 @@ def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, lin=None, watch=
 def _constant_logprice(model: ModelSpec, grid, epsilon, running, watch=None):
     """``_logprice_block`` of a constant vol, whose displacement is affine in
     the noise: X_{k+1} - x0 = D_k(eps) + sqrt(eps) R_k, with R the block's
-    running sum (``_running_noise``) and D(eps) the cumulative sum of the
-    functional's step at zero drive (drift and Ito terms, shared by every
-    path).  Without a ``watch`` only the last node is formed."""
-    b, sig = _coefficients(model, grid, np.zeros((grid.n_steps, model.m)))
-    zero = np.zeros(b.shape if model.m > 1 else b.shape[:-1])
-    shift = np.cumsum(_phi_increment(model, b, sig, zero, grid.dt, epsilon), axis=0)
+    running sum (``_running_noise``) and D(eps) its shift
+    (``_constant_shift``).  ``running`` may be the first rows of R alone:
+    the displacement is formed at their nodes, or without a ``watch`` at
+    the last of them only."""
+    shift = _constant_shift(model, grid, epsilon)
     rows = running[..., None] if model.m == 1 else running
     scale = math.sqrt(epsilon)
     x = np.empty(rows.shape[1:])
-    for k in range(grid.n_steps) if watch is not None else [grid.n_steps - 1]:
+    for k in range(len(rows)) if watch is not None else [len(rows) - 1]:
         np.multiply(rows[k], scale, out=x)
         x += shift[k]
         if watch is not None:
             watch(k + 1, x)
     return x, _finite_rows(x)
+
+
+def _constant_shift(model: ModelSpec, grid, epsilon):
+    """D(eps) (n, m) of a constant vol: the cumulative sum of the
+    functional's step at zero drive (drift and Ito terms, shared by every
+    path)."""
+    b, sig = _coefficients(model, grid, np.zeros((grid.n_steps, model.m)))
+    zero = np.zeros(b.shape if model.m > 1 else b.shape[:-1])
+    return np.cumsum(_phi_increment(model, b, sig, zero, grid.dt, epsilon), axis=0)
+
+
+_INF_KEY = 0x7FF0000000000000  # the bits of +inf, the largest ordered key
+FACE_NODES = 16  # rows of the running sum compared with their thresholds at a time
+
+
+def _from_key(key):
+    """The float64 of each ordered int64 key: keys 0..``_INF_KEY`` are the
+    bits of +0.0 up to +inf, a negative key -j is the negated float of key
+    j, and one past either end is a NaN."""
+    return np.where(key >= 0, key, -key | np.int64(-(1 << 63))).view(np.float64)
+
+
+def _face_thresholds(scale, shift, a, c):
+    """Exact thresholds of a face test on the running sum of a constant vol.
+
+    The test at a node is fl(fl(fl(scale R) + shift) a) >= c, the face
+    a x >= c of the displacement as the node loop forms it, with scale > 0
+    and shift finite.  Each rounding is nondecreasing, so the test is
+    monotone in R, increasing for a > 0 and decreasing for a < 0: it holds
+    exactly where R >= theta (a > 0) or R <= theta (a < 0), theta the least
+    or greatest float where it holds.  A bisection over the floats ordered
+    as integers finds theta in 64 halvings, so the two tests agree bit for
+    bit on every float R, signed infinities included; NaN passes neither.
+    theta is -inf or +inf where every R, or only an infinite one, passes,
+    and NaN where none does.  The arguments broadcast together.
+    """
+    scale, shift, a, c = np.broadcast_arrays(*(np.asarray(v, float) for v in (scale, shift, a, c)))
+    up = a > 0
+    lo = np.full(a.shape, -_INF_KEY - 1)  # below -inf: passes iff a < 0
+    hi = np.full(a.shape, _INF_KEY + 1)  # above +inf: passes iff a > 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        while np.any(lo < hi - 1):
+            mid = (lo >> 1) + (hi >> 1) + (lo & hi & 1)  # the midpoint, floored, without overflow
+            on_hi = ((_from_key(mid) * scale + shift) * a >= c) == up  # mid is on hi's side
+            hi = np.where(on_hi, mid, hi)
+            lo = np.where(on_hi, lo, mid)
+    return _from_key(np.where(up, hi, lo))
+
+
+def _exit_thresholds(model: ModelSpec, grid, epsilons, faces, last):
+    """{eps: theta (faces, last)} of a constant vol with m = 1: the face
+    a x >= c at node k + 1 <= ``last`` holds where R_k >= theta_k (a > 0)
+    or R_k <= theta_k (a < 0), exactly (``_face_thresholds``), R being the
+    block's running sum and X_{k+1} - x0 = D_k(eps) + sqrt(eps) R_k."""
+    shifts = np.stack([_constant_shift(model, grid, eps)[:last, 0] for eps in epsilons])
+    scales = np.array([math.sqrt(eps) for eps in epsilons])
+    a = np.array([a[0] for a, _ in faces])[:, None]
+    c = np.array([c for _, c in faces])[:, None]
+    theta = _face_thresholds(scales[:, None, None], shifts[:, None], a, c)
+    return dict(zip(epsilons, theta))
 
 
 @dataclass
@@ -596,12 +673,12 @@ def _per_eps_payoff_stats(cfg, payoff_fn, watcher=None):
 
     ``payoff_fn(x, seen)`` gets the finite paths' terminal displacements and,
     with a ``watcher``, their rows of what it saw on the way:
-    ``watcher(size)`` returns ``(seen, watch)``, ``watch(k, x)`` runs at
-    every node.
+    ``watcher(eps, drive)`` returns ``(seen, watch)``, and ``watch(k, x)``,
+    unless None, runs at every node.
     """
 
     def block(eps, db, drive, lin):
-        seen, watch = watcher(drive.shape[1]) if watcher else (None, None)
+        seen, watch = watcher(eps, drive) if watcher else (None, None)
         x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, drive, lin, watch)
         return _Moments.of(payoff_fn(x[ok], None if seen is None else seen[ok]))
 
@@ -645,7 +722,17 @@ def mc_exit_report(
     deadline: float,
     reference_rate: float | None = None,
 ) -> McReport:
-    """First-exit frequencies by the deadline against the exit decay rate."""
+    """First-exit frequencies by the deadline against the exit decay rate.
+
+    A path exits when a face a x >= c holds at a grid node of the window
+    (0, deadline].  Each block keeps a running hit flag, not whole paths:
+    the node loop tests every window node's displacement; a constant vol
+    with m = 1 tests R_k >= theta_k (a > 0) or R_k <= theta_k (a < 0) on
+    its running sum, ``FACE_NODES`` rows at a time, with thresholds exact
+    to the node loop's rounding (``_exit_thresholds``), so its hits are the
+    per-node test's bit for bit; a constant vol with m > 1 forms the
+    displacement at window nodes alone.
+    """
     model = cfg.model
     if domain.dim != model.m:
         raise DimensionError("domain dimension must equal m")
@@ -659,15 +746,29 @@ def mc_exit_report(
             n_steps=min(cfg.grid.n_steps, 100),
         ).rate
     faces = domain.shifted_faces(model.x0)
+    last = int(np.count_nonzero(window))  # the window is nodes 1..last
+    thresholds = None
+    if is_constant(model.vol) and model.m == 1:
+        thresholds = _exit_thresholds(model, cfg.grid, cfg.epsilon_ladder, faces, last)
 
-    def watcher(size):
-        hit = np.zeros(size, dtype=bool)  # a running flag, not whole paths
+    def watcher(eps, drive):
+        hit = np.zeros(drive.shape[1], dtype=bool)  # a running flag, not whole paths
+        if thresholds is not None:
+            for (a, _), theta in zip(faces, thresholds[eps]):
+                passes = np.greater_equal if a[0] > 0 else np.less_equal
+                for k0 in range(0, last, FACE_NODES):
+                    k1 = min(k0 + FACE_NODES, last)
+                    hit |= passes(drive[k0:k1], theta[k0:k1, None]).any(axis=0)
+            return hit, None
 
         def watch(k, x):
-            if window[k]:
+            if k <= last:
                 for a, c in faces:
-                    hit[:] |= x.dot(a) >= c
+                    hit[:] |= (x[:, 0] * a[0] if model.m == 1 else x.dot(a)) >= c
 
+        if is_constant(model.vol):  # m > 1: the displacement at window nodes alone
+            _constant_logprice(model, cfg.grid, eps, drive[:last], watch)
+            return hit, None
         return hit, watch
 
     stats = _per_eps_payoff_stats(cfg, lambda x, hit: hit.astype(float), watcher)

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.stats import norm
 
 from ldpvol import TimeGrid
@@ -15,6 +17,7 @@ from ldpvol.mcsim import (
     SimConfig,
     _block_rng,
     _draw_increments,
+    _face_thresholds,
     _logprice_block,
     _Moments,
     _per_eps_payoff_stats,
@@ -769,6 +772,135 @@ def test_constant_kind_matches_the_node_loop(name, antithetic):
             assert rep.rows[li].to_json_obj() == row.to_json_obj()
             assert rep.diagnostics["hits"][li] == hits
             assert 0 < hits < sum(sizes)
+
+
+_CONSTANT_EXITS = {
+    "lower_face": (bs_const, ExitDomain("half_space", normal=[-1.0], offset=0.1), 1.0),
+    "normal_minus_2": (bs_const, ExitDomain("half_space", normal=[-2.0], offset=0.2), 1.0),
+    "box_r": (functools.partial(bs_const, r=0.05),
+              ExitDomain("box", lower=[-0.12], upper=[0.1]), 1.0),
+    "deadline": (bs_const, ExitDomain("half_space", normal=[1.0], offset=0.08), 0.5),
+}
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("case", sorted(_CONSTANT_EXITS))
+def test_constant_exit_thresholds_match_the_node_loop(case, antithetic):
+    # a bs_const exit tests each face as a threshold on the running noise
+    # sum; its rows equal, exactly, both those of the displacement formed
+    # node by node off the running sum (the per-node test it replaces) and
+    # those of the per-epsilon node loop, at 1 and 2 workers; the second
+    # block is odd
+    make, dom, deadline = _CONSTANT_EXITS[case]
+    model = make()
+    grid, seed, ladder, sizes = TimeGrid(1.0, 40), 41, [0.4, 0.2, 0.1], [BLOCK_SIZE, 1001]
+    faces = dom.shifted_faces(model.x0)
+    window = (grid.nodes <= deadline + 1e-12) & (grid.nodes > 0)
+    moms = {how: [[] for _ in ladder] for how in ("running", "node_loop")}
+    for b, size in enumerate(sizes):
+        db, dw = _block_noise(seed, b, size, grid, model, antithetic)
+        raw = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
+        running = _block_drive(model, grid, dw, db)
+        for li, eps in enumerate(ladder):
+            got = np.zeros((size, grid.n_steps + 1, model.m))
+
+            def keep(k, x):
+                got[:, k] = x
+
+            _logprice_block(model, grid, eps, None, running, None, keep)
+            want = np.zeros_like(got)
+            u = np.full((size, 1), model.vol.y)
+            for k, t in enumerate(grid.nodes[:-1]):
+                want[:, k + 1] = want[:, k] + _phi_increment(
+                    model, model.drift_values(t, u), model.sigma_values(t, u),
+                    math.sqrt(eps) / grid.dt * raw[k], grid.dt, eps)
+            for how, paths in (("running", got), ("node_loop", want)):
+                hit = np.zeros(size, dtype=bool)
+                for a, c in faces:
+                    hit |= np.any(paths[:, window, 0] * a[0] >= c, axis=1)
+                moms[how][li].append(_Moments.of(hit.astype(float)))
+    for workers in (1, 2):
+        cfg = _cfg(model, ladder=ladder, n_paths=sum(sizes), seed=seed, grid=grid,
+                   antithetic=antithetic, max_workers=workers)
+        rep = mc_exit_report(cfg, dom, deadline, reference_rate=0.0)
+        for li, eps in enumerate(ladder):
+            for how in moms:
+                row, hits = _row(model, grid, eps, moms[how][li], "exit_probability")
+                assert rep.rows[li].to_json_obj() == row.to_json_obj()
+                assert rep.diagnostics["hits"][li] == hits
+            assert 0 < hits < sum(sizes)
+
+
+def _face_test(r, scale, shift, a, c):
+    """The node loop's face test at a running-sum value r."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        x = np.multiply(np.float64(r), scale)
+        x += shift
+        return bool(x * a >= c)
+
+
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@given(
+    scale=st.floats(1e-160, 1.0),
+    shift=_finite,
+    a=st.one_of(_finite.filter(lambda v: v != 0.0), st.sampled_from([1.0, -1.0])),
+    c=st.one_of(_finite, st.sampled_from([math.inf, -math.inf])),
+    r=_finite,
+)
+@settings(max_examples=300, deadline=None)
+def test_face_thresholds_are_exact(scale, shift, a, c, r):
+    # theta is where the face test flips: it holds at theta and fails at the
+    # next float on the failing side (below for a > 0, above for a < 0), so
+    # the test equals R >= theta (a > 0) or R <= theta (a < 0) at every R;
+    # theta is +-inf where only an infinite R passes or every R does, and
+    # NaN where none does
+    theta = float(_face_thresholds(scale, shift, a, c))
+    fail_side = -math.inf if a > 0 else math.inf
+    if math.isnan(theta):
+        assert not any(_face_test(v, scale, shift, a, c) for v in (r, math.inf, -math.inf))
+        return
+    assert _face_test(theta, scale, shift, a, c)
+    if theta != fail_side:
+        assert not _face_test(math.nextafter(theta, fail_side), scale, shift, a, c)
+    for v in (r, math.nextafter(theta, math.inf), math.nextafter(theta, -math.inf), math.nan):
+        assert _face_test(v, scale, shift, a, c) == bool(v >= theta if a > 0 else v <= theta)
+
+
+@pytest.mark.parametrize(("a", "c", "theta"), [
+    (1.0, math.inf, math.inf), (-1.0, math.inf, -math.inf),  # only an infinite R reaches
+    (1.0, -math.inf, -math.inf), (-1.0, -math.inf, math.inf),  # every R does
+])
+def test_face_thresholds_of_faces_never_or_always_hit(a, c, theta):
+    assert _face_thresholds(0.3, 0.01, a, c) == theta
+
+
+def test_constant_block_draw_makes_no_chunk_temporary():
+    # drawing one bs_const block mixes each chunk of price noise in the chunk
+    # buffer and, with rho != 0, over its parked dB in the drive.  The traced
+    # peak is the drive (size x n x 8 bytes) and the chunk buffer (MIX_ROWS x
+    # n x 8 = 0.8 MB) plus small change: a row of the running sum (size x 8 =
+    # 32 KB), the n-sized coefficients and numpy's ufunc iteration buffers
+    # for the transposed add (three operands of 8192 doubles, 192 KB, fixed).
+    # So it stays below drive + 1.5 chunks; a fresh rho_bar dW and its sum
+    # with rho dB per chunk would add two chunks more
+    import tracemalloc
+
+    grid, size = TimeGrid(1.0, 400), 1 << 12
+    drive, chunk = size * grid.n_steps * 8, MIX_ROWS * grid.n_steps * 8
+    for model in (bs_const(), bs_const(rho=-0.5)):
+        draw = functools.partial(_run_blocks, lambda *args: None, [0.2], size, grid, 1, 3,
+                                 False, 1, model)
+        draw()  # the grid's cached nodes and first-call set-up are not the draw's
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            draw()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert drive + chunk <= peak <= drive + 1.5 * chunk
 
 
 def test_shared_noise_ladder_rows_are_unbiased():
