@@ -281,11 +281,15 @@ def _running_noise(model, grid, drive):
     """Turn a constant vol's node-major drive (n, size, ...), in place, into
     its running sigma-weighted sum R_k = sum_{j <= k} sigma_j drive_j, one
     row at a time (a cumulative sum along the node axis is several times
-    slower on a block)."""
+    slower on a block); an m = 1 row is scaled in place."""
     _, sig = _coefficients(model, grid, np.zeros((grid.n_steps, model.m)))
-    prev = 0.0
-    for k in range(grid.n_steps):
-        prev = np.add(_sigma_drive(model, sig[k], drive[k]), prev, out=drive[k])
+    for k, row in enumerate(drive):
+        if model.m == 1:
+            row *= sig[k]
+        else:
+            row[...] = _sigma_drive(model, sig[k], row)
+        if k:
+            row += drive[k - 1]
 
 
 def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, model=None):

@@ -3,34 +3,24 @@ first-exit probabilities, and binary barrier options.
 
 All quantities are leading-order exponential decay rates (and, for the
 implied volatility, the limit itself); vanishing corrections are not modeled.
-Constrained path problems are solved by an exterior quadratic penalty with
-geometric continuation on the penalty weight, followed by a feasibility
-polish along the found ray.  Their gradients are reverse mode through the
-functional (``ratefn.phi_vjp``) and the constraint: the trapezoid average of
-exp(phi) for Asian options, and the windowed maximum of the signed distance
-for exits, whose subgradient sits at the latest maximal node.  Each
-constraint is one method, ``shortfall_and_grad``, which gives its value and
-gradient together; the penalty value and the polish read its value.  Every
-stage runs on the one optimizer, ``ratefn.lbfgs_batch``: L-BFGS with memory 10
-over a batch of starts, whose line search accepts a first step of
-sufficient decrease that does not overshoot and else zooms to the
-strong-Wolfe conditions.  A start stops at max |g| <= 1e-10, at a relative
-decrease <= 1e-14 in one iteration, at the iteration limit, or on a failed
-line search, which leaves it unconverged.  The first stage is a multistart
-(``ratefn.minimize_multistart``), so each round evaluates a batch of
-control pairs in one call; each later stage is a batch of one start, warm
-from the stage before.
+The Asian option is a constrained path problem, solved by an exterior
+quadratic penalty with geometric continuation on the penalty weight,
+followed by a feasibility polish along the found ray.  Its gradient is
+reverse mode through the functional (``ratefn.phi_vjp``) and the
+constraint, the trapezoid average of exp(phi), whose value and gradient
+come together from one method, ``shortfall_and_grad``.  The first stage is
+a multistart (``ratefn.minimize_multistart``); each later stage is one
+start of ``ratefn.lbfgs_batch``, warm from the stage before.
 
-Some exits need no penalty.  For m = 1 with the default drift b = r >= 0,
-the zero control leaves phi nondecreasing, and constant when r = 0.  A
-control that touches an upper face at a window node t_j therefore costs
-nothing more after t_j and still lies beyond the face at the last window
-node t_J; a lower face behaves the same way when r = 0.  Such a face is
-the terminal tail at t_J (``ratefn.inf_tail_result``, mirrored for a lower
-face): one terminal solve on the grid cut at t_J, with the cheapest l in
-closed form.  Each face reports the path it took in ``method``, "terminal"
-or "penalty"; m > 1, a custom drift and a lower face with r > 0 keep the
-penalty path.
+Exits need no penalty.  A face {a.x >= c} of the shifted domain is reached
+by the deadline iff a.phi_j >= c at some window node t_j, and the infimum of
+the energy over a union is the minimum of the infima.  Given the volatility
+control f, phi_j is affine in l, so the cheapest l that reaches the face at
+t_j costs a closed form in f.  Each face is therefore one multistart over f
+alone of ``ratefn.ExitFaceObjective``, the minimum over the window nodes of
+that cost plus the energy of f, on the grid cut at the last window node; it
+is exact on the grid for any drift, any m and any face.  Each face reports
+``exit_time``, its best node t_j, after which both controls are zero.
 """
 
 from __future__ import annotations
@@ -52,11 +42,12 @@ from .paths import Control, TimeGrid
 from .ratefn import (
     DEFAULT_TERMINAL_STEPS,
     RESTART_KEYS,
+    ExitFaceObjective,
     ModelSpec,
     RateResult,
     _single_or_batch,
+    exit_window,
     inf_tail_result,
-    itilde_terminal,
     lbfgs_batch,
     minimize_multistart,
     phi_batch,
@@ -211,14 +202,6 @@ class ExitDomain:
         )
 
 
-def exit_window(grid: TimeGrid, deadline: float) -> np.ndarray:
-    """Mask of the grid nodes in (0, deadline], the nodes where an exit counts."""
-    window = (grid.nodes > 0.0) & (grid.nodes <= deadline + 1e-12)
-    if not np.any(window):
-        raise DomainError("deadline excludes every positive grid node")
-    return window
-
-
 @dataclass
 class AsymptoteReport:
     quantity: str
@@ -336,40 +319,42 @@ def implied_vol_limit(
 # ---------------------------------------------------------------------------
 
 
-class _JointControlProblem:
-    """Energy of a joint (l, f) control pair plus a penalized constraint.
+class _AsianProblem:
+    """Energy of a joint (l, f) control pair plus the penalized Asian
+    constraint: the trapezoid average of exp(phi) reaches the moneyness."""
 
-    Subclasses provide one constraint method, ``shortfall_and_grad``: over
-    a batch of functional paths phi, the shortfall (positive when the
-    constraint is violated) and its gradient in phi.
-    """
-
-    def __init__(self, model: ModelSpec, grid: TimeGrid):
+    def __init__(self, model: ModelSpec, grid: TimeGrid, moneyness):
         self.model = model
         self.grid = grid
-        self.n = grid.n_steps
-        self.m = model.m
-        self.dim = 2 * self.n * self.m
+        self.dim = 2 * grid.n_steps * model.m
         self.mu = PENALTY_START
+        self.moneyness = float(moneyness)
+        # trapezoid weights of the time average
+        self.weights = np.full(grid.n_steps + 1, grid.dt / grid.horizon)
+        self.weights[[0, -1]] *= 0.5
 
     def split(self, z):
         z = np.asarray(z, float)
-        half = self.n * self.m
-        l = z[..., :half].reshape(z.shape[:-1] + (self.n, self.m))
-        f = z[..., half:].reshape(z.shape[:-1] + (self.n, self.m))
-        return l, f
+        l, f = np.split(z, 2, axis=-1)
+        shape = z.shape[:-1] + (self.grid.n_steps, self.model.m)
+        return l.reshape(shape), f.reshape(shape)
 
     def energies(self, z):
         l, f = self.split(z)
         dt = self.grid.dt
         return 0.5 * dt * (np.sum(l**2, axis=(-1, -2)) + np.sum(f**2, axis=(-1, -2)))
 
-    def phi_values(self, z):
-        l, f = self.split(z)
-        return phi_batch(self.model, self.grid, l, f)
+    def shortfall_and_grad(self, phi):
+        """Over a batch of functional paths phi, the shortfall (positive when
+        the constraint is violated) and its gradient in phi."""
+        ex = np.exp(phi[..., 0])
+        grad = np.zeros(phi.shape)
+        grad[..., 0] = -self.weights * ex
+        return self.moneyness - np.sum(self.weights * ex, axis=-1), grad
 
     def violation_batch(self, z):
-        return np.maximum(0.0, self.shortfall_and_grad(self.phi_values(z))[0])
+        phi = phi_batch(self.model, self.grid, *self.split(z))
+        return np.maximum(0.0, self.shortfall_and_grad(phi)[0])
 
     def value(self, z):
         return float(self.energies(z) + self.mu * self.violation_batch(z) ** 2)
@@ -390,42 +375,7 @@ class _JointControlProblem:
         return _single_or_batch(z, value, grad)
 
 
-class _AsianProblem(_JointControlProblem):
-    def __init__(self, model, grid, moneyness):
-        super().__init__(model, grid)
-        self.moneyness = float(moneyness)
-        # trapezoid weights of the time average
-        self.weights = np.full(grid.n_steps + 1, grid.dt / grid.horizon)
-        self.weights[[0, -1]] *= 0.5
-
-    def shortfall_and_grad(self, phi):
-        ex = np.exp(phi[..., 0])
-        grad = np.zeros(phi.shape)
-        grad[..., 0] = -self.weights * ex
-        return self.moneyness - np.sum(self.weights * ex, axis=-1), grad
-
-
-class _ExitFaceProblem(_JointControlProblem):
-    """Touch one face of the shifted domain by the deadline."""
-
-    def __init__(self, model, grid, face, deadline):
-        super().__init__(model, grid)
-        self.a, self.c = face  # (unit normal, offset), see ExitDomain.shifted_faces
-        self.window = exit_window(grid, deadline)
-
-    def shortfall_and_grad(self, phi):
-        # minus the windowed max of the signed distance, with its subgradient
-        # at the latest maximal node: on the zero path every node ties, and
-        # the first node would aim the zero start at an exit at t = dt
-        sd = np.einsum("a,...na->...n", self.a, phi)[..., self.window] - self.c
-        last = sd.shape[-1] - 1 - np.argmax(sd[..., ::-1], axis=-1)
-        top = np.flatnonzero(self.window)[last]
-        at_top = np.arange(phi.shape[-2]) == top[..., None]
-        grad = np.where(at_top[..., None], -self.a, 0.0)
-        return -np.max(sd, axis=-1), grad
-
-
-def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: int):
+def _penalty_continuation(problem: _AsianProblem, restarts: int, seed: int):
     """Increase the penalty weight geometrically, warm-starting every stage.
 
     Returns (z, info): the multistart's per-restart values, iteration
@@ -436,7 +386,7 @@ def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: in
     """
     problem.mu = PENALTY_START
     z, info = minimize_multistart(
-        problem, problem.dim, problem.grid, 2 * problem.m,
+        problem, problem.dim, problem.grid, 2 * problem.model.m,
         restarts=restarts, seed=seed, maxiter=PENALTY_MAXITER,
     )
     info = {k: info[k] for k in ("iterations",) + RESTART_KEYS}
@@ -452,7 +402,7 @@ def _penalty_continuation(problem: _JointControlProblem, restarts: int, seed: in
     return z, info
 
 
-def _polish_to_feasibility(problem: _JointControlProblem, z):
+def _polish_to_feasibility(problem: _AsianProblem, z):
     """Scale the found ray to exact constraint activity by bisection.
 
     The zero path must be infeasible.  Returns (z_polished, shortfall), with
@@ -483,73 +433,48 @@ def _polish_to_feasibility(problem: _JointControlProblem, z):
     return hi * base, short(hi)
 
 
-def _zero_path(problem: _JointControlProblem):
-    """(z, shortfall, info) of the zero path when it already meets the
-    constraint, with every solve diagnostic zero or empty; else None."""
-    zero = np.zeros(problem.dim)
-    if problem.violation_batch(zero) > 0.0:
-        return None
-    info = {"iterations": 0, "restart_values": [], "restart_iterations": [],
-            "restart_stops": [], "gradient_evaluations": 0, "evaluation_rounds": 0,
-            "stage_stops": []}
-    return zero, 0.0, info
+def _no_solve() -> dict:
+    """The solve diagnostics of a zero path that already meets its
+    constraint: zero iterations, no restarts, no gradient evaluations."""
+    return {"iterations": 0, "restart_values": [], "restart_iterations": [],
+            "restart_stops": [], "gradient_evaluations": 0, "evaluation_rounds": 0}
 
 
-def _solve_constrained(problem: _JointControlProblem, restarts: int, seed: int):
+def _solve_constrained(problem: _AsianProblem, restarts: int, seed: int):
     """Least-energy control pair meeting the constraint: the zero path when it
     already does, else penalty continuation and the feasibility polish.
 
     Returns (z, shortfall, info); info holds the solve diagnostics, all zero
     or empty for the zero path.
     """
-    zero = _zero_path(problem)
-    if zero is not None:
-        return zero
+    zero = np.zeros(problem.dim)
+    if problem.violation_batch(zero) <= 0.0:
+        return zero, 0.0, {**_no_solve(), "stage_stops": []}
     z, info = _penalty_continuation(problem, restarts, seed)
     z, shortfall = _polish_to_feasibility(problem, z)
     return z, shortfall, info
 
 
-def _exit_is_terminal(model: ModelSpec, face) -> bool:
-    """Whether the zero control keeps phi on the far side of the face once it
-    got there: m = 1 with b = r, an upper face, or a lower face with r = 0."""
-    return model.m == 1 and model.drift is None and (face[0][0] > 0.0 or model.r == 0.0)
-
-
-def _solve_exit_terminal(problem: _ExitFaceProblem, restarts: int, seed: int):
-    """The face of an exit that ``_exit_is_terminal`` admits, as the terminal
-    tail at the last window node t_J: the zero path when it already exits,
-    else one terminal solve at a.c on the grid cut at t_J.
-
-    The zero path failing puts a.c beyond the zero-control point, so the
-    solve at a.c is the tail infimum of ``ratefn.inf_tail_result`` (its
-    mirror image for a lower face).  The cheapest l reaching a.c against
-    the found f is the minimum-norm solution of one linear equation,
-    phi_J(l, f) = a.c, whose coefficients d phi_J / d l are rho_bar sigma dt
-    along the skeleton of f.  Both controls are zero after t_J.  Returns
-    (z, shortfall, info) as ``_solve_constrained`` does.
-    """
-    zero = _zero_path(problem)
-    if zero is not None:
-        return zero
-    grid, model = problem.grid, problem.model
-    last = int(np.flatnonzero(problem.window)[-1])
+def _exit_face(model: ModelSpec, grid: TimeGrid, face, deadline: float, restarts: int, seed: int):
+    """The least-energy exit through one face: (l_dots, f_dots, info), from
+    one multistart of ``ratefn.ExitFaceObjective`` on the grid cut at the
+    last window node, skipped when the zero path already exits.  Both
+    controls are zero after the best node t_j; info holds the solve
+    diagnostics (empty for the zero path) and ``exit_time`` t_j."""
+    last = int(np.flatnonzero(exit_window(grid, deadline))[-1])
     cut = grid if last == grid.n_steps else TimeGrid(last * grid.dt, last)
-    target = float(problem.a[0]) * problem.c
-    res = itilde_terminal(model, target, grid=cut, restarts=restarts, seed=seed)
-    f_dots = res.minimizer_f.dot_values
-    phi, pullback = phi_vjp(model, cut, np.zeros_like(f_dots), f_dots)
-    phi_bar = np.zeros_like(phi)
-    phi_bar[-1] = 1.0
-    slope = pullback(phi_bar)[0]
-    norm = float(np.sum(slope**2))
-    scale = (target - float(phi[-1, 0])) / norm if norm > 0.0 else 0.0
-    l_dots, f_full = np.zeros((2, grid.n_steps, 1))
-    l_dots[:last] = scale * slope
-    f_full[:last] = f_dots
-    z = np.concatenate([l_dots.ravel(), f_full.ravel()])
-    info = {"iterations": res.iterations, **_restarts(res), "stage_stops": []}
-    return z, float(problem.violation_batch(z)), info
+    objective = ExitFaceObjective(model, cut, face, deadline)
+    x = np.zeros(last * model.m)
+    if objective.value(x) == 0.0:
+        info = {**_no_solve(), "converged": True}
+    else:
+        x, info = minimize_multistart(objective, x.size, cut, model.m, restarts=restarts, seed=seed)
+        info = {k: info[k] for k in ("iterations", "converged") + RESTART_KEYS}
+    node, l_first = objective.exit_pair(x)
+    l_dots, f_dots = np.zeros((2, grid.n_steps, model.m))
+    l_dots[:node] = l_first
+    f_dots[:node] = x.reshape(last, model.m)[:node]
+    return l_dots, f_dots, {"exit_time": float(grid.nodes[node]), **info}
 
 
 def asian_asymptote(
@@ -610,9 +535,10 @@ def exit_asymptote(
     seed: int = 0,
 ) -> AsymptoteReport:
     """Decay rate of the probability that the log-price leaves the domain
-    by the deadline; faces of the shifted domain are searched independently,
-    each by one terminal solve where ``_exit_is_terminal`` admits it and by
-    the penalty path otherwise."""
+    by the deadline: the least rate over the faces of the shifted domain,
+    one ``ratefn.ExitFaceObjective`` solve each.  Each face reports its rate,
+    whether its solve converged, its solve diagnostics and ``exit_time``,
+    the window node where its least-energy path reaches the face."""
     if domain.dim != model.m:
         raise DimensionError("domain dimension must equal m")
     horizon = float(horizon if horizon is not None else deadline)
@@ -621,42 +547,22 @@ def exit_asymptote(
     if domain.strictly_outside(model.x0):
         raise DomainError("the start point must not lie outside the domain")
     grid = TimeGrid(horizon, n_steps or DEFAULT_TERMINAL_STEPS)
-    best = None
-    per_face = []
-    for idx, face in enumerate(domain.shifted_faces(model.x0)):
-        problem = _ExitFaceProblem(model, grid, face, deadline)
-        method = "terminal" if _exit_is_terminal(model, face) else "penalty"
-        solve = _solve_exit_terminal if method == "terminal" else _solve_constrained
-        z, shortfall, info = solve(problem, restarts, seed)
-        rate = float(problem.energies(z))
-        ok = shortfall <= FEASIBILITY_TOL
-        per_face.append(
-            {"face": idx, "rate": rate, "converged": bool(ok), "method": method, **info}
-        )
-        if ok and (best is None or rate < best[0]):
-            best = (rate, idx, z, problem, info)
-    if best is None:
-        zc = Control.zero(grid, model.m)
-        return AsymptoteReport(
-            quantity="exit_prob",
-            rate=float(min(f["rate"] for f in per_face)),
-            minimizer_f=zc,
-            minimizer_l=zc,
-            diagnostics={"converged": False, "faces": per_face},
-        )
-    rate, idx, z, problem, info = best
-    l_dots, f_dots = problem.split(z)
+    faces = domain.shifted_faces(model.x0)
+    solves = [_exit_face(model, grid, face, deadline, restarts, seed) for face in faces]
+    per_face = [
+        {"face": idx, "rate": 0.5 * grid.dt * float(np.sum(l_dots**2) + np.sum(f_dots**2)), **info}
+        for idx, (l_dots, f_dots, info) in enumerate(solves)
+    ]
+    # the least rate among the converged faces, else among all of them
+    candidates = [i for i, face in enumerate(per_face) if face["converged"]] or range(len(faces))
+    best = min(candidates, key=lambda i: per_face[i]["rate"])
+    l_dots, f_dots, info = solves[best]
     return AsymptoteReport(
         quantity="exit_prob",
-        rate=rate,
+        rate=per_face[best]["rate"],
         minimizer_f=Control(grid, f_dots),
         minimizer_l=Control(grid, l_dots),
-        diagnostics={
-            "converged": True,
-            "best_face": idx,
-            "faces": per_face,
-            **info,
-        },
+        diagnostics={"converged": info["converged"], "best_face": best, "faces": per_face, **info},
     )
 
 

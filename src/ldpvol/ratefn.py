@@ -26,7 +26,8 @@ coefficients and the controls, ``_coefficients_vjp`` pulls the
 coefficients' cotangents back through the skeleton
 (``volmap.hat_map_vjp``), and every objective composes the two:
 ``phi_vjp`` after a reverse cumulative sum, the terminal objective with its
-node-constant cotangent, the sample-path objective with the adjoint of its
+node-constant cotangent, the exit objective with that cotangent on the steps
+before its best node, the sample-path objective with the adjoint of its
 residual solve.  Each objective's ``value_and_grad`` runs one forward pass
 and one backward pass, and L-BFGS takes both from it.  The only finite
 differences are the state derivatives of the coefficient closures, central
@@ -260,6 +261,19 @@ def _step_vjp(model: ModelSpec, sig, drive, step_bar):
     return step_bar, sig_bar, drive_bar @ model.cbar, drive_bar @ model.C
 
 
+def _sigma_cbar(model: ModelSpec, sig):
+    """sigma cbar, the loading of the step on the auxiliary control:
+    rho_bar sigma (...,) for m = 1, sigma @ cbar (..., m, m) otherwise."""
+    return model.rho_bar * sig if model.m == 1 else sig @ model.cbar
+
+
+def _sigma_cbar_vjp(model: ModelSpec, weight, sc_bar):
+    """weight (per node) times the pullback of ``_sigma_cbar`` of sc_bar."""
+    if model.m == 1:
+        return weight * model.rho_bar * sc_bar
+    return weight[..., None, None] * (sc_bar @ model.cbar.T)
+
+
 def _phi_from(model: ModelSpec, grid: TimeGrid, b, sig, drive) -> np.ndarray:
     """Nodal path of the functional: the cumulative sum of its eps = 0 steps."""
     incr = _phi_increment(model, b, sig, drive, grid.dt)
@@ -377,11 +391,10 @@ class TerminalObjective:
         model, dt = self.model, self.grid.dt
         drive = _phi_drive(model, np.zeros_like(flat), flat)
         numer = self.x - np.sum(_phi_increment(model, b, sig, drive, dt), axis=-2)
+        sc = _sigma_cbar(model, sig)
         if model.m == 1:
-            sc = model.rho_bar * sig
             var = dt * np.sum(sc**2, axis=-1)
         else:
-            sc = sig @ model.cbar
             var = dt / model.m * np.sum(sc**2, axis=(-3, -2, -1))
         nn = np.sum(numer**2, axis=-1)
         en = 0.5 * dt * np.sum(flat**2, axis=(-2, -1))
@@ -417,16 +430,92 @@ class TerminalObjective:
         b_bar, sig_bar, _, f_bar = _step_vjp(model, sig, drive, step_bar)
         # d value / d sigma through tr(A) is this factor times sigma cbar cbar'
         var_bar = -(dt / model.m) * np.sum(numer**2, axis=-1, keepdims=True) / var**2
-        if model.m == 1:
-            sig_bar = sig_bar + var_bar * model.rho_bar * sc
-        else:
-            sig_bar = sig_bar + var_bar[..., None, None] * (sc @ model.cbar.T)
+        sig_bar = sig_bar + _sigma_cbar_vjp(model, var_bar, sc)
         grad = (dt * flat + f_bar + coefficients_pullback(b_bar, sig_bar)).reshape(dots.shape)
         flat_grad = np.where(value[..., None] < _INFEASIBLE, dt * dots, 0.0)
         return _single_or_batch(dots, value, np.where(live[..., None], grad, flat_grad))
 
     def gradient(self, dots):
         return self.value_and_grad(dots)[1]
+
+
+def exit_window(grid: TimeGrid, deadline: float) -> np.ndarray:
+    """Mask of the grid nodes in (0, deadline], the nodes where an exit counts."""
+    window = (grid.nodes > 0.0) & (grid.nodes <= deadline + 1e-12)
+    if not np.any(window):
+        raise DomainError("deadline excludes every positive grid node")
+    return window
+
+
+class ExitFaceObjective(TerminalObjective):
+    """Exit objective of one face {a.x >= c} by a deadline, over the
+    volatility control f: a terminal objective on a half-space, per node.
+
+    The face is reached by the deadline iff a.phi_j >= c at some window node
+    t_j, and the infimum over a union is the minimum of the infima.  Given f,
+    phi_j is affine in l, so the cheapest l that reaches the face at t_j costs
+    (c - a.m_j(f))_+^2 / (2 a'A_j a), with m_j(f) = phi_j(0, f) and
+    A_j = dt sum_{k<j} sigma_k cbar cbar' sigma_k'.  The value is the minimum
+    over the window nodes of that cost, plus the energy of f, exact on the
+    grid for any drift, any m and any face; the gradient is the argmin
+    node's.  Only a'A_j a enters, so m > 1 needs no rotation form.  The
+    energy of f after t_j, which the minimizer sets to 0, keeps a gradient
+    on it, so no start stalls at an early node.
+    """
+
+    def __init__(self, model: ModelSpec, grid: TimeGrid, face, deadline: float):
+        self.model = model
+        self.grid = grid
+        self.a = np.asarray(face[0], float)  # (normal, offset), see ExitDomain.shifted_faces
+        self.c = float(face[1])
+        self.nodes = int(np.flatnonzero(exit_window(grid, deadline))[-1])
+        self.miss_tol = 1e-9 * max(1.0, abs(self.c))
+
+    def _forward(self, flat, b, sig):
+        """(value, the cost at each window node, its shortfall (c - a.m_j)_+
+        and a'A_j a (inf where 0), the drive at l = 0, the load a' sigma cbar)."""
+        model, dt, nodes = self.model, self.grid.dt, self.nodes
+        drive = _phi_drive(model, np.zeros_like(flat), flat)
+        steps = _phi_increment(model, b, sig, drive, dt)
+        s = np.maximum(self.c - np.cumsum(steps @ self.a, axis=-1)[..., :nodes], 0.0)
+        sc = _sigma_cbar(model, sig)
+        load = (self.a[0] * sc)[..., None] if model.m == 1 else self.a @ sc  # (..., n, m)
+        var = dt * np.cumsum(np.sum(load**2, axis=-1), axis=-1)[..., :nodes]
+        # vanishing volatility: the node counts only if the drift alone reaches it
+        var = np.where(var > 0.0, var, np.inf)
+        costs = np.where(np.isinf(var) & (s > self.miss_tol), _INFEASIBLE, 0.5 * s**2 / var)
+        value = np.min(costs, axis=-1) + 0.5 * dt * np.sum(flat**2, axis=(-2, -1))
+        return np.minimum(value, _INFEASIBLE), costs, s, var, drive, load
+
+    def exit_pair(self, dots):
+        """(j, l) at one point f: the best window node j >= 1, and on the
+        steps k < j the cheapest l that reaches the face at t_j, the
+        minimum-norm solution of a.phi_j(l, f) = c."""
+        flat = self._flat(np.asarray(dots, float))
+        _, costs, s, _, _, load = self._forward(flat, *_coefficients(self.model, self.grid, flat))
+        j = int(np.argmin(costs)) + 1
+        slope = self.grid.dt * load[:j]  # d a.phi_j / d l_dots
+        norm = float(np.sum(slope**2))
+        return j, (s[j - 1] / norm if norm > 0.0 else 0.0) * slope
+
+    def value_and_grad(self, dots):
+        dots = np.asarray(dots, float)
+        model, dt = self.model, self.grid.dt
+        flat = self._flat(dots)
+        (b, sig), coefficients_pullback = _coefficients_vjp(model, self.grid, flat)
+        value, costs, s, var, drive, load = self._forward(flat, b, sig)
+        # a row whose best node has a'A a = 0 (var = inf) takes the energy's gradient alone
+        top = np.argmin(costs, axis=-1)[..., None]
+        s, var = np.take_along_axis(s, top, -1), np.take_along_axis(var, top, -1)
+        before = np.arange(self.grid.n_steps) <= top  # the steps k < j
+        # d value / d (b + sigma drive) and / d sigma cbar through a'A a
+        step_bar = (before * (-dt * s / var))[..., None] * self.a
+        b_bar, sig_bar, _, f_bar = _step_vjp(model, sig, drive, step_bar)
+        load_bar = load[..., 0] * self.a[0] if model.m == 1 else self.a[:, None] * load[..., None, :]
+        sig_bar = sig_bar + _sigma_cbar_vjp(model, before * (-dt * s**2 / var**2), load_bar)
+        grad = dt * flat + f_bar + coefficients_pullback(b_bar, sig_bar)
+        grad = np.where(value[..., None, None] < _INFEASIBLE, grad, 0.0)
+        return _single_or_batch(dots, value, grad.reshape(dots.shape))
 
 
 # The benchmark's probes and tracer still build and wrap the objective by this name.

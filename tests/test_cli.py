@@ -221,13 +221,25 @@ def test_barrier_rate(capsys):
     ids=["exit-rate", "barrier-rate"],
 )
 def test_readme_exit_commands_take_few_rounds(capsys, argv):
-    # one terminal solve per face: the penalty path takes 82 and 98 rounds
-    # here, and the count repeats exactly, so a silent fall back shows
+    # one multistart of the exit objective per face: a penalty solve takes
+    # 82 and 98 rounds here, and the count repeats exactly
     code, out, _ = run_cli(capsys, *argv, "--n-steps", "200")
     assert code == EXIT_OK
     diag = json.loads(out)["diagnostics"]
-    assert diag["converged"] and diag["faces"][0]["method"] == "terminal"
+    assert diag["converged"] and diag["faces"][0]["exit_time"] == 1.0
     assert diag["evaluation_rounds"] <= 10
+
+
+def test_exit_rate_against_the_drift(tmp_path, capsys):
+    # the lower face lies against r: (0.1 + 0.05)^2 / (2 * 0.04) at t = 1
+    model_file = tmp_path / "model.json"
+    model_file.write_text(json.dumps({"preset": "bs_const", "params": {"r": 0.05}}))
+    dom = json.dumps({"kind": "box", "lower": [-0.1], "upper": [0.25]})
+    code, out, _ = run_cli(capsys, "exit-rate", "--model", str(model_file), "--domain", dom)
+    assert code == EXIT_OK
+    obj = json.loads(out)
+    assert obj["rate"] == pytest.approx(0.28125, rel=1e-12)
+    assert obj["diagnostics"]["best_face"] == 1 and obj["diagnostics"]["exit_time"] == 1.0
 
 
 def test_kernel_info(capsys):

@@ -18,8 +18,9 @@ import pytest
 from ldpvol import TimeGrid
 from ldpvol.paths import PathFn
 from ldpvol.presets import bs_const, frac_heston, mixed_demo, reflected_ou, rough_gauss, toy_sabr
-from ldpvol.pricing import PENALTY_MAXITER, _AsianProblem, _ExitFaceProblem
+from ldpvol.pricing import PENALTY_MAXITER, _AsianProblem
 from ldpvol.ratefn import (
+    ExitFaceObjective,
     PathRateObjective,
     TerminalObjective,
     _restart_points,
@@ -39,7 +40,7 @@ VALUE_ROW_TOL = 1e-13
 
 
 # name -> (objective factory, dim, control_dim, maxiter, reads a kernel table);
-# the penalty problems stay at mu = PENALTY_START, their multistart's stage
+# the Asian penalty problem stays at mu = PENALTY_START, its multistart's stage
 CASES = {
     "bs_const": (lambda: TerminalObjective(bs_const(), GRID, 0.1), 40, 1, 500, False),
     "toy_sabr": (lambda: TerminalObjective(toy_sabr(), GRID, 0.1), 40, 1, 500, False),
@@ -61,12 +62,10 @@ CASES = {
         lambda: _AsianProblem(bs_const(), GRID, 1.05), 80, 2, PENALTY_MAXITER, False
     ),
     "exit_toy_sabr": (
-        lambda: _ExitFaceProblem(toy_sabr(), GRID, (np.array([1.0]), 0.1), 1.0),
-        80, 2, PENALTY_MAXITER, False,
+        lambda: ExitFaceObjective(toy_sabr(), GRID, (np.array([1.0]), 0.1), 1.0), 40, 1, 500, False
     ),
     "exit_frac_heston": (
-        lambda: _ExitFaceProblem(frac_heston(), GRID, (np.array([1.0]), 0.1), 1.0),
-        80, 2, PENALTY_MAXITER, True,
+        lambda: ExitFaceObjective(frac_heston(), GRID, (np.array([1.0]), 0.1), 1.0), 40, 1, 500, True
     ),
 }
 

@@ -19,6 +19,7 @@ from ldpvol.pricing import (
     exit_asymptote,
     implied_vol_limit,
 )
+from ldpvol.ratefn import phi_batch
 
 N_FAST = 100
 
@@ -209,93 +210,148 @@ def test_barrier_oracle_and_prefactor():
     assert rep0.rate == pytest.approx(math.log(1.25) ** 2 / (2 * 0.04), rel=1e-2)
 
 
-# The exits that need no penalty: m = 1 with b = r, an upper face, or a lower
-# face with r = 0.  The penalty path, called directly, is their oracle.
+# The oracle of an m = 1 exit face: a loop over the window nodes t_j, 0 once
+# the zero path reaches the face, else the least terminal rate at a.c on the
+# grid cut at t_j (beyond the zero-control point the half-space's infimum is
+# the terminal rate at its face, as for ``inf_tail``).
 M1_PRESETS = [bs_const, toy_sabr, rough_gauss, frac_heston, reflected_ou]
 
 
-def _penalty_rate(model, face, deadline, n_steps, restarts=4):
-    from ldpvol.pricing import _ExitFaceProblem, _solve_constrained
-
-    problem = _ExitFaceProblem(model, TimeGrid(1.0, n_steps), face, deadline)
-    z, _, info = _solve_constrained(problem, restarts, 0)
-    return float(problem.energies(z)), info
+def _drifted(factory, b):
+    model = factory()
+    model.drift = lambda t, u: np.full(np.shape(u)[:-1] + (1,), b)
+    return model
 
 
+def _node_scan(model, face, deadline, n_steps, restarts=1):
+    from ldpvol.pricing import exit_window
+    from ldpvol.ratefn import itilde_terminal
+
+    (a,), c = face
+    grid = TimeGrid(1.0, n_steps)
+    zero = np.zeros((n_steps, 1))
+    reach = a * phi_batch(model, grid, zero, zero)[:, 0]
+    nodes = np.flatnonzero(exit_window(grid, deadline))
+    if np.any(reach[nodes] >= c):
+        return 0.0
+    cut = [TimeGrid(j * grid.dt, j) for j in nodes]
+    return min(itilde_terminal(model, a * c, grid=g, restarts=restarts).value for g in cut)
+
+
+def _check_exit_pair(model, dom, rep):
+    """The reported pair reaches the face at its exit time, costs the rate,
+    and both controls are zero after the exit time."""
+    from ldpvol.paths import energy
+
+    grid = rep.minimizer_f.grid
+    face = rep.diagnostics["faces"][rep.diagnostics["best_face"]]
+    (a, c) = dom.shifted_faces(model.x0)[face["face"]]
+    node = int(round(rep.diagnostics["exit_time"] / grid.dt))
+    assert grid.nodes[node] == rep.diagnostics["exit_time"] == face["exit_time"]
+    l_dots, f_dots = rep.minimizer_l.dot_values, rep.minimizer_f.dot_values
+    phi = phi_batch(model, grid, l_dots, f_dots)
+    assert float(a @ phi[node]) >= c - 1e-12 * max(1.0, abs(c))
+    assert abs(energy(rep.minimizer_l) + energy(rep.minimizer_f) - rep.rate) <= 1e-12 * rep.rate
+    assert not np.any(l_dots[node:]) and not np.any(f_dots[node:])
+
+
+# The test keeps its name from when the penalty path was the oracle of these
+# faces (r = 0, the default drift); the oracle is now the node loop.
 @pytest.mark.parametrize("deadline", [1.0, 0.63])
 @pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
 @pytest.mark.parametrize("factory", M1_PRESETS, ids=lambda f: f.__name__)
 def test_terminal_exit_equals_the_penalty_path(factory, side, deadline):
-    from ldpvol.paths import energy
-    from ldpvol.pricing import FEASIBILITY_TOL, _ExitFaceProblem
-
     model, n = factory(), 50
     assert model.r == 0.0 and model.drift is None
     dom = ExitDomain("half_space", normal=[side], offset=0.1)
     rep = exit_asymptote(model, dom, deadline=deadline, horizon=1.0, n_steps=n)
-    (face,) = rep.diagnostics["faces"]
-    assert face["method"] == "terminal" and rep.diagnostics["converged"]
-    want, _ = _penalty_rate(model, dom.shifted_faces(model.x0)[0], deadline, n)
-    assert abs(rep.rate - want) <= 1e-8 * want
-    # the reported pair touches the face inside the window, and costs the rate
-    grid = TimeGrid(1.0, n)
-    problem = _ExitFaceProblem(model, grid, dom.shifted_faces(model.x0)[0], deadline)
-    z = np.concatenate([rep.minimizer_l.dot_values.ravel(), rep.minimizer_f.dot_values.ravel()])
-    assert problem.violation_batch(z) <= FEASIBILITY_TOL
-    assert abs(energy(rep.minimizer_l) + energy(rep.minimizer_f) - rep.rate) <= 1e-12 * rep.rate
-    last = int(np.flatnonzero(problem.window)[-1])
-    assert not np.any(rep.minimizer_l.dot_values[last:]) and not np.any(rep.minimizer_f.dot_values[last:])
+    assert rep.diagnostics["converged"]
+    want = _node_scan(model, dom.shifted_faces(model.x0)[0], deadline, n)
+    assert abs(rep.rate - want) <= 1e-9 * want
+    _check_exit_pair(model, dom, rep)
     if factory is bs_const:  # h^2 / (2 sigma^2 t_J)
-        assert rep.rate == pytest.approx(0.1**2 / (2 * 0.04 * grid.nodes[last]), rel=1e-12)
+        last = TimeGrid(1.0, n).nodes[int(deadline * n)]
+        assert rep.diagnostics["exit_time"] == last
+        assert rep.rate == pytest.approx(0.1**2 / (2 * 0.04 * last), rel=1e-12)
+
+
+@pytest.mark.parametrize("deadline", [1.0, 0.63])
+@pytest.mark.parametrize("side", [1.0, -1.0], ids=["upper", "lower"])
+@pytest.mark.parametrize("drift", [0.05, -0.05], ids=["up", "down"])
+@pytest.mark.parametrize("factory", M1_PRESETS, ids=lambda f: f.__name__)
+def test_exit_under_a_drift_equals_the_node_scan(factory, drift, side, deadline):
+    # a drift toward the face and one away from it; away from it, the zero
+    # path lies nearest the face at the first node, where a penalty on the
+    # windowed maximum aims every start
+    model, n = _drifted(factory, drift), 30
+    dom = ExitDomain("half_space", normal=[side], offset=0.1)
+    rep = exit_asymptote(model, dom, deadline=deadline, horizon=1.0, n_steps=n)
+    assert rep.diagnostics["converged"]
+    want = _node_scan(model, dom.shifted_faces(model.x0)[0], deadline, n)
+    assert abs(rep.rate - want) <= 1e-9 * want
+    _check_exit_pair(model, dom, rep)
+
+
+def _bs_exit_closed_form(c, b, n_steps, deadline=1.0):
+    """min over window nodes t_j of (c - b t_j)^2 / (2 sigma^2 t_j), bs_const
+    with sigma = 0.2 and drift b toward the face."""
+    t = TimeGrid(1.0, n_steps).nodes[1:]
+    t = t[t <= deadline + 1e-12]
+    return float(np.min((c - b * t) ** 2 / (2 * 0.04 * t)))
+
+
+@pytest.mark.parametrize(
+    "model, dom, toward",
+    [
+        (_drifted(bs_const, -0.05), ExitDomain("half_space", normal=[1.0], offset=0.1), -0.05),
+        (bs_const(r=0.05), ExitDomain("half_space", normal=[-1.0], offset=0.1), -0.05),
+        (bs_const(r=0.05), ExitDomain("half_space", normal=[1.0], offset=0.1), 0.05),
+    ],
+    ids=["custom_drift_upper", "r>0_lower", "r>0_upper"],
+)
+def test_bs_exit_against_and_with_the_drift_equals_the_closed_form(model, dom, toward):
+    rep = exit_asymptote(model, dom, deadline=1.0, n_steps=40, restarts=2)
+    assert rep.diagnostics["converged"]
+    assert rep.rate == pytest.approx(_bs_exit_closed_form(0.1, toward, 40), rel=1e-12)
+    assert rep.diagnostics["exit_time"] == 1.0
+    _check_exit_pair(model, dom, rep)
+    if toward < 0:  # (0.1 + 0.05)^2 / 0.08
+        assert rep.rate == pytest.approx(0.28125, rel=1e-12)
+
+
+def test_barrier_with_rate_equals_the_closed_form():
+    # the lower barrier lies against the drift r: (log(1/0.9) + r t)^2 / (2 sigma^2 t)
+    pd = ExitDomain("box", lower=[0.9], upper=[1.25])
+    rep = barrier_asymptote(bs_const(r=0.05), pd, horizon=1.0, n_steps=50)
+    faces = [f["rate"] for f in rep.diagnostics["faces"]]
+    want = [_bs_exit_closed_form(math.log(1.25), 0.05, 50),
+            _bs_exit_closed_form(-math.log(0.9), -0.05, 50)]
+    assert faces == pytest.approx(want, rel=1e-12)
+    assert rep.rate == pytest.approx(min(want), rel=1e-12) and rep.diagnostics["best_face"] == 1
 
 
 def test_exit_two_sided_box_takes_the_terminal_path_on_both_faces():
     dom = ExitDomain("box", lower=[-0.2], upper=[0.3])
     rep = exit_asymptote(bs_const(), dom, deadline=1.0, n_steps=N_FAST)
     faces = rep.diagnostics["faces"]
-    assert [f["method"] for f in faces] == ["terminal", "terminal"]
     assert [f["rate"] for f in faces] == pytest.approx([0.3**2 / 0.08, 0.2**2 / 0.08], rel=1e-12)
+    assert [f["exit_time"] for f in faces] == [1.0, 1.0]
     assert rep.diagnostics["best_face"] == 1
-    assert all(f["evaluation_rounds"] <= 10 and f["stage_stops"] == [] for f in faces)
+    assert all(f["evaluation_rounds"] <= 10 for f in faces)
 
 
-def _negative_drift():
-    model = bs_const()
-    model.drift = lambda t, u: np.full(np.shape(u)[:-1] + (1,), -0.05)
-    return model
-
-
-@pytest.mark.parametrize(
-    "model, dom",
-    [
-        (_negative_drift(), ExitDomain("half_space", normal=[1.0], offset=0.1)),
-        (bs_const(r=0.05), ExitDomain("half_space", normal=[-1.0], offset=0.1)),
-    ],
-    ids=["custom_drift", "lower_face_r>0"],
-)
-def test_exit_falls_back_to_the_penalty_path(model, dom):
-    rep = exit_asymptote(model, dom, deadline=1.0, n_steps=40, restarts=2)
-    (face,) = rep.diagnostics["faces"]
-    assert face["method"] == "penalty" and rep.diagnostics["converged"]
-    want, info = _penalty_rate(model, dom.shifted_faces(model.x0)[0], 1.0, 40, restarts=2)
-    assert rep.rate == want
-    assert face["stage_stops"] == info["stage_stops"]
-    assert len(face["stage_stops"]) == PENALTY_STAGES - 1
-
-
-def test_multivariate_exit_box_takes_the_penalty_path():
-    from ldpvol.presets import mixed_demo
-    from ldpvol.pricing import _ExitFaceProblem, _solve_constrained
-
+def test_multivariate_exit_box_keeps_its_face_rates():
+    # r = 0, so every window node ties on the zero path and the faces' rates
+    # of the windowed-maximum penalty solve were right; they stay
     model = mixed_demo()
     dom = ExitDomain("box", lower=[-0.4, -0.5], upper=[0.3, 0.6])
     rep = exit_asymptote(model, dom, deadline=1.0, n_steps=24, restarts=1, seed=1)
-    grid = TimeGrid(1.0, 24)
-    for face, shifted in zip(rep.diagnostics["faces"], dom.shifted_faces(model.x0)):
-        assert face["method"] == "penalty"
-        problem = _ExitFaceProblem(model, grid, shifted, 1.0)
-        z, _, _ = _solve_constrained(problem, 1, 1)
-        assert face["rate"] == float(problem.energies(z))
+    assert [f["rate"] for f in rep.diagnostics["faces"]] == pytest.approx(
+        [0.3931305348074319, 1.1597191268144451, 0.9833287533240608, 1.2719800000349721],
+        rel=1e-6,
+    )
+    assert all(f["converged"] for f in rep.diagnostics["faces"])
+    _check_exit_pair(model, dom, rep)
 
 
 def test_constant_vol_rates_equal_the_brownian_kernel_spec():
@@ -448,18 +504,19 @@ def test_asian_vanishing_sigma_threshold():
 
 
 def _joint_problems(model, grid):
-    """The Asian problem and the half-space faces for m = 1; box-exit faces
-    for every m."""
-    from ldpvol.pricing import _AsianProblem, _ExitFaceProblem
+    """The Asian problem and the half-space face for m = 1, box-exit faces
+    for every m; each with its control dimension."""
+    from ldpvol.pricing import _AsianProblem
+    from ldpvol.ratefn import ExitFaceObjective
 
     m = model.m
     box = ExitDomain("box", lower=[-0.2] * m, upper=[0.25] * m)
     faces = box.faces()
     if m == 1:
-        yield "asian", _AsianProblem(model, grid, 1.05)
+        yield "asian", _AsianProblem(model, grid, 1.05), 2 * m
         faces = ExitDomain("half_space", normal=[1.0], offset=0.17).faces() + faces
     for idx, face in enumerate(faces):
-        yield f"exit_face{idx}", _ExitFaceProblem(model, grid, face, 0.9)
+        yield f"exit_face{idx}", ExitFaceObjective(model, grid, face, 0.9), m
 
 
 @pytest.mark.parametrize("mu", [10.0, 1e4])
@@ -472,11 +529,12 @@ def test_joint_problem_gradient_oracle(factory, mu):
 
     grid = TimeGrid(1.0, 40)
     rng = np.random.default_rng(99)
-    for name, prob in _joint_problems(factory(), grid):
-        prob.mu = mu
-        scale = math.sqrt(2.0 / (2 * prob.m * grid.horizon))  # restart size
+    for name, prob, control_dim in _joint_problems(factory(), grid):
+        if name == "asian":  # the exit objectives have no penalty weight
+            prob.mu = mu
+        scale = math.sqrt(2.0 / (control_dim * grid.horizon))  # restart size
         for _ in range(2):
-            z = rng.normal(scale=scale, size=prob.dim)
+            z = rng.normal(scale=scale, size=grid.n_steps * control_dim)
             assert check_gradient(prob, z) < 1e-5, name
 
 
@@ -497,6 +555,6 @@ def test_pricer_diagnostics_carry_restarts():
     rep = exit_asymptote(bs_const(), dom, deadline=1.0, n_steps=40, restarts=1)
     assert all(len(face["restart_values"]) == 2 for face in rep.diagnostics["faces"])
     assert len(rep.diagnostics["restart_values"]) == 2
-    assert all(face["stage_stops"] == [] for face in rep.diagnostics["faces"])
+    assert all("stage_stops" not in face for face in rep.diagnostics["faces"])
     call = call_asymptote(toy_sabr(), 1.105, 1.0, n_steps=40, restarts=2)
     assert len(call.diagnostics["restart_values"]) == 3

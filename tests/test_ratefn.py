@@ -512,7 +512,8 @@ def test_path_gradient_oracle(factory):
 def test_value_and_grad_matches_value():
     # the fused evaluation L-BFGS sees reports the same value as value(), for
     # every objective class: the two forward paths agree bit for bit
-    from ldpvol.pricing import ExitDomain, _AsianProblem, _ExitFaceProblem
+    from ldpvol.pricing import ExitDomain, _AsianProblem
+    from ldpvol.ratefn import ExitFaceObjective
 
     grid = TimeGrid(1.0, 40)
     for factory in (bs_const, toy_sabr, rough_gauss, frac_heston, reflected_ou, mixed_demo):
@@ -523,7 +524,7 @@ def test_value_and_grad_matches_value():
             TerminalObjective(model, grid, [0.05] * m if m > 1 else 0.1),
             PathRateObjective(model, _target_path(grid, m)),
             _AsianProblem(model, grid, 1.05),
-            _ExitFaceProblem(model, grid, face, 0.9),
+            ExitFaceObjective(model, grid, face, 0.9),
         ]
         for obj in objectives:
             rng = np.random.default_rng(2718)
