@@ -97,8 +97,12 @@ import numpy as np
 from . import kernels as _k
 from .errors import ConvergenceError, DimensionError, DomainError, require_number
 from .paths import TimeGrid
-from .pricing import ExitDomain, call_asymptote, exit_asymptote, exit_window
-from .ratefn import ModelSpec, _coefficients, _phi_drive, _phi_increment, _sigma_drive, inf_tail
+from .pricing import (
+    ExitDomain, call_asymptote, check_exit, exit_asymptote, exit_window, positive_strike,
+)
+from .ratefn import (
+    ModelSpec, _coefficients, _phi_drive, _phi_increment, _sigma_drive, finite_threshold, inf_tail,
+)
 from .volmap import (
     BLOWUP_LIMIT, VolProcessSpec, is_affine, is_constant, output_map, vol_state,
 )
@@ -697,6 +701,7 @@ def ldp_tail_report(cfg: SimConfig, k: float, reference_rate: float | None = Non
     """Tail probabilities of the terminal displacement against the decay rate."""
     if cfg.model.m != 1:
         raise DimensionError("tail report is for m = 1 models")
+    k = finite_threshold(k)
     if reference_rate is None:
         reference_rate = inf_tail(cfg.model, k, grid=cfg.grid)
     stats = _per_eps_payoff_stats(
@@ -709,7 +714,7 @@ def mc_call_report(cfg: SimConfig, strike: float, reference_rate: float | None =
     """Undiscounted call prices across the ladder against the decay rate."""
     if cfg.model.m != 1:
         raise DimensionError("call report is for m = 1 models")
-    s0 = float(cfg.model.s0[0])
+    s0, strike = float(cfg.model.s0[0]), positive_strike(strike)
     if reference_rate is None:
         reference_rate = call_asymptote(
             cfg.model, strike, cfg.grid.horizon, n_steps=cfg.grid.n_steps
@@ -738,8 +743,7 @@ def mc_exit_report(
     displacement at window nodes alone.
     """
     model = cfg.model
-    if domain.dim != model.m:
-        raise DimensionError("domain dimension must equal m")
+    check_exit(model, domain, deadline, cfg.grid.horizon)
     window = exit_window(cfg.grid, deadline)
     if reference_rate is None:
         reference_rate = exit_asymptote(

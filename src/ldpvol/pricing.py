@@ -12,15 +12,12 @@ come together from one method, ``shortfall_and_grad``.  The first stage is
 a multistart (``ratefn.minimize_multistart``); each later stage is one
 start of ``ratefn.lbfgs_batch``, warm from the stage before.
 
-Exits need no penalty.  A face {a.x >= c} of the shifted domain is reached
-by the deadline iff a.phi_j >= c at some window node t_j, and the infimum of
-the energy over a union is the minimum of the infima.  Given the volatility
-control f, phi_j is affine in l, so the cheapest l that reaches the face at
-t_j costs a closed form in f.  Each face is therefore one multistart over f
-alone of ``ratefn.ExitFaceObjective``, the minimum over the window nodes of
-that cost plus the energy of f, on the grid cut at the last window node; it
-is exact on the grid for any drift, any m and any face.  Each face reports
-``exit_time``, its best node t_j, after which both controls are zero.
+Calls, implied vols, exits and barriers need no penalty: each face of a
+half-space is one ``ratefn.solve_face``, a closed-form cost of reaching it
+minimized over the volatility control alone.  A call or implied vol reads
+the tail {x_T >= k}, the face (1, k) at T alone (``ratefn.inf_tail_result``);
+an exit reads each face of the shifted domain at the window nodes of
+(0, deadline] and reports the least rate and each face's ``exit_time``.
 """
 
 from __future__ import annotations
@@ -41,10 +38,7 @@ from .errors import (
 from .paths import Control, TimeGrid
 from .ratefn import (
     DEFAULT_TERMINAL_STEPS,
-    RESTART_KEYS,
-    ExitFaceObjective,
     ModelSpec,
-    RateResult,
     _single_or_batch,
     exit_window,
     inf_tail_result,
@@ -52,6 +46,7 @@ from .ratefn import (
     minimize_multistart,
     phi_batch,
     phi_vjp,
+    solve_face,
 )
 
 PENALTY_STAGES = 6
@@ -245,10 +240,23 @@ def _require_assumption_b(model: ModelSpec, what: str):
         )
 
 
-def _restarts(res: RateResult) -> dict:
-    """Per-restart values, iterations and gradient evaluations of the final
-    terminal-rate solve."""
-    return {k: res.diagnostics[k] for k in RESTART_KEYS}
+def positive_strike(strike) -> float:
+    """The strike as a float; DomainError unless it is positive and finite."""
+    if not 0.0 < strike < math.inf:
+        raise DomainError(f"strike must be positive and finite, got {strike}")
+    return float(strike)
+
+
+def check_exit(model: ModelSpec, domain: ExitDomain, deadline: float, horizon: float):
+    """The checks of an exit that need no solve: the domain has m
+    dimensions, the deadline lies in (0, horizon] and the start point is
+    not outside the domain."""
+    if domain.dim != model.m:
+        raise DimensionError("domain dimension must equal m")
+    if not 0.0 < deadline <= horizon + 1e-12:
+        raise DomainError("deadline must lie in (0, horizon]")
+    if domain.strictly_outside(model.x0):
+        raise DomainError("the start point must not lie outside the domain")
 
 
 def call_asymptote(
@@ -257,8 +265,7 @@ def call_asymptote(
     """Exponential decay rate of the small-noise call price."""
     if model.m != 1:
         raise UnsupportedFormError("call asymptotics are for m = 1 models")
-    if not 0.0 < strike < math.inf:
-        raise DomainError(f"strike must be positive and finite, got {strike}")
+    strike = positive_strike(strike)
     _require_assumption_b(model, "the call asymptote")
     s0 = float(model.s0[0])
     if not model.sigma_positive and strike <= s0 * math.exp(model.r * horizon):
@@ -273,12 +280,7 @@ def call_asymptote(
         quantity="call",
         rate=rate,
         minimizer_f=res.minimizer_f,
-        diagnostics={
-            "log_moneyness": k,
-            "argmin_x": res.diagnostics.get("argmin_x"),
-            "converged": res.converged,
-            **_restarts(res),
-        },
+        diagnostics={"log_moneyness": k, "converged": res.converged, **res.diagnostics},
     )
 
 
@@ -295,22 +297,13 @@ def implied_vol_limit(
     _require_assumption_b(model, "the implied vol limit")
     grid = TimeGrid(horizon, n_steps or DEFAULT_TERMINAL_STEPS)
     rate, res = inf_tail_result(model, k, grid=grid, **kwargs)
-    if rate <= 0.0:
-        # degenerate: zero rate makes the limit blow up
-        return AsymptoteReport(
-            quantity="implied_vol",
-            rate=0.0,
-            limit_value=math.inf,
-            minimizer_f=res.minimizer_f,
-            diagnostics={"degenerate": True, **_restarts(res)},
-        )
-    limit = k / math.sqrt(2.0 * horizon * rate)
+    # degenerate: a zero rate makes the limit blow up
     return AsymptoteReport(
         quantity="implied_vol",
         rate=rate,
-        limit_value=limit,
+        limit_value=k / math.sqrt(2.0 * horizon * rate) if rate > 0.0 else math.inf,
         minimizer_f=res.minimizer_f,
-        diagnostics={"degenerate": False, "converged": res.converged, **_restarts(res)},
+        diagnostics={"degenerate": rate <= 0.0, "converged": res.converged, **res.diagnostics},
     )
 
 
@@ -389,7 +382,7 @@ def _penalty_continuation(problem: _AsianProblem, restarts: int, seed: int):
         problem, problem.dim, problem.grid, 2 * problem.model.m,
         restarts=restarts, seed=seed, maxiter=PENALTY_MAXITER,
     )
-    info = {k: info[k] for k in ("iterations",) + RESTART_KEYS}
+    del info["restarts"], info["gradient_norm"], info["converged"]  # the first stage's alone
     info["stage_stops"] = []
     for _ in range(PENALTY_STAGES - 1):
         problem.mu *= PENALTY_FACTOR
@@ -433,50 +426,6 @@ def _polish_to_feasibility(problem: _AsianProblem, z):
     return hi * base, short(hi)
 
 
-def _no_solve() -> dict:
-    """The solve diagnostics of a zero path that already meets its
-    constraint: zero iterations, no restarts, no gradient evaluations."""
-    return {"iterations": 0, "restart_values": [], "restart_iterations": [],
-            "restart_stops": [], "gradient_evaluations": 0, "evaluation_rounds": 0}
-
-
-def _solve_constrained(problem: _AsianProblem, restarts: int, seed: int):
-    """Least-energy control pair meeting the constraint: the zero path when it
-    already does, else penalty continuation and the feasibility polish.
-
-    Returns (z, shortfall, info); info holds the solve diagnostics, all zero
-    or empty for the zero path.
-    """
-    zero = np.zeros(problem.dim)
-    if problem.violation_batch(zero) <= 0.0:
-        return zero, 0.0, {**_no_solve(), "stage_stops": []}
-    z, info = _penalty_continuation(problem, restarts, seed)
-    z, shortfall = _polish_to_feasibility(problem, z)
-    return z, shortfall, info
-
-
-def _exit_face(model: ModelSpec, grid: TimeGrid, face, deadline: float, restarts: int, seed: int):
-    """The least-energy exit through one face: (l_dots, f_dots, info), from
-    one multistart of ``ratefn.ExitFaceObjective`` on the grid cut at the
-    last window node, skipped when the zero path already exits.  Both
-    controls are zero after the best node t_j; info holds the solve
-    diagnostics (empty for the zero path) and ``exit_time`` t_j."""
-    last = int(np.flatnonzero(exit_window(grid, deadline))[-1])
-    cut = grid if last == grid.n_steps else TimeGrid(last * grid.dt, last)
-    objective = ExitFaceObjective(model, cut, face, deadline)
-    x = np.zeros(last * model.m)
-    if objective.value(x) == 0.0:
-        info = {**_no_solve(), "converged": True}
-    else:
-        x, info = minimize_multistart(objective, x.size, cut, model.m, restarts=restarts, seed=seed)
-        info = {k: info[k] for k in ("iterations", "converged") + RESTART_KEYS}
-    node, l_first = objective.exit_pair(x)
-    l_dots, f_dots = np.zeros((2, grid.n_steps, model.m))
-    l_dots[:node] = l_first
-    f_dots[:node] = x.reshape(last, model.m)[:node]
-    return l_dots, f_dots, {"exit_time": float(grid.nodes[node]), **info}
-
-
 def asian_asymptote(
     model: ModelSpec,
     strike: float,
@@ -489,8 +438,7 @@ def asian_asymptote(
     path problem on the running average of the price path."""
     if model.m != 1:
         raise UnsupportedFormError("Asian asymptotics are for m = 1 models")
-    if not 0.0 < strike < math.inf:
-        raise DomainError(f"strike must be positive and finite, got {strike}")
+    strike = positive_strike(strike)
     _require_assumption_b(model, "the Asian asymptote")
     s0 = float(model.s0[0])
     if not model.sigma_positive:
@@ -507,7 +455,15 @@ def asian_asymptote(
     grid = TimeGrid(horizon, n_steps or DEFAULT_TERMINAL_STEPS)
     moneyness = strike / s0
     problem = _AsianProblem(model, grid, moneyness)
-    z, shortfall, info = _solve_constrained(problem, restarts, seed)
+    z = np.zeros(problem.dim)
+    if problem.violation_batch(z) <= 0.0:  # the zero path meets the constraint: no solve
+        shortfall, info = 0.0, {
+            "iterations": 0, "restart_values": [], "restart_iterations": [], "restart_stops": [],
+            "gradient_evaluations": 0, "evaluation_rounds": 0, "stage_stops": [],
+        }
+    else:
+        z, info = _penalty_continuation(problem, restarts, seed)
+        z, shortfall = _polish_to_feasibility(problem, z)
     converged = shortfall <= FEASIBILITY_TOL
     rate = float(problem.energies(z))
     l_dots, f_dots = problem.split(z)
@@ -536,33 +492,33 @@ def exit_asymptote(
 ) -> AsymptoteReport:
     """Decay rate of the probability that the log-price leaves the domain
     by the deadline: the least rate over the faces of the shifted domain,
-    one ``ratefn.ExitFaceObjective`` solve each.  Each face reports its rate,
-    whether its solve converged, its solve diagnostics and ``exit_time``,
-    the window node where its least-energy path reaches the face."""
-    if domain.dim != model.m:
-        raise DimensionError("domain dimension must equal m")
+    one ``ratefn.solve_face`` each over the window nodes.  Each face reports
+    its rate, whether its solve converged, its solve diagnostics and
+    ``exit_time``, the window node where its least-energy path reaches the
+    face."""
     horizon = float(horizon if horizon is not None else deadline)
-    if not 0.0 < deadline <= horizon + 1e-12:
-        raise DomainError("deadline must lie in (0, horizon]")
-    if domain.strictly_outside(model.x0):
-        raise DomainError("the start point must not lie outside the domain")
+    check_exit(model, domain, deadline, horizon)
     grid = TimeGrid(horizon, n_steps or DEFAULT_TERMINAL_STEPS)
+    last = int(np.flatnonzero(exit_window(grid, deadline))[-1])
     faces = domain.shifted_faces(model.x0)
-    solves = [_exit_face(model, grid, face, deadline, restarts, seed) for face in faces]
+    solves = [solve_face(model, grid, face, 1, last, restarts, seed) for face in faces]
     per_face = [
-        {"face": idx, "rate": 0.5 * grid.dt * float(np.sum(l_dots**2) + np.sum(f_dots**2)), **info}
-        for idx, (l_dots, f_dots, info) in enumerate(solves)
+        {"face": i, "rate": r.value, "converged": r.converged, "iterations": r.iterations, **r.diagnostics}
+        for i, r in enumerate(solves)
     ]
     # the least rate among the converged faces, else among all of them
-    candidates = [i for i, face in enumerate(per_face) if face["converged"]] or range(len(faces))
-    best = min(candidates, key=lambda i: per_face[i]["rate"])
-    l_dots, f_dots, info = solves[best]
+    candidates = [i for i, r in enumerate(solves) if r.converged] or range(len(solves))
+    best = min(candidates, key=lambda i: solves[i].value)
+    res = solves[best]
     return AsymptoteReport(
         quantity="exit_prob",
-        rate=per_face[best]["rate"],
-        minimizer_f=Control(grid, f_dots),
-        minimizer_l=Control(grid, l_dots),
-        diagnostics={"converged": info["converged"], "best_face": best, "faces": per_face, **info},
+        rate=res.value,
+        minimizer_f=res.minimizer_f,
+        minimizer_l=res.minimizer_l,
+        diagnostics={
+            "converged": res.converged, "best_face": best, "faces": per_face,
+            "iterations": res.iterations, **res.diagnostics,
+        },
     )
 
 
@@ -577,11 +533,8 @@ def barrier_asymptote(
     is mapped through the componentwise log and the exit problem is solved at
     the full horizon.  The discount prefactor does not affect the rate and is
     reported separately."""
-    log_domain = price_domain.log_image()
-    if log_domain.strictly_outside(model.x0):
-        raise DomainError("spot must not start outside the barrier domain")
     report = exit_asymptote(
-        model, log_domain, deadline=horizon, horizon=horizon, n_steps=n_steps, **kwargs
+        model, price_domain.log_image(), deadline=horizon, horizon=horizon, n_steps=n_steps, **kwargs
     )
     report.quantity = "barrier"
     report.diagnostics["discount_prefactor"] = math.exp(-model.r * horizon)

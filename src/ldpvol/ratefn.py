@@ -1,12 +1,18 @@
-"""Sample-path and terminal rate functions, minimized over discretized controls.
+"""Sample-path, terminal, tail and exit rate functions, minimized over
+discretized controls.
 
 All time integrals of model coefficients use the left-endpoint rule on the
 grid.  One log-price step (``_phi_increment``) serves the drift/volatility
 functional, its cumulative sum at eps = 0 driven by the controls; the
-terminal objective, whose numerator x - m(f) sums it at l = 0 for every m;
-and the Monte Carlo simulator, driven by sqrt(eps) times the noise over dt.
-The functional is exact on piecewise-linear controls, so constant-coefficient
+target objective, whose gap x - P m_j(f) sums it at l = 0; and the Monte
+Carlo simulator, driven by sqrt(eps) times the noise over dt.  The
+functional is exact on piecewise-linear controls, so constant-coefficient
 oracles are reproduced without discretization error.
+
+One closed-form cost serves every target (``TerminalObjective``): a point
+x_T = x, and a face a.x >= c at some node of a range, which ``solve_face``
+solves for an exit by a deadline and for the tail {x_T >= k}, the face
+(1, k) at T alone (``inf_tail``).
 
 Model coefficient closures must be numpy-vectorized:
 
@@ -25,15 +31,14 @@ adjoint per stage.  ``_step_vjp`` pulls a step's cotangent back onto the
 coefficients and the controls, ``_coefficients_vjp`` pulls the
 coefficients' cotangents back through the skeleton
 (``volmap.hat_map_vjp``), and every objective composes the two:
-``phi_vjp`` after a reverse cumulative sum, the terminal objective with its
-node-constant cotangent, the exit objective with that cotangent on the steps
-before its best node, the sample-path objective with the adjoint of its
-residual solve.  Each objective's ``value_and_grad`` runs one forward pass
-and one backward pass, and L-BFGS takes both from it.  The only finite
-differences are the state derivatives of the coefficient closures, central
-differences over the d state columns evaluated in the same closure calls as
-the forward pass, and ``check_gradient``, the oracle every objective is
-tested against.
+``phi_vjp`` after a reverse cumulative sum, the target objective with its
+best node's cotangent on the steps before that node, the sample-path
+objective with the adjoint of its residual solve.  Each objective's
+``value_and_grad`` runs one forward pass and one backward pass, and L-BFGS
+takes both from it.  The only finite differences are the state derivatives
+of the coefficient closures, central differences over the d state columns
+evaluated in the same closure calls as the forward pass, and
+``check_gradient``, the oracle every objective is tested against.
 
 ``value_and_grad`` takes leading batch axes: points (..., dim) give values
 (...,) and gradients (..., dim), while one point (dim,) gives (float, grad).
@@ -360,15 +365,21 @@ def phi_vjp(model: ModelSpec, grid: TimeGrid, l_dots, f_dots):
 
 
 class TerminalObjective:
-    """Explicit-ratio objective for the terminal rate at a target x.
+    """Cost of the cheapest path to a target, over the volatility control f.
 
-    x is a scalar for m = 1 and an m-vector for m > 1, where the model must
-    be in rotation-times-scalar form.  For a volatility control f, the
-    cheapest auxiliary control l that reaches x costs
-    1/2 (x - m(f))' A^-1 (x - m(f)), where m(f) is the functional's terminal
-    value at l = 0 and A = int sigma cbar cbar' sigma' dt.  Both forms make
-    A a multiple of the identity (rho_bar^2 int sigma^2 for m = 1, int xi^2
-    for the rotation form), so A^-1 is m / tr(A).
+    A target is rows P, a value x and a range of nodes: here the point
+    x_T = x (P the identity, node n alone), and in ``ExitFaceObjective`` a
+    face a.x >= c (P = a', window nodes 1..J).  Given f, phi_j is affine in
+    l, so the cheapest l that reaches the target at t_j costs
+    1/2 |r_j|^2 / v_j, with r_j = x - P m_j(f) (its positive part on a
+    face), m_j(f) = phi_j(0, f), v_j = tr(P A_j P') / rows(P) and
+    A_j = dt sum_{k<j} sigma_k cbar cbar' sigma_k'.  That needs
+    P A_j P' = v_j I, which a face has (one row) and a point has for m = 1
+    and for the rotation-times-scalar form that m > 1 requires (A_j a
+    multiple of the identity).  The value is the least cost over the
+    target's nodes plus the energy of f, exact on the grid; the gradient is
+    the best node's.  The energy of f after t_j, which the minimizer sets to
+    0, keeps a gradient on it, so no start stalls at an early node.
     """
 
     def __init__(self, model: ModelSpec, grid: TimeGrid, x):
@@ -377,34 +388,49 @@ class TerminalObjective:
                 "terminal rate for m > 1 needs the rotation-times-scalar "
                 "volatility declaration (xi and o_map)"
             )
-        self.model = model
-        self.grid = grid
-        self.x = np.asarray(x, float).reshape(-1)
-        if self.x.shape != (model.m,):
-            raise DimensionError(f"target x has {self.x.size} entries; the model has m = {model.m}")
-        if not np.all(np.isfinite(self.x)):
-            raise DomainError(f"target x must be finite, got {self.x.tolist()}")
-        self.miss_tol = 1e-9 * max(1.0, float(np.linalg.norm(self.x)))
+        x = np.asarray(x, float).reshape(-1)
+        if x.shape != (model.m,):
+            raise DimensionError(f"target x has {x.size} entries; the model has m = {model.m}")
+        if not np.all(np.isfinite(x)):
+            raise DomainError(f"target x must be finite, got {x.tolist()}")
+        self._aim(model, grid, np.eye(model.m), x, (grid.n_steps, grid.n_steps))
+
+    def _aim(self, model, grid, rows, x, nodes, face=False):
+        """The target: rows P, value x, nodes first..last, and whether r is
+        its positive part (a face)."""
+        self.model, self.grid, self.rows, self.x, self.face = model, grid, rows, x, face
+        self.first, self.last = nodes
+        self.miss_tol = 1e-9 * max(1.0, float(np.linalg.norm(x)))
+
+    def _upto(self, per_step):
+        """Sums of per_step (..., n, k) over the steps before each target node, (..., J, k)."""
+        if self.first == self.last:
+            return np.sum(per_step[..., : self.last, :], axis=-2, keepdims=True)
+        return np.cumsum(per_step[..., : self.last, :], axis=-2)[..., self.first - 1 :, :]
 
     def _forward(self, flat, b, sig):
-        """(value, x - m(f), the drive at l = 0, sigma cbar, tr(A)/m)."""
-        model, dt = self.model, self.grid.dt
+        """(value, the cost at each target node, its r_j and v_j (inf where
+        0), the drive at l = 0, the load P sigma cbar)."""
+        model, dt, rows = self.model, self.grid.dt, self.rows
         drive = _phi_drive(model, np.zeros_like(flat), flat)
-        numer = self.x - np.sum(_phi_increment(model, b, sig, drive, dt), axis=-2)
+        steps = _phi_increment(model, b, sig, drive, dt)
+        gap = self.x - self._upto(steps) @ rows.T
+        if self.face:
+            gap = np.maximum(gap, 0.0)
         sc = _sigma_cbar(model, sig)
         if model.m == 1:
-            var = dt * np.sum(sc**2, axis=-1)
+            load = rows[0, 0] * sc
+            sq = load**2
         else:
-            var = dt / model.m * np.sum(sc**2, axis=(-3, -2, -1))
-        nn = np.sum(numer**2, axis=-1)
-        en = 0.5 * dt * np.sum(flat**2, axis=(-2, -1))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ratio = np.where(var > 0.0, 0.5 * nn / np.maximum(var, 1e-300), 0.0)
-        # vanishing volatility along the skeleton: feasible only if the drift
-        # alone reaches the target
-        miss = np.sqrt(nn) > self.miss_tol
-        value = np.where((var <= 0.0) & miss, _INFEASIBLE, ratio + en)
-        return value, numer, drive, sc, var
+            load = rows @ sc
+            sq = np.sum(load**2, axis=(-2, -1))
+        var = dt / len(rows) * self._upto(sq[..., None])[..., 0]
+        # vanishing volatility: the node counts only if the drift alone reaches it
+        var = np.where(var > 0.0, var, np.inf)
+        nn = np.sum(gap**2, axis=-1)
+        costs = np.where(np.isinf(var) & (np.sqrt(nn) > self.miss_tol), _INFEASIBLE, 0.5 * nn / var)
+        value = np.min(costs, axis=-1) + 0.5 * dt * np.sum(flat**2, axis=(-2, -1))
+        return np.minimum(value, _INFEASIBLE), costs, gap, var, drive, load
 
     def _flat(self, dots):
         return dots.reshape(dots.shape[:-1] + (self.grid.n_steps, self.model.m))
@@ -418,22 +444,25 @@ class TerminalObjective:
 
     def value_and_grad(self, dots):
         dots = np.asarray(dots, float)
-        model, dt = self.model, self.grid.dt
+        model, dt, rows = self.model, self.grid.dt, self.rows
         flat = self._flat(dots)
         (b, sig), coefficients_pullback = _coefficients_vjp(model, self.grid, flat)
-        value, numer, drive, sc, var = self._forward(flat, b, sig)
-        # rows with tr(A) = 0 take their gradient from the last line
-        live = var > 0.0
-        var = np.where(live, var, 1.0)[..., None]
-        # d value / d (b + sigma drive), the same at every node
-        step_bar = (-dt * numer / var)[..., None, :]
+        value, costs, gap, var, drive, load = self._forward(flat, b, sig)
+        # the best node's r and v; a row whose v is inf takes the energy's gradient alone
+        top = np.argmin(costs, axis=-1)[..., None]
+        if self.first < self.last:
+            gap, var = np.take_along_axis(gap, top[..., None], -2), np.take_along_axis(var, top, -1)
+        gap = gap[..., 0, :]
+        before = np.arange(self.grid.n_steps) < top + self.first  # the steps k < j
+        # d value / d (b + sigma drive) on those steps, and / d sigma cbar through v
+        step_bar = before[..., None] * ((-dt * gap / var) @ rows)[..., None, :]
         b_bar, sig_bar, _, f_bar = _step_vjp(model, sig, drive, step_bar)
-        # d value / d sigma through tr(A) is this factor times sigma cbar cbar'
-        var_bar = -(dt / model.m) * np.sum(numer**2, axis=-1, keepdims=True) / var**2
-        sig_bar = sig_bar + _sigma_cbar_vjp(model, var_bar, sc)
-        grad = (dt * flat + f_bar + coefficients_pullback(b_bar, sig_bar)).reshape(dots.shape)
-        flat_grad = np.where(value[..., None] < _INFEASIBLE, dt * dots, 0.0)
-        return _single_or_batch(dots, value, np.where(live[..., None], grad, flat_grad))
+        weight = before * (-dt / len(rows) * np.sum(gap**2, axis=-1, keepdims=True) / var**2)
+        load_bar = rows[0, 0] * load if model.m == 1 else rows.T @ load
+        sig_bar = sig_bar + _sigma_cbar_vjp(model, weight, load_bar)
+        grad = dt * flat + f_bar + coefficients_pullback(b_bar, sig_bar)
+        grad = np.where(value[..., None, None] < _INFEASIBLE, grad, 0.0)
+        return _single_or_batch(dots, value, grad.reshape(dots.shape))
 
     def gradient(self, dots):
         return self.value_and_grad(dots)[1]
@@ -448,74 +477,27 @@ def exit_window(grid: TimeGrid, deadline: float) -> np.ndarray:
 
 
 class ExitFaceObjective(TerminalObjective):
-    """Exit objective of one face {a.x >= c} by a deadline, over the
-    volatility control f: a terminal objective on a half-space, per node.
-
-    The face is reached by the deadline iff a.phi_j >= c at some window node
-    t_j, and the infimum over a union is the minimum of the infima.  Given f,
-    phi_j is affine in l, so the cheapest l that reaches the face at t_j costs
-    (c - a.m_j(f))_+^2 / (2 a'A_j a), with m_j(f) = phi_j(0, f) and
-    A_j = dt sum_{k<j} sigma_k cbar cbar' sigma_k'.  The value is the minimum
-    over the window nodes of that cost, plus the energy of f, exact on the
-    grid for any drift, any m and any face; the gradient is the argmin
-    node's.  Only a'A_j a enters, so m > 1 needs no rotation form.  The
-    energy of f after t_j, which the minimizer sets to 0, keeps a gradient
-    on it, so no start stalls at an early node.
-    """
+    """The target a.x >= c, a face (a, c) of a shifted domain, at the window
+    nodes 1..J of (0, deadline]: reached by the deadline iff a.phi_j >= c at
+    some window node, and the infimum over a union is the minimum of the
+    infima.  Only a'A_j a enters, so m > 1 needs no rotation form."""
 
     def __init__(self, model: ModelSpec, grid: TimeGrid, face, deadline: float):
-        self.model = model
-        self.grid = grid
-        self.a = np.asarray(face[0], float)  # (normal, offset), see ExitDomain.shifted_faces
-        self.c = float(face[1])
-        self.nodes = int(np.flatnonzero(exit_window(grid, deadline))[-1])
-        self.miss_tol = 1e-9 * max(1.0, abs(self.c))
-
-    def _forward(self, flat, b, sig):
-        """(value, the cost at each window node, its shortfall (c - a.m_j)_+
-        and a'A_j a (inf where 0), the drive at l = 0, the load a' sigma cbar)."""
-        model, dt, nodes = self.model, self.grid.dt, self.nodes
-        drive = _phi_drive(model, np.zeros_like(flat), flat)
-        steps = _phi_increment(model, b, sig, drive, dt)
-        s = np.maximum(self.c - np.cumsum(steps @ self.a, axis=-1)[..., :nodes], 0.0)
-        sc = _sigma_cbar(model, sig)
-        load = (self.a[0] * sc)[..., None] if model.m == 1 else self.a @ sc  # (..., n, m)
-        var = dt * np.cumsum(np.sum(load**2, axis=-1), axis=-1)[..., :nodes]
-        # vanishing volatility: the node counts only if the drift alone reaches it
-        var = np.where(var > 0.0, var, np.inf)
-        costs = np.where(np.isinf(var) & (s > self.miss_tol), _INFEASIBLE, 0.5 * s**2 / var)
-        value = np.min(costs, axis=-1) + 0.5 * dt * np.sum(flat**2, axis=(-2, -1))
-        return np.minimum(value, _INFEASIBLE), costs, s, var, drive, load
+        # face is (normal, offset), see ExitDomain.shifted_faces
+        last = int(np.flatnonzero(exit_window(grid, deadline))[-1])
+        self._aim(model, grid, np.asarray(face[0], float)[None], np.array([float(face[1])]), (1, last), True)
 
     def exit_pair(self, dots):
-        """(j, l) at one point f: the best window node j >= 1, and on the
-        steps k < j the cheapest l that reaches the face at t_j, the
-        minimum-norm solution of a.phi_j(l, f) = c."""
+        """(j, l) at one point f: the best target node j, and on the steps
+        k < j the cheapest l that reaches the face at t_j, the minimum-norm
+        solution of a.phi_j(l, f) = c."""
         flat = self._flat(np.asarray(dots, float))
-        _, costs, s, _, _, load = self._forward(flat, *_coefficients(self.model, self.grid, flat))
-        j = int(np.argmin(costs)) + 1
-        slope = self.grid.dt * load[:j]  # d a.phi_j / d l_dots
+        _, costs, gap, _, _, load = self._forward(flat, *_coefficients(self.model, self.grid, flat))
+        top = int(np.argmin(costs))
+        j = top + self.first
+        slope = self.grid.dt * load[:j].reshape(j, self.model.m)  # d a.phi_j / d l_dots
         norm = float(np.sum(slope**2))
-        return j, (s[j - 1] / norm if norm > 0.0 else 0.0) * slope
-
-    def value_and_grad(self, dots):
-        dots = np.asarray(dots, float)
-        model, dt = self.model, self.grid.dt
-        flat = self._flat(dots)
-        (b, sig), coefficients_pullback = _coefficients_vjp(model, self.grid, flat)
-        value, costs, s, var, drive, load = self._forward(flat, b, sig)
-        # a row whose best node has a'A a = 0 (var = inf) takes the energy's gradient alone
-        top = np.argmin(costs, axis=-1)[..., None]
-        s, var = np.take_along_axis(s, top, -1), np.take_along_axis(var, top, -1)
-        before = np.arange(self.grid.n_steps) <= top  # the steps k < j
-        # d value / d (b + sigma drive) and / d sigma cbar through a'A a
-        step_bar = (before * (-dt * s / var))[..., None] * self.a
-        b_bar, sig_bar, _, f_bar = _step_vjp(model, sig, drive, step_bar)
-        load_bar = load[..., 0] * self.a[0] if model.m == 1 else self.a[:, None] * load[..., None, :]
-        sig_bar = sig_bar + _sigma_cbar_vjp(model, before * (-dt * s**2 / var**2), load_bar)
-        grad = dt * flat + f_bar + coefficients_pullback(b_bar, sig_bar)
-        grad = np.where(value[..., None, None] < _INFEASIBLE, grad, 0.0)
-        return _single_or_batch(dots, value, grad.reshape(dots.shape))
+        return j, (gap[top, 0] / norm if norm > 0.0 else 0.0) * slope
 
 
 # The benchmark's probes and tracer still build and wrap the objective by this name.
@@ -863,25 +845,50 @@ def minimize_multistart(
     return res.x, info
 
 
-RESTART_KEYS = (
-    "restart_values", "restart_iterations", "restart_stops", "gradient_evaluations",
-    "evaluation_rounds",
-)
-
-
 def _solve(objective, restarts, seed) -> RateResult:
-    """``minimize_multistart`` over the objective's (n, m) controls."""
+    """``minimize_multistart`` over the objective's (n, m) controls; the
+    diagnostics are its info without the fields the result has."""
     grid, m = objective.grid, objective.model.m
     x, info = minimize_multistart(objective, grid.n_steps * m, grid, m, restarts=restarts, seed=seed)
-    return RateResult(
-        value=objective.value(x),
-        minimizer_f=Control(grid, x.reshape(grid.n_steps, m)),
-        iterations=info["iterations"],
-        restarts=info["restarts"],
-        gradient_norm=info["gradient_norm"],
-        converged=info["converged"],
-        diagnostics={k: info[k] for k in RESTART_KEYS},
-    )
+    head = [info.pop(key) for key in ("iterations", "restarts", "gradient_norm", "converged")]
+    return RateResult(objective.value(x), Control(grid, x.reshape(grid.n_steps, m)), None, *head, info)
+
+
+def finite_threshold(k) -> float:
+    """The tail threshold k as a float; DomainError unless it is finite."""
+    k = float(k)
+    if not math.isfinite(k):
+        raise DomainError(f"tail threshold k must be finite, got {k}")
+    return k
+
+
+def solve_face(model: ModelSpec, grid: TimeGrid, face, first: int, last: int, restarts, seed) -> RateResult:
+    """The least energy of a path that reaches the face (a, c), a.x >= c, at
+    a node j in first..last: one multistart of ``ExitFaceObjective`` over f
+    on the grid cut at node ``last``, skipped when the zero path already
+    reaches the face (then no iterations, restarts or evaluations).  The
+    minimizers are the pair on ``grid``: f, and l in closed form
+    (``exit_pair``), both zero after the best node t_j, which
+    ``diagnostics["exit_time"]`` reports."""
+    cut = grid if last == grid.n_steps else TimeGrid(last * grid.dt, last)
+    objective = ExitFaceObjective(model, cut, face, cut.horizon)
+    objective.first = first  # the face counts at nodes first..last alone
+    x = np.zeros(last * model.m)
+    if objective.value(x) == 0.0:
+        res = RateResult(0.0, None, diagnostics={
+            "restart_values": [], "restart_iterations": [], "restart_stops": [],
+            "gradient_evaluations": 0, "evaluation_rounds": 0,
+        })
+    else:
+        res = _solve(objective, restarts, seed)
+        x = res.minimizer_f.dot_values.ravel()
+    node, l_first = objective.exit_pair(x)
+    l_dots, f_dots = np.zeros((2, grid.n_steps, model.m))
+    l_dots[:node] = l_first
+    f_dots[:node] = x.reshape(last, model.m)[:node]
+    res.minimizer_f, res.minimizer_l = Control(grid, f_dots), Control(grid, l_dots)
+    res.diagnostics["exit_time"] = float(grid.nodes[node])
+    return res
 
 
 # ---------------------------------------------------------------------------
@@ -937,29 +944,17 @@ def inf_tail_result(
 ):
     """inf over x >= k of the terminal rate (m = 1), and the solve at its argmin.
 
-    The terminal drift m(f) = int b + rho int sigma fdot is continuous in the
-    control f because the coefficient closures are (the locally Lipschitz
-    obligation of the README), and m(0) is the zero-cost point.  So for
-    y > x >= m(0), a control f with m(f) <= x costs no more at x than at y, and
-    one with m(f) > x has a scaled copy t f, t in (0, 1), that reaches x
-    exactly at t^2 of its energy: the rate is nondecreasing right of m(0).
-    The tail infimum is therefore the terminal rate at max(k, m(0)), and 0
-    when the drift alone reaches k.
+    The tail {x_T >= k} is the face (1, k) read at node n alone, so this is
+    one ``solve_face``: 0 when the drift alone reaches k.  ``argmin_x`` is
+    max(k, m(f)) at the minimizer f, the point its path reaches at T.
     """
     if model.m != 1:
         raise UnsupportedFormError("tail infimum is defined for m = 1")
     if grid is None:
         grid = TimeGrid(1.0, DEFAULT_TERMINAL_STEPS)
-    k = float(k)
-    if not math.isfinite(k):
-        raise DomainError(f"tail threshold k must be finite, got {k}")
-    zero = np.zeros((grid.n_steps, 1))
-    attained = float(phi_batch(model, grid, zero, zero)[-1, 0])  # m(0)
-    if attained >= k:
-        # the zero-cost terminal value already lies in the tail set
-        res = itilde_terminal(model, attained, grid=grid, restarts=0, seed=seed)
-        res.diagnostics["argmin_x"] = attained
-        return 0.0, res
-    res = itilde_terminal(model, k, grid=grid, restarts=restarts, seed=seed)
-    res.diagnostics["argmin_x"] = k
+    k = finite_threshold(k)
+    n = grid.n_steps
+    res = solve_face(model, grid, (np.ones(1), k), n, n, restarts, seed)
+    reach = phi_batch(model, grid, np.zeros((n, 1)), res.minimizer_f.dot_values)[-1, 0]
+    res.diagnostics["argmin_x"] = max(k, float(reach))
     return res.value, res

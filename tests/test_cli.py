@@ -358,6 +358,35 @@ def test_mc_verify_antithetic_takes_only_a_json_boolean(tmp_path, capsys, flag):
         assert json.loads(err)["error"] == "DomainError"
 
 
+HALF = {"kind": "half_space", "normal": [1.0], "offset": 0.17}
+
+
+@pytest.mark.parametrize("reference_rate", [0.1, None], ids=["reference", "computed"])
+@pytest.mark.parametrize(
+    "cfg_extra",
+    [
+        {"quantity": "call", "strike": -1.0},
+        {"k": float("nan")},
+        {"quantity": "exit", "domain": {**HALF, "offset": -0.5}},
+        {"quantity": "exit", "domain": HALF, "deadline": 5.0},
+    ],
+    ids=["negative_strike", "nan_k", "start_outside", "deadline_past_horizon"],
+)
+def test_mc_verify_checks_its_event_before_drawing(tmp_path, capsys, monkeypatch, cfg_extra,
+                                                   reference_rate):
+    # with a reference rate these once ran: an estimate of 2.0008 for the
+    # call, "no hits" (exit 3) for k = NaN, 1.0 for a start outside
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths drawn for an invalid event")
+
+    monkeypatch.setattr("ldpvol.mcsim._run_blocks", no_draws)
+    cfg = _tail_config(tmp_path, reference_rate=reference_rate, **cfg_extra)
+    code, out, err = run_cli(capsys, "mc-verify", "--config", cfg)
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+
+
 @pytest.mark.parametrize(
     "model, cfg_extra, error",
     [
@@ -530,3 +559,36 @@ def test_frac_heston_restart_seed_105_converges(capsys):
         assert code == EXIT_OK
         rates[seed] = json.loads(out)["value"]
     assert rates["105"] == pytest.approx(rates["0"], rel=1e-9)
+
+
+# What the README rate commands print; a change that claims the same numbers
+# keeps them within 1e-10 relative.
+README_RATES = [
+    (["rate-terminal", "--preset", "bs_const", "--x", "0.1"], {"value": 0.12499999999999996}),
+    (["rate-terminal", "--preset", "rough_gauss", "--x", "0.1"], {"value": 0.134225692098339}),
+    (["rate-terminal", "--preset", "frac_heston", "--x", "0.1"], {"value": 0.19884044854484278}),
+    (["rate-terminal", "--preset", "mixed_demo", "--x", "0.05,0.05", "--n-steps", "50"],
+     {"value": 0.03982320899000628}),
+    (["call-asymptote", "--preset", "toy_sabr", "--strike", "1.105", "--ladder", "1.2,1.3"],
+     {"ladder": [0.007834482740577508, 0.025884790892262227, 0.05287106117593151]}),
+    (["iv-limit", "--preset", "toy_sabr", "--k", "0.1"],
+     {"rate": 0.007858676811823034, "limit_value": 0.7976461765482925}),
+    (["iv-limit", "--preset", "rough_gauss", "--k", "0.1"],
+     {"rate": 0.134225692098339, "limit_value": 0.1930043850134977}),
+    (["asian-asymptote", "--preset", "bs_const", "--strike", "1.05"], {"rate": 0.08840832974025084}),
+    (["exit-rate", "--preset", "bs_const", "--domain", json.dumps(HALF)], {"rate": 0.36125}),
+    (["barrier-rate", "--preset", "bs_const", "--domain",
+      '{"kind":"box","lower":[0.0],"upper":[1.25]}'], {"rate": 0.6224130561639667}),
+    (["toy-bounds", "--T", "1", "--k", "0.1"],
+     {"rate": 0.007858676811823034, "lower": 0.005000000000000001, "upper": 0.01581976706869327}),
+]
+
+
+@pytest.mark.parametrize("argv, want", README_RATES, ids=[f"{a[0]}:{a[2]}" for a, _ in README_RATES])
+def test_readme_rate_commands_keep_their_values(capsys, argv, want):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == EXIT_OK
+    got = json.loads(out)
+    got["ladder"] = [row["rate"] for row in got.get("ladder", [])]
+    for key, value in want.items():
+        assert got[key] == pytest.approx(value, rel=1e-10, abs=0), key

@@ -213,7 +213,7 @@ def test_barrier_oracle_and_prefactor():
 # The oracle of an m = 1 exit face: a loop over the window nodes t_j, 0 once
 # the zero path reaches the face, else the least terminal rate at a.c on the
 # grid cut at t_j (beyond the zero-control point the half-space's infimum is
-# the terminal rate at its face, as for ``inf_tail``).
+# the terminal rate at its face, the oracle ``inf_tail`` is tested against).
 M1_PRESETS = [bs_const, toy_sabr, rough_gauss, frac_heston, reflected_ou]
 
 
@@ -476,7 +476,7 @@ def test_exit_toy_joint_control_beats_frozen_volatility():
 
 
 def test_inf_tail_correlated_matches_scan():
-    # the one terminal solve at k is no worse than a coarse dense scan of the tail
+    # the face solve at T is no worse than a coarse dense scan of the tail
     from ldpvol.presets import rough_gauss
     from ldpvol.ratefn import inf_tail_result, itilde_terminal
 

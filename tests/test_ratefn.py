@@ -20,6 +20,7 @@ from ldpvol.ratefn import (
     inf_tail_result,
     itilde_terminal,
     minimize_multistart,
+    phi_batch,
     phi_functional,
     qtilde_path,
 )
@@ -374,7 +375,7 @@ def test_inf_tail_correlated_closed_form():
 
 def _bounded_search_inf_tail(model, k, grid, restarts):
     """The tail infimum by a bounded scalar search over x >= k, then the min
-    with the rate at k: the algorithm one terminal solve at k replaces."""
+    with the rate at k: the algorithm the face solve at T replaces."""
     from scipy.optimize import minimize_scalar
 
     def rate_at(x):
@@ -400,6 +401,29 @@ def test_inf_tail_matches_bounded_search(make):
     v, res = inf_tail_result(model, k, grid=grid, restarts=2)
     assert v == pytest.approx(_bounded_search_inf_tail(model, k, grid, 2), rel=1e-9)
     assert res.diagnostics["argmin_x"] == k
+
+
+@pytest.mark.parametrize("drift", [0.05, -0.05], ids=["up", "down"])
+@pytest.mark.parametrize(
+    "make",
+    [lambda: bs_const(rho=-0.5), toy_sabr, rough_gauss, frac_heston, reflected_ou],
+    ids=["bs_const_rho-0.5", "toy_sabr", "rough_gauss", "frac_heston", "reflected_ou"],
+)
+def test_inf_tail_is_the_terminal_rate_at_max_of_k_and_the_zero_control_point(make, drift):
+    # the tail is solved as the face (1, k) at T, with no continuity argument;
+    # the argument is the oracle: the terminal rate is nondecreasing right of
+    # m(0), the zero-control point, so the tail infimum is its value at
+    # max(k, m(0)), on either side of m(0)
+    model, grid = make(), TimeGrid(1.0, 30)
+    model.drift = lambda t, u: np.full(np.shape(u)[:-1] + (1,), drift)
+    zero = np.zeros((grid.n_steps, 1))
+    m0 = float(phi_batch(model, grid, zero, zero)[-1, 0])
+    for k in (m0 - 0.05, m0 + 0.1):
+        v, res = inf_tail_result(model, k, grid=grid, restarts=2)
+        x = max(k, m0)
+        assert res.diagnostics["argmin_x"] == x
+        want = itilde_terminal(model, x, grid=grid, restarts=2).value
+        assert v == pytest.approx(want, rel=1e-10, abs=1e-20)
 
 
 def test_inf_tail_correlated_searches_x():
