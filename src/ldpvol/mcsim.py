@@ -42,32 +42,36 @@ block kinds:
   Right after mixing, the drive is turned in place into its running sum
   R_k = sum_{j <= k} sigma_j drive_j (``_running_noise``), and each
   epsilon's displacement is X_{k+1} - x0 = D_k(eps) + sqrt(eps) R_k, D(eps)
-  being the cumulative sum of the functional's step at zero drive: a tail
-  or call ladder reads one row, kept paths two array operations per node.
+  being the cumulative sum of the functional's step at zero drive, formed
+  at the nodes the walk yields alone: a tail or call ladder reads one row,
+  kept paths two array operations per node.
   For m = 1 an exit face is a threshold on R: a x >= c at node k + 1 holds
   where R_k >= theta_k (a > 0) or R_k <= theta_k (a < 0), tested on slices
-  of R up to the deadline with no x formed.  The node loop's test
+  of R up to the deadline with no x formed.  The walk's test
   fl(fl(fl(sqrt(eps) R) + D_k) a) >= c is monotone in R (every rounding is
   nondecreasing), so the float theta_k where it flips is found once per
   epsilon and face by bisection (``_face_thresholds``) and the hit flags
   are the per-node test's, bit for bit.  The block holds one block array,
-  the drive.
+  the drive, and ``db`` and ``lin`` are None.
 - An affine vol (the other unreflected Gaussian families, the toy model's
   Brownian kernel included, ``volmap.is_affine``) has
   vol_state(sqrt(eps) dB) = y + sqrt(eps) L(dB), y being the spec's own
   ``y`` (the vol at zero noise).  dB is drawn in chunks of ``MIX_ROWS``
   paths: each chunk goes through ``vol_state`` once per block,
   L = vol_state(dB) - y at the left nodes is stored node-major in a second
-  per-worker buffer, and the chunk itself is parked node-major in the
-  drive buffer until its dW is mixed in.  The block holds two block
-  arrays, the drive and L, each BLOCK_SIZE x n x 8 bytes for m = d = 1
-  (26 MB at n = 400); each epsilon forms the row y + sqrt(eps) L[k] at
-  node k.
+  per-worker buffer ``lin`` (n, size, d), and the chunk itself is parked
+  node-major in the drive buffer until its dW is mixed in; ``db`` is None.
+  The block holds two block arrays, the drive and L, each
+  BLOCK_SIZE x n x 8 bytes for m = d = 1 (26 MB at n = 400); the walk
+  forms the row y + sqrt(eps) L[k] at node k.
 - Every other vol (fractional, mixed, reflected, volterra_sde, and any
-  reflected output) draws dB whole into a per-worker buffer, scaled in
-  place, and builds its whole vol block from sqrt(eps) dB per epsilon,
-  read through the same per-node accessor; the block holds dB and the
-  drive.
+  reflected output) draws dB (size, n, m) whole into a per-worker buffer,
+  scaled in place, and builds its whole vol block from sqrt(eps) dB per
+  epsilon, whose columns the walk reads; the block holds dB and the
+  drive, and ``lin`` is None.
+
+Every kind's displacement X_k - x0 is walked node by node by one generator
+(``_displacements``), and every payoff is a loop over that walk.
 
 The kinds agree to rounding: the constant kind's displacements lie within
 rounding of the node loop, and toy_sabr and the Gaussian ones are only
@@ -227,20 +231,13 @@ def _draw_increments(rng, out, dt, antithetic):
 def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     """Draw a block's price noise dW and write, node-major,
     ``_phi_drive(model, dW, dB)`` into ``drive`` (n, size, ...) and, for an
-    affine vol, the eps-free vol part ``vol_state(dB) - model.vol.y`` at the
-    left nodes into ``lin`` (n, size, d).
-
-    ``db`` is the block's driver noise dB, drawn already, or None for an
-    affine or constant vol: then the first chunk loop draws dB ``MIX_ROWS``
-    paths at a time, runs each chunk through ``vol_state`` into ``lin``
-    (affine vol only; ``lin`` is None for a constant one) and parks it
-    node-major in ``drive``.  A constant vol with ``model.C`` zero reads no
-    dB, so none is drawn and dW is mixed with zero driver noise.  The second
-    loop draws dW in chunks and mixes each with its columns of dB, parked or
-    whole-block, node-major: for m = 1 in place, rho_bar dW in the chunk
-    and rho dB over the drive's columns, so no chunk-sized temporary is
-    made; for m > 1 by ``ratefn._phi_drive``.  A constant vol's drive
-    then becomes its running sum (``_running_noise``).  The chunks keep the stream order of
+    affine vol, L = ``vol_state(dB) - model.vol.y`` at the left nodes into
+    ``lin`` (n, size, d); ``db`` is the whole-block dB, drawn already, or
+    None.  Per block kind (module docstring) the first chunk loop draws dB
+    ``MIX_ROWS`` paths at a time and parks it in ``drive``; the second
+    draws dW in chunks and mixes each with its columns of dB, for m = 1 in
+    place (rho_bar dW in the chunk, rho dB over the drive's columns), for
+    m > 1 by ``ratefn._phi_drive``.  The chunks keep the stream order of
     whole-block fills (dB, then dW); antithetic blocks fill the first
     ceil(size/2) rows and write the negation into the rest (every part is
     linear in the noise, and negation is exact).
@@ -306,31 +303,13 @@ def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=
     draws from its own substream, so results do not depend on ``workers``,
     and the pool runs blocks, so a one-block run uses one thread.  The driver
     noise dB (size, n, m) is drawn first.  With a ``model`` given, the price
-    noise dW follows from the same substream in chunks of ``MIX_ROWS``
-    paths, in stream order, and ``drive`` is ``_phi_drive(model, dW, dB)``
-    stored node-major, (n, size) for m = 1, else (n, size, m), so each node
-    reads one contiguous row.  ``model.vol`` picks the block kind:
-
-    - constant (``volmap.is_constant``): ``db`` and ``lin`` are None and the
-      vol is y; dB is drawn in chunks and parked in ``drive`` until its dW
-      is mixed in if ``model.C`` is nonzero, and not drawn at all otherwise
-      (the drive is then ``_phi_drive(model, dW, 0)``); ``drive`` holds its
-      running sigma-weighted sum (``_running_noise``).  A worker holds one
-      block array, ``drive``.
-    - affine (``volmap.is_affine``): vol_state(sqrt(eps) dB) is
-      y + sqrt(eps) L(dB), and ``lin`` is L(dB) at the left nodes, stored
-      node-major, (n, size, d); dB is drawn in chunks, each chunk run
-      through ``vol_state`` into ``lin`` and parked in ``drive``, so a
-      worker holds two block arrays, ``drive`` and ``lin``,
-      2 x BLOCK_SIZE x n x 8 bytes for m = d = 1, and ``db`` is None.
-    - any other: the whole-block ``db`` (size, n, m) and, with a model,
-      ``drive``; ``lin`` is None and each epsilon builds its own vol block.
-
-    Antithetic blocks negate the second half of each.  Without a ``model``
-    no price noise is drawn, dB is drawn whole and ``drive`` and ``lin`` are
-    None.  ``db``, ``drive`` and ``lin`` are views of buffers that each
-    worker thread reuses for every block and epsilon, so a block function
-    must neither write to them nor return a view of them.
+    noise dW follows from the same substream (``_draw_drive``), ``drive``
+    is (n, size) for m = 1, else (n, size, m), and ``model.vol`` picks the
+    block kind, which sets ``db`` and ``lin`` (module docstring).  Without a
+    ``model`` no price noise is drawn, dB is drawn whole and ``drive`` and
+    ``lin`` are None.  ``db``, ``drive`` and ``lin`` are views of buffers
+    that each worker thread reuses for every block and epsilon, so a block
+    function must neither write to them nor return a view of them.
     """
     n_paths = int(n_paths)
     sizes = [min(BLOCK_SIZE, n_paths - start) for start in range(0, n_paths, BLOCK_SIZE)]
@@ -386,26 +365,6 @@ def _vol_block(spec: VolProcessSpec, db, grid, epsilon):
     return output_map(spec, vol_state(spec, incr, grid, _k.rms_weights))
 
 
-def _vol_nodes(spec: VolProcessSpec, grid, epsilon, db, lin):
-    """Accessor of the left-node vol rows: ``vol(k)`` is (size, d) at node k.
-
-    With the block's eps-free part ``lin`` (n, size, d) of an affine vol,
-    row k is y + sqrt(eps) lin[k], formed in one reused buffer (valid until
-    the next call); otherwise it is a column of this epsilon's whole vol
-    block.
-    """
-    if lin is None:
-        paths = _vol_block(spec, db, grid, epsilon)
-        return lambda k: paths[:, k, :]
-    scale, row = math.sqrt(epsilon), np.empty(lin.shape[1:])
-
-    def vol(k):
-        np.multiply(lin[k], scale, out=row)
-        return np.add(row, spec.y, out=row)
-
-    return vol
-
-
 @dataclass
 class VolEnsemble:
     paths: np.ndarray  # (n_paths, n+1, d)
@@ -439,49 +398,52 @@ def simulate_vol(
 # ---------------------------------------------------------------------------
 
 
-def _logprice_block(model: ModelSpec, grid, epsilon, db, drive, lin=None, watch=None):
-    """Terminal log-price displacement X_T - x0 per path and the finite mask.
+def _displacements(model: ModelSpec, grid, epsilon, db, drive, lin, first=1):
+    """Walk a block's log-price displacement X_k - x0: yield (k, x) for the
+    nodes k = first..n, x (size, m) one buffer updated in place (copy what
+    is kept past the next step).
 
-    ``drive`` is the price noise mixed by ``_phi_drive``, node-major: row k
-    is the (size,) or (size, m) drive of step k; for a constant vol it is
-    the running sum R of ``_running_noise``, and ``db`` and ``lin`` are not
-    read (see ``_constant_logprice``).  ``lin`` is the block's eps-free vol
-    part of an affine vol, and ``db`` may then be None; else ``lin`` is None
-    and the vol is built from ``db`` (see ``_run_blocks``).  ``watch(k, x)``
-    sees the displacement at every node k = 1..n on the way."""
+    ``drive``, ``db`` and ``lin`` are the block's (``_run_blocks``; the
+    block kinds are in the module docstring).  A constant vol forms
+    D_{k-1}(eps) + sqrt(eps) R_{k-1} at the yielded nodes alone; any other
+    runs the functional's step (``ratefn._phi_increment``) at every node,
+    its vol at node k being y + sqrt(eps) lin[k] for an affine vol, else
+    column k of this epsilon's whole vol block.
+    """
+    scale = math.sqrt(epsilon)
     if is_constant(model.vol):
-        return _constant_logprice(model, grid, epsilon, drive, watch)
-    vol = _vol_nodes(model.vol, grid, epsilon, db, lin)
-    scale = math.sqrt(epsilon) / grid.dt
+        shift = _constant_shift(model, grid, epsilon)
+        rows = drive[..., None] if model.m == 1 else drive
+        x = np.empty(rows.shape[1:])
+        for k in range(first, grid.n_steps + 1):
+            np.multiply(rows[k - 1], scale, out=x)
+            x += shift[k - 1]
+            yield k, x
+        return
+    if lin is None:
+        paths = _vol_block(model.vol, db, grid, epsilon)
+    else:
+        u = np.empty(lin.shape[1:])
     x = np.zeros((drive.shape[1], model.m))
     noise = np.empty(drive.shape[1:])
     for k, t in enumerate(grid.nodes[:-1]):
-        u = vol(k)
+        if lin is None:
+            u = paths[:, k, :]
+        else:
+            np.multiply(lin[k], scale, out=u)
+            u += model.vol.y
         b, sig = model.drift_values(t, u), model.sigma_values(t, u)
-        np.multiply(drive[k], scale, out=noise)
+        np.multiply(drive[k], scale / grid.dt, out=noise)
         x += _phi_increment(model, b, sig, noise, grid.dt, epsilon)
-        if watch is not None:
-            watch(k + 1, x)
-    return x, _finite_rows(x)
+        if k + 1 >= first:
+            yield k + 1, x
 
 
-def _constant_logprice(model: ModelSpec, grid, epsilon, running, watch=None):
-    """``_logprice_block`` of a constant vol, whose displacement is affine in
-    the noise: X_{k+1} - x0 = D_k(eps) + sqrt(eps) R_k, with R the block's
-    running sum (``_running_noise``) and D(eps) its shift
-    (``_constant_shift``).  ``running`` may be the first rows of R alone:
-    the displacement is formed at their nodes, or without a ``watch`` at
-    the last of them only."""
-    shift = _constant_shift(model, grid, epsilon)
-    rows = running[..., None] if model.m == 1 else running
-    scale = math.sqrt(epsilon)
-    x = np.empty(rows.shape[1:])
-    for k in range(len(rows)) if watch is not None else [len(rows) - 1]:
-        np.multiply(rows[k], scale, out=x)
-        x += shift[k]
-        if watch is not None:
-            watch(k + 1, x)
-    return x, _finite_rows(x)
+def _terminal(cfg: SimConfig, epsilon, db, drive, lin):
+    """The finite paths' terminal displacements X_T - x0 (n_valid, m), the
+    walk read at node n alone."""
+    for _, x in _displacements(cfg.model, cfg.grid, epsilon, db, drive, lin, cfg.grid.n_steps):
+        return x[_finite_rows(x)]
 
 
 def _constant_shift(model: ModelSpec, grid, epsilon):
@@ -560,15 +522,13 @@ def simulate_logprice(cfg: SimConfig, epsilon: float, keep_paths: bool = False) 
     _check_epsilon(epsilon)
 
     def block(eps, db, drive, lin):
-        size = (drive.shape[1], cfg.grid.n_steps + 1, cfg.model.m)
-        paths = np.zeros(size) if keep_paths else None
-
-        def keep(k, x):
-            paths[:, k, :] = x
-
-        x, ok = _logprice_block(
-            cfg.model, cfg.grid, eps, db, drive, lin, keep if keep_paths else None
-        )
+        n = cfg.grid.n_steps
+        paths = np.zeros((drive.shape[1], n + 1, cfg.model.m)) if keep_paths else None
+        first = 1 if keep_paths else n
+        for k, x in _displacements(cfg.model, cfg.grid, eps, db, drive, lin, first):
+            if keep_paths:
+                paths[:, k, :] = x
+        ok = _finite_rows(x)
         return x[ok], paths[ok] if keep_paths else None, int(np.sum(~ok))
 
     (results,) = _run_blocks(
@@ -675,23 +635,16 @@ def _reduce_report(cfg, quantity, per_eps_stats, reference_rate, diagnostics=Non
     )
 
 
-def _per_eps_payoff_stats(cfg, payoff_fn, watcher=None):
+def _per_eps_payoff_stats(cfg, payoff):
     """Payoff ``_Moments`` per ladder entry, merged over blocks in block order
     (the estimate is the plain sum over the count, as before the merge).
 
-    ``payoff_fn(x, seen)`` gets the finite paths' terminal displacements and,
-    with a ``watcher``, their rows of what it saw on the way:
-    ``watcher(eps, drive)`` returns ``(seen, watch)``, and ``watch(k, x)``,
-    unless None, runs at every node.
+    ``payoff(eps, db, drive, lin)`` returns the payoffs of one block's
+    finite paths (``_run_blocks``); it reads them off the walk
+    (``_displacements``).
     """
-
-    def block(eps, db, drive, lin):
-        seen, watch = watcher(eps, drive) if watcher else (None, None)
-        x, ok = _logprice_block(cfg.model, cfg.grid, eps, db, drive, lin, watch)
-        return _Moments.of(payoff_fn(x[ok], None if seen is None else seen[ok]))
-
     per_entry = _run_blocks(
-        block, cfg.epsilon_ladder, cfg.n_paths, cfg.grid,
+        lambda *block: _Moments.of(payoff(*block)), cfg.epsilon_ladder, cfg.n_paths, cfg.grid,
         cfg.model.vol.m, cfg.seed, cfg.antithetic, cfg.max_workers, cfg.model,
     )
     return [functools.reduce(_Moments.merge, res) for res in per_entry]
@@ -705,7 +658,7 @@ def ldp_tail_report(cfg: SimConfig, k: float, reference_rate: float | None = Non
     if reference_rate is None:
         reference_rate = inf_tail(cfg.model, k, grid=cfg.grid)
     stats = _per_eps_payoff_stats(
-        cfg, lambda x, paths: (x[:, 0] >= k).astype(float)
+        cfg, lambda *block: (_terminal(cfg, *block)[:, 0] >= k).astype(float)
     )
     return _reduce_report(cfg, "tail_probability", stats, reference_rate, {"k": k})
 
@@ -720,7 +673,7 @@ def mc_call_report(cfg: SimConfig, strike: float, reference_rate: float | None =
             cfg.model, strike, cfg.grid.horizon, n_steps=cfg.grid.n_steps
         ).rate
     stats = _per_eps_payoff_stats(
-        cfg, lambda x, paths: np.maximum(s0 * np.exp(x[:, 0]) - strike, 0.0)
+        cfg, lambda *block: np.maximum(s0 * np.exp(_terminal(cfg, *block)[:, 0]) - strike, 0.0)
     )
     return _reduce_report(cfg, "call_price", stats, reference_rate, {"strike": strike})
 
@@ -734,24 +687,19 @@ def mc_exit_report(
     """First-exit frequencies by the deadline against the exit decay rate.
 
     A path exits when a face a x >= c holds at a grid node of the window
-    (0, deadline].  Each block keeps a running hit flag, not whole paths:
-    the node loop tests every window node's displacement; a constant vol
+    (0, deadline].  Each block keeps a running hit flag, not whole paths,
+    and tests every window node's displacement on the walk; a constant vol
     with m = 1 tests R_k >= theta_k (a > 0) or R_k <= theta_k (a < 0) on
-    its running sum, ``FACE_NODES`` rows at a time, with thresholds exact
-    to the node loop's rounding (``_exit_thresholds``), so its hits are the
-    per-node test's bit for bit; a constant vol with m > 1 forms the
-    displacement at window nodes alone.
+    its running sum instead, ``FACE_NODES`` rows at a time, with thresholds
+    exact to the walk's rounding (``_exit_thresholds``), so its hits are the
+    per-node test's bit for bit, and walks to node n alone.
     """
     model = cfg.model
     check_exit(model, domain, deadline, cfg.grid.horizon)
     window = exit_window(cfg.grid, deadline)
     if reference_rate is None:
         reference_rate = exit_asymptote(
-            model,
-            domain,
-            deadline,
-            horizon=cfg.grid.horizon,
-            n_steps=min(cfg.grid.n_steps, 100),
+            model, domain, deadline, horizon=cfg.grid.horizon, n_steps=cfg.grid.n_steps
         ).rate
     faces = domain.shifted_faces(model.x0)
     last = int(np.count_nonzero(window))  # the window is nodes 1..last
@@ -759,27 +707,23 @@ def mc_exit_report(
     if is_constant(model.vol) and model.m == 1:
         thresholds = _exit_thresholds(model, cfg.grid, cfg.epsilon_ladder, faces, last)
 
-    def watcher(eps, drive):
+    def payoff(eps, db, drive, lin):
         hit = np.zeros(drive.shape[1], dtype=bool)  # a running flag, not whole paths
+        first = 1
         if thresholds is not None:
             for (a, _), theta in zip(faces, thresholds[eps]):
                 passes = np.greater_equal if a[0] > 0 else np.less_equal
                 for k0 in range(0, last, FACE_NODES):
                     k1 = min(k0 + FACE_NODES, last)
                     hit |= passes(drive[k0:k1], theta[k0:k1, None]).any(axis=0)
-            return hit, None
-
-        def watch(k, x):
-            if k <= last:
+            first = cfg.grid.n_steps
+        for k, x in _displacements(model, cfg.grid, eps, db, drive, lin, first):
+            if thresholds is None and k <= last:
                 for a, c in faces:
-                    hit[:] |= (x[:, 0] * a[0] if model.m == 1 else x.dot(a)) >= c
+                    hit |= (x[:, 0] * a[0] if model.m == 1 else x.dot(a)) >= c
+        return hit[_finite_rows(x)].astype(float)
 
-        if is_constant(model.vol):  # m > 1: the displacement at window nodes alone
-            _constant_logprice(model, cfg.grid, eps, drive[:last], watch)
-            return hit, None
-        return hit, watch
-
-    stats = _per_eps_payoff_stats(cfg, lambda x, hit: hit.astype(float), watcher)
+    stats = _per_eps_payoff_stats(cfg, payoff)
     return _reduce_report(
         cfg, "exit_probability", stats, reference_rate, {"deadline": deadline}
     )

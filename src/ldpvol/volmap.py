@@ -6,7 +6,8 @@ skeleton is exactly the zero-noise limit of the simulated scheme.  Three
 schemes cover the five families: one kernel recursion y + K * dB + K~ * u(psi)
 for the gaussian (the uncorrelated toy model being its Brownian-kernel
 case), fractional and mixed families, the auxiliary process psi by explicit
-Euler; the reflected Euler recursion; one causal forward sweep for ``volterra_sde``.
+Euler; the reflected Euler recursion, clipped at zero; one causal forward
+sweep for ``volterra_sde``.
 The output map reflects at zero when requested (``paths.reflect_values``).
 The skeleton entry points (``solve_psi_batch``, ``gamma_y_batch``,
 ``hat_map_batch``) add the blow-up checks; the simulator excludes such paths
@@ -15,12 +16,12 @@ instead.
 ``hat_map_vjp`` returns the skeleton together with its vector-jacobian
 product, which runs each stage backwards (``vol_state_vjp``): a reverse
 cumulative sum for Brownian kernels, the transposed weight table for the
-other kernels, a backward Euler recursion (the reflection's adjoint follows
-the argmin of the running minimum) and a backward causal sweep for
-``volterra_sde``.  Coefficient closures enter through their state
-derivatives, central differences over the state columns only: the forward
-pass calls each closure once per step on the state stacked with its
-perturbations (``perturbed``, ``central_jac``).
+other kernels, a backward Euler recursion (a step clipped at zero passes
+no adjoint back) and a backward causal sweep for ``volterra_sde``.
+Coefficient closures enter through their state derivatives, central
+differences over the state columns only: the forward pass calls each
+closure once per step on the state stacked with its perturbations
+(``perturbed``, ``central_jac``).
 
 Coefficient closures must be numpy-vectorized: they receive arrays with
 arbitrary leading batch axes and broadcast over them.  Signatures:
@@ -231,35 +232,34 @@ def _new_minima(vals):
 def _euler(spec, incr, grid, start, reflected=False, tape=None):
     """Explicit Euler for dV = b(t, V) dt + s(t, V) dZ; (..., n+1, len(start)).
 
-    With ``reflected`` the coefficients read the state reflected at zero
-    (the running-minimum compensator subtracted), as the reflected family's
-    state equation does.  Coefficients see the state itself: square-root
-    dispersions take the positive part in their own closure.  With a
-    ``tape`` list, each closure call also sees the perturbed states and the
-    step records what ``_euler_vjp`` reads.
+    With ``reflected`` the state is reflected at zero, as the reflected
+    family's state equation is: each step is clipped,
+    V_{j+1} = max(V_j + b dt + s dZ, 0), the discrete Skorokhod map of the
+    increments (Lindley's recursion).  Coefficients see the state itself:
+    square-root dispersions take the positive part in their own closure.
+    With a ``tape`` list, each closure call also sees the perturbed states
+    and the step records what ``_euler_vjp`` reads.
     """
     n = grid.n_steps
     dt = grid.dt
     nodes = grid.nodes
     lead = incr.shape[:-2]
     out = np.empty(lead + (n + 1, start.shape[0]))
-    cur = np.broadcast_to(start, lead + start.shape).copy()
+    cur = np.broadcast_to(np.maximum(start, 0.0) if reflected else start, lead + start.shape).copy()
     out[..., 0, :] = cur
-    run_min = np.minimum(cur, 0.0)
     for j in range(n):
-        arg = cur - run_min if reflected else cur
         if tape is None:
-            drift = spec.aux_drift(nodes[j], arg)
-            disp = spec.aux_disp(nodes[j], arg)
+            drift = spec.aux_drift(nodes[j], cur)
+            disp = spec.aux_disp(nodes[j], cur)
         else:
-            stack, h = perturbed(arg)
+            stack, h = perturbed(cur)
             drift_s = np.asarray(spec.aux_drift(nodes[j], stack), float)
             disp_s = np.asarray(spec.aux_disp(nodes[j], stack), float)
             tape.append((h, drift_s, disp_s))
             drift, disp = drift_s[0], disp_s[0]
         cur = cur + drift * dt + np.einsum("...km,...m->...k", disp, incr[..., j, :])
         if reflected:
-            run_min = np.minimum(run_min, cur)
+            np.maximum(cur, 0.0, out=cur)
         out[..., j + 1, :] = cur
     return out
 
@@ -267,30 +267,25 @@ def _euler(spec, incr, grid, start, reflected=False, tape=None):
 def _euler_vjp(incr, grid, out, tape, out_bar, reflected=False):
     """Adjoint of ``_euler``: out_bar (..., n+1, k) -> incr_bar (..., n, m).
 
-    One backward pass over the steps; with ``reflected``, the adjoint of
-    the running-minimum compensator is carried back to the node that set
-    the minimum (the argmin of the running minimum).
+    One backward pass over the steps; with ``reflected``, a clipped step
+    (the state 0 after it) passes no adjoint back.
     """
     n = grid.n_steps
     h = np.stack([rec[0] for rec in tape])
     _, drift_v = central_jac(np.stack([rec[1] for rec in tape], axis=1), h)
     disp, disp_v = central_jac(np.stack([rec[2] for rec in tape], axis=1), h)
-    # step axis first: d (cur_{j+1} - cur_j) / d arg_j is step_v[j]
+    # step axis first: d (cur_{j+1} - cur_j) / d cur_j is step_v[j]
     incr_n = np.moveaxis(incr, -2, 0)
     step_v = grid.dt * drift_v + np.einsum("j...kma,j...m->j...ka", disp_v, incr_n)
     ext = np.moveaxis(out_bar, -2, 0)
-    new = np.moveaxis(_new_minima(out), -2, 0) if reflected else None
-    lams = np.empty(ext[1:].shape)  # adjoint of cur_{j+1}
+    live = np.moveaxis(out[..., 1:, :] != 0.0, -2, 0) if reflected else None
+    lams = np.empty(ext[1:].shape)  # adjoint of cur_{j+1} before its clip
     lam = ext[n]
-    carry = 0.0
     for j in reversed(range(n)):
-        lams[j] = lam
-        arg_bar = (lam[..., None, :] @ step_v[j])[..., 0, :]
-        lam = lam + ext[j] + arg_bar
         if reflected:
-            carry = carry - arg_bar
-            lam = lam + np.where(new[j], carry, 0.0)
-            carry = np.where(new[j], 0.0, carry)
+            lam = np.where(live[j], lam, 0.0)
+        lams[j] = lam
+        lam = lam + ext[j] + (lam[..., None, :] @ step_v[j])[..., 0, :]
     return np.moveaxis(np.einsum("j...km,j...k->j...m", disp, lams), 0, -2)
 
 

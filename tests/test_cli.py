@@ -387,6 +387,20 @@ def test_mc_verify_checks_its_event_before_drawing(tmp_path, capsys, monkeypatch
     assert json.loads(err)["error"] == "DomainError"
 
 
+def test_mc_verify_exit_solves_its_reference_on_the_simulation_grid(tmp_path, capsys):
+    # at n_steps 400 a deadline of 0.005 holds two grid nodes; the reference
+    # rate was once solved on the grid cut to 100 steps, whose window holds
+    # none, and the run exited 2 where the simulation had a window
+    domain = {**HALF, "offset": 0.01}
+    cfg = _tail_config(tmp_path, quantity="exit", domain=domain, deadline=0.005, n_steps=400,
+                       epsilon_ladder=[1.0, 0.5], reference_rate=None)
+    code, out, err = run_cli(capsys, "mc-verify", "--config", cfg)
+    assert code == EXIT_OK, err
+    obj = json.loads(out)
+    assert math.isfinite(obj["reference_rate"]) and obj["reference_rate"] > 0.0
+    assert all(0 < hits < 2000 for hits in obj["diagnostics"]["hits"])
+
+
 @pytest.mark.parametrize(
     "model, cfg_extra, error",
     [

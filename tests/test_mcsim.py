@@ -17,13 +17,15 @@ from ldpvol.mcsim import (
     SimConfig,
     _block_rng,
     _draw_increments,
+    _displacements,
     _face_thresholds,
-    _logprice_block,
+    _finite_rows,
     _Moments,
     _per_eps_payoff_stats,
     _reduce_report,
     _run_blocks,
     _running_noise,
+    _terminal,
     _vol_block,
     ldp_tail_report,
     mc_call_report,
@@ -69,6 +71,15 @@ def _block_drive(model, grid, dw, db):
     if is_constant(model.vol):
         _running_noise(model, grid, drive)
     return drive
+
+
+def _walk(model, grid, eps, db, drive, lin=None, first=1):
+    """The displacements ``_displacements`` yields from node ``first`` on,
+    copied into (size, n+1, m); nodes before ``first`` stay zero."""
+    path = np.zeros((drive.shape[1], grid.n_steps + 1, model.m))
+    for k, x in _displacements(model, grid, eps, db, drive, lin, first):
+        path[:, k] = x
+    return path
 
 
 def _cfg(model, ladder=(0.4,), n_paths=20000, seed=1, grid=GRID, **kw):
@@ -198,15 +209,11 @@ def test_logprice_block_runs_the_functional_step(name):
     grid = TimeGrid(1.0, 30)
     n, m, dt = grid.n_steps, model.m, grid.dt
     l_dots, f_dots = np.random.default_rng(5).normal(size=(2, 3, n, m))
-    path = np.zeros((3, n + 1, m))
-
-    def keep(k, x):
-        path[:, k, :] = x
-
     drive = _block_drive(model, grid, l_dots * dt, f_dots * dt)
     lin = _lin(model.vol, grid, f_dots * dt)
-    x, ok = _logprice_block(model, grid, 1.0, f_dots * dt, drive, lin, keep)
-    assert np.all(ok)
+    path = _walk(model, grid, 1.0, f_dots * dt, drive, lin)
+    x = _walk(model, grid, 1.0, f_dots * dt, drive, lin, n)[:, -1]
+    assert np.all(_finite_rows(x))
     np.testing.assert_array_equal(x, path[:, -1])
     tk = grid.nodes[:-1]
     u = _vol_block(model.vol, f_dots * dt, grid, 1.0)[:, :-1]
@@ -446,8 +453,8 @@ def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
         assert (db is None) == is_affine(model.vol)
         if db is not None:
             np.testing.assert_array_equal(db, whole)
-        x, ok = _logprice_block(model, grid, eps, db, drive, lin)
-        assert np.all(ok)
+        x = _walk(model, grid, eps, db, drive, lin, grid.n_steps)[:, -1]
+        assert np.all(_finite_rows(x))
         return x, _per_eps_terminal(model, grid, eps, whole, raw)
 
     ladder = [0.4, 0.2, 0.1, 0.05]
@@ -535,14 +542,11 @@ def test_blocks_do_not_alias_reused_buffers(workers):
         rng = _block_rng(cfg.seed, b)
         db = rng.standard_normal((size, grid.n_steps, 1)) * s
         dw = rng.standard_normal((size, grid.n_steps, 1)) * s
-        paths = np.zeros((size, grid.n_steps + 1, 1))
-
-        def keep(k, x):
-            paths[:, k, :] = x
-
         drive = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
-        x, ok = _logprice_block(model, grid, eps, db, drive, _lin(model.vol, grid, db), keep)
-        assert np.all(ok)
+        lin = _lin(model.vol, grid, db)
+        paths = _walk(model, grid, eps, db, drive, lin)
+        x = _walk(model, grid, eps, db, drive, lin, grid.n_steps)[:, -1]
+        assert np.all(_finite_rows(x))
         np.testing.assert_array_equal(got.terminal[start : start + size], x)
         np.testing.assert_array_equal(got.paths[start : start + size], paths)
         start += size
@@ -654,7 +658,8 @@ def test_first_row_keeps_the_single_epsilon_key():
             if _reads_db(model):
                 db = rng.standard_normal(db.shape) * s
             dw = rng.standard_normal((size, grid.n_steps, 1)) * s
-            x, ok = _logprice_block(model, grid, 0.4, db, _block_drive(model, grid, dw, db))
+            x = _walk(model, grid, 0.4, db, _block_drive(model, grid, dw, db), None, grid.n_steps)[:, -1]
+            ok = _finite_rows(x)
             moms.append(_Moments.of((x[ok, 0] >= k).astype(float)))
         row, hits = _row(model, grid, 0.4, moms)
         assert rep.rows[0].to_json_obj() == row.to_json_obj()
@@ -747,13 +752,9 @@ def test_constant_kind_matches_the_node_loop(name, antithetic):
                 want[:, k + 1] = want[:, k] + _phi_increment(
                     model, model.drift_values(t, u), model.sigma_values(t, u),
                     math.sqrt(eps) / grid.dt * raw[k], grid.dt, eps)
-            got = np.zeros_like(want)
-
-            def keep(k, x):
-                got[:, k] = x
-
-            x, ok = _logprice_block(model, grid, eps, None, running, None, keep)
-            assert np.all(ok)
+            got = _walk(model, grid, eps, None, running)
+            x = _walk(model, grid, eps, None, running, None, grid.n_steps)[:, -1]
+            assert np.all(_finite_rows(x))
             np.testing.assert_array_equal(x, got[:, -1])
             assert np.max(np.abs(got - want)) <= 1e-13
             if li == 1:
@@ -802,12 +803,7 @@ def test_constant_exit_thresholds_match_the_node_loop(case, antithetic):
         raw = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
         running = _block_drive(model, grid, dw, db)
         for li, eps in enumerate(ladder):
-            got = np.zeros((size, grid.n_steps + 1, model.m))
-
-            def keep(k, x):
-                got[:, k] = x
-
-            _logprice_block(model, grid, eps, None, running, None, keep)
+            got = _walk(model, grid, eps, None, running)
             want = np.zeros_like(got)
             u = np.full((size, 1), model.vol.y)
             for k, t in enumerate(grid.nodes[:-1]):
@@ -829,6 +825,39 @@ def test_constant_exit_thresholds_match_the_node_loop(case, antithetic):
                 assert rep.rows[li].to_json_obj() == row.to_json_obj()
                 assert rep.diagnostics["hits"][li] == hits
             assert 0 < hits < sum(sizes)
+
+
+_WALK_MODELS = {
+    "constant": bs_const,
+    "constant_pair": _constant_pair,
+    "affine": toy_sabr,
+    "whole": frac_heston,
+}
+
+
+@pytest.mark.parametrize("antithetic", [False, True])
+@pytest.mark.parametrize("name", sorted(_WALK_MODELS))
+def test_walk_from_any_node_matches_the_walk_from_node_one(name, antithetic):
+    # started at node k, the walk yields nodes k..n alone, in order, and at
+    # each of them the displacement of the walk from node 1, bit for bit:
+    # the constant kind forms those nodes alone, the others step through
+    # the nodes before k unseen
+    model = _WALK_MODELS[name]()
+    grid = TimeGrid(1.0, 12)
+    n = grid.n_steps
+
+    def block(eps, db, drive, lin):
+        whole = _walk(model, grid, eps, db, drive, lin)
+        for first in (1, 2, 7, n):
+            nodes = [k for k, _ in _displacements(model, grid, eps, db, drive, lin, first)]
+            assert nodes == list(range(first, n + 1))
+            part = _walk(model, grid, eps, db, drive, lin, first)
+            np.testing.assert_array_equal(part[:, first:], whole[:, first:])
+            assert not part[:, :first].any()
+        return np.all(_finite_rows(whole))
+
+    per_eps = _run_blocks(block, [0.4, 0.1], 1001, grid, model.vol.m, 3, antithetic, 1, model)
+    assert all(ok for res in per_eps for ok in res)
 
 
 def _face_test(r, scale, shift, a, c):
@@ -935,7 +964,7 @@ def test_moment_merge_survives_large_offset():
         bs_const(), ladder=(0.5,), n_paths=2 * BLOCK_SIZE + 1000, grid=TimeGrid(1.0, 10), seed=5
     )
     offset = 1e7
-    (mom,) = _per_eps_payoff_stats(cfg, lambda x, paths: offset + x[:, 0])
+    (mom,) = _per_eps_payoff_stats(cfg, lambda *block: offset + _terminal(cfg, *block)[:, 0])
     vals = offset + simulate_logprice(cfg, 0.5).terminal[:, 0]
     exact = float(np.var(vals))
     naive = float(np.sum(vals**2)) / vals.size - (float(np.sum(vals)) / vals.size) ** 2

@@ -470,6 +470,19 @@ def test_terminal_gradient_oracle(factory):
         assert check_gradient(obj, x) < 1e-5
 
 
+def test_reflected_gradient_oracle_through_clipped_nodes():
+    # a control that pins the reflected_ou skeleton at zero on ten nodes, in
+    # two stretches: a clipped step passes no adjoint back
+    grid = TimeGrid(1.0, 40)
+    model = reflected_ou()
+    f = np.full(grid.n_steps, 1.0)
+    f[4:12], f[20:26] = -6.0, -8.0
+    hat = hat_map_batch(model.vol, f[:, None], grid)
+    assert np.count_nonzero(hat[:, 0] == 0.0) == 10
+    for x in (0.1, 0.25):
+        assert check_gradient(TerminalObjective(model, grid, x), f) < 1e-5
+
+
 @pytest.mark.parametrize(
     "factory",
     [lambda: bs_const(rho=-0.5), toy_sabr, rough_gauss, frac_heston, reflected_ou, _volterra_model],

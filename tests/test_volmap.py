@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from ldpvol import TimeGrid, Control, brownian, riemann_liouville, hs_apply, integrate
 from ldpvol.errors import DimensionError, UnsupportedFormError
 from ldpvol.kernels import rms_weights
+from ldpvol.paths import reflect_values
 from ldpvol.presets import make_model
 from ldpvol.volmap import (
     FRACTIONAL,
@@ -22,6 +24,7 @@ from ldpvol.volmap import (
     is_affine,
     is_constant,
     ou_coefficients,
+    output_map,
     solve_psi,
     vol_state,
     vol_state_vjp,
@@ -314,6 +317,39 @@ def test_reflected_hat_nonnegative():
     assert np.all(h.values >= 0.0)
     # strongly negative drive pins the reflected path at zero eventually
     assert h.values[-1, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+def _running_minimum_state(spec, incr, grid):
+    """The reflected Euler recursion in running-minimum form: the
+    unreflected state V stepped with coefficients read at V less the running
+    minimum of min(V, 0), reflected afterwards (``paths.reflect_values``)."""
+    cur = np.broadcast_to(spec.y, incr.shape[:-2] + spec.y.shape).copy()
+    run_min = np.minimum(cur, 0.0)
+    out = [cur]
+    for j, t in enumerate(grid.nodes[:-1]):
+        arg = cur - run_min
+        noise = np.einsum("...km,...m->...k", spec.aux_disp(t, arg), incr[..., j, :])
+        cur = cur + spec.aux_drift(t, arg) * grid.dt + noise
+        run_min = np.minimum(run_min, cur)
+        out.append(cur)
+    return reflect_values(np.stack(out, axis=-2))
+
+
+@pytest.mark.parametrize("y", [0.05, -0.02])
+def test_reflected_euler_clip_is_the_running_minimum_form(y):
+    # the clipped step max(V + b dt + s dZ, 0) is the discrete Skorokhod map
+    # of the Euler increments: on noise that pins the state at zero on many
+    # nodes it equals the running-minimum form within rounding, a negative
+    # start included
+    drift, disp = ou_coefficients(2.0, -0.1, 0.5)
+    spec = VolProcessSpec(
+        family=REFLECTED, d=1, m=1, k_dim=1, aux_drift=drift, aux_disp=disp, y=[y]
+    )
+    rng = np.random.default_rng(4)
+    incr = rng.normal(scale=math.sqrt(GRID.dt), size=(400, GRID.n_steps, 1))
+    got = output_map(spec, vol_state(spec, incr, GRID, cell_means))
+    assert np.mean(got == 0.0) > 0.1
+    assert np.max(np.abs(got - _running_minimum_state(spec, incr, GRID))) <= 1e-14
 
 
 def test_hat_map_grid_refinement_consistency():
