@@ -299,19 +299,17 @@ def _cmd_toy(args):
 def _cmd_mc_verify(args):
     with open(args.config) as fh:
         cfg_obj = _json_object(json.load(fh), "mc-verify config")
+    if "antithetic" in cfg_obj:
+        raise DomainError('"antithetic" is not a mc-verify key: every path is an i.i.d. draw')
     model = model_from_json_obj(cfg_obj["model"])
     grid = TimeGrid(cfg_obj.get("horizon", 1.0), cfg_obj.get("n_steps", 200))
     workers = args.workers if args.workers is not None else cfg_obj.get("max_workers")
-    antithetic = cfg_obj.get("antithetic", False)
-    if not isinstance(antithetic, bool):
-        raise DomainError(f"antithetic must be true or false, got {antithetic!r}")
     cfg = SimConfig(
         model=model,
         epsilon_ladder=cfg_obj["epsilon_ladder"],
         n_paths=cfg_obj["n_paths"],
         grid=grid,
         seed=cfg_obj.get("seed", 0),
-        antithetic=antithetic,
         max_workers=_default_workers() if workers is None else workers,
     )
     quantity = cfg_obj.get("quantity", "tail")

@@ -9,16 +9,18 @@ kernels and up to the trapezoid rule on the interior cells of K^2 for
 Molchan-Golosov and tabulated ones.  Log-prices run the functional's step
 (``ratefn._phi_increment``) at every node, Ito term included, driven by
 sqrt(eps) (rho_bar dW + rho dB) / dt.  Exit runs take their faces and window
-from ``pricing``, as the exit rate does, and keep a running hit flag per
-path, not whole paths.  One block scheduler (``_run_blocks``) serves every
-entry point and opens at most one thread pool per call, which runs blocks in
-parallel (a one-block run uses one thread).  Every block of ``BLOCK_SIZE``
+from ``pricing``, as the exit rate does, keep a running hit flag per path,
+not whole paths, and end their walk, finite mask included, at the last
+window node.  One block scheduler (``_run_blocks``) serves every entry point
+and opens at most one thread pool per call, which runs blocks in parallel
+(a one-block run uses one thread).  Every block of ``BLOCK_SIZE``
 = 2^13 paths (the last one shorter) owns an SFC64 substream keyed by
 ``SeedSequence([seed, 0, block index])``; its noise is drawn once and the
 whole epsilon ladder runs on it, as
 X^eps = Phi(sqrt(eps) W) is one family driven by one W (common random
 numbers).  Rows of a ladder report are therefore correlated across epsilon,
-while each row is unbiased and its standard error is honest on its own.
+while the paths of a row are i.i.d., so each row is unbiased and its
+standard error is honest on its own.
 Estimates are bit-identical no matter how blocks are scheduled across
 workers; SFC64's 256-bit state carries a 64-bit counter, and
 SeedSequence-hashed starting states make overlap between substreams
@@ -76,10 +78,6 @@ Every kind's displacement X_k - x0 is walked node by node by one generator
 The kinds agree to rounding: the constant kind's displacements lie within
 rounding of the node loop, and toy_sabr and the Gaussian ones are only
 statistically equal to the per-epsilon scheme.
-Antithetic blocks draw the first half of the rows and write its negation
-into the rest, of dB, of the (linear) drive or its running sum and of L
-alike.  Block functions must neither write to these buffers nor return a
-view of them.
 Payoff moments are merged per block, in block order, from (count, mean, sum
 of squared deviations) (Chan, Golub & LeVeque), each mean held as a pivot
 (the block's first payoff) plus an offset so that merges lose no precision
@@ -123,7 +121,6 @@ class SimConfig:
     n_paths: int
     grid: TimeGrid
     seed: int
-    antithetic: bool = False
     max_workers: int = 1
 
     def __post_init__(self):
@@ -214,21 +211,13 @@ def _block_rng(seed: int, block_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.SFC64(ss))
 
 
-def _draw_increments(rng, out, dt, antithetic):
-    """Fill ``out`` (size, n, m) with Brownian increments of variance dt.
-
-    Antithetic blocks draw the first ceil(size/2) rows and write their
-    negation into the rest, as ``concatenate([z, -z])[:size]`` would.
-    """
-    s = math.sqrt(dt)
-    size = out.shape[0]
-    half = (size + 1) // 2 if antithetic else size
-    rng.standard_normal(out=out[:half])
-    out[:half] *= s
-    np.negative(out[: size - half], out=out[half:])
+def _draw_increments(rng, out, dt):
+    """Fill ``out`` (size, n, m) with Brownian increments of variance dt."""
+    rng.standard_normal(out=out)
+    out *= math.sqrt(dt)
 
 
-def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
+def _draw_drive(rng, model, grid, db, drive, lin):
     """Draw a block's price noise dW and write, node-major,
     ``_phi_drive(model, dW, dB)`` into ``drive`` (n, size, ...) and, for an
     affine vol, L = ``vol_state(dB) - model.vol.y`` at the left nodes into
@@ -238,32 +227,27 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
     draws dW in chunks and mixes each with its columns of dB, for m = 1 in
     place (rho_bar dW in the chunk, rho dB over the drive's columns), for
     m > 1 by ``ratefn._phi_drive``.  The chunks keep the stream order of
-    whole-block fills (dB, then dW); antithetic blocks fill the first
-    ceil(size/2) rows and write the negation into the rest (every part is
-    linear in the noise, and negation is exact).
+    whole-block fills (dB, then dW).
     """
     size, n = drive.shape[1], grid.n_steps
-    half = (size + 1) // 2 if antithetic else size
-    chunk = np.empty((min(MIX_ROWS, half), n, model.vol.m))
+    chunk = np.empty((min(MIX_ROWS, size), n, model.vol.m))
     if db is not None:
         park = np.swapaxes(db, 0, 1)
     elif is_constant(model.vol) and not model.C.any():  # nothing reads dB
         park = None
     else:
         park = drive[..., None] if model.m == 1 else drive
-        for r0 in range(0, half, MIX_ROWS):
-            rows = min(MIX_ROWS, half - r0)
-            _draw_increments(rng, chunk[:rows], grid.dt, False)
+        for r0 in range(0, size, MIX_ROWS):
+            rows = min(MIX_ROWS, size - r0)
+            _draw_increments(rng, chunk[:rows], grid.dt)
             if lin is not None:
                 vals = vol_state(model.vol, chunk[:rows], grid, _k.rms_weights)[:, :-1]
                 lin[:, r0 : r0 + rows] = np.swapaxes(vals - model.vol.y, 0, 1)
             park[:, r0 : r0 + rows] = np.swapaxes(chunk[:rows, :, : park.shape[-1]], 0, 1)
-        if lin is not None:
-            np.negative(lin[:, : size - half], out=lin[:, half:])
     zero = np.zeros((1, model.m))
-    for r0 in range(0, half, MIX_ROWS):
-        rows = min(MIX_ROWS, half - r0)
-        _draw_increments(rng, chunk[:rows], grid.dt, False)
+    for r0 in range(0, size, MIX_ROWS):
+        rows = min(MIX_ROWS, size - r0)
+        _draw_increments(rng, chunk[:rows], grid.dt)
         cols = drive[:, r0 : r0 + rows]
         if model.m > 1:
             f = zero if park is None else park[:, r0 : r0 + rows]
@@ -274,8 +258,7 @@ def _draw_drive(rng, model, grid, db, drive, lin, antithetic):
             np.multiply(park[:, r0 : r0 + rows, 0], model.rho, out=cols)
             cols += np.multiply(chunk[:rows, :, 0], model.rho_bar, out=chunk[:rows, :, 0]).T
     if is_constant(model.vol):
-        _running_noise(model, grid, drive[:, :half])
-    np.negative(drive[:, : size - half], out=drive[:, half:])
+        _running_noise(model, grid, drive)
 
 
 def _running_noise(model, grid, drive):
@@ -293,7 +276,7 @@ def _running_noise(model, grid, drive):
             row += drive[k - 1]
 
 
-def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=1, model=None):
+def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, workers=1, model=None):
     """The block scheduler: draw each block's noise once, then run
     ``block_fn(epsilon, db, drive, lin)`` on it for every epsilon in order.
 
@@ -329,11 +312,11 @@ def _run_blocks(block_fn, epsilons, n_paths, grid, m, seed, antithetic, workers=
         db = drive = lin = None
         if whole:
             db = local.db[: sizes[b]]
-            _draw_increments(rng, db, grid.dt, antithetic)
+            _draw_increments(rng, db, grid.dt)
         if model is not None:
             drive = local.drive[:, : sizes[b]]
             lin = local.lin[:, : sizes[b]] if keep_lin else None
-            _draw_drive(rng, model, grid, db, drive, lin, antithetic)
+            _draw_drive(rng, model, grid, db, drive, lin)
         return [block_fn(float(eps), db, drive, lin) for eps in epsilons]
 
     if workers > 1 and len(sizes) > 1:
@@ -372,12 +355,7 @@ class VolEnsemble:
 
 
 def simulate_vol(
-    spec: VolProcessSpec,
-    epsilon: float,
-    n_paths: int,
-    grid: TimeGrid,
-    seed: int,
-    antithetic: bool = False,
+    spec: VolProcessSpec, epsilon: float, n_paths: int, grid: TimeGrid, seed: int
 ) -> VolEnsemble:
     """Ensemble of volatility paths for the scaled model at one epsilon."""
     _check_epsilon(epsilon)
@@ -387,7 +365,7 @@ def simulate_vol(
         ok = _finite_rows(vals)
         return vals[ok], int(np.sum(~ok))
 
-    (results,) = _run_blocks(block, [epsilon], n_paths, grid, spec.m, int(seed), antithetic)
+    (results,) = _run_blocks(block, [epsilon], n_paths, grid, spec.m, int(seed))
     return VolEnsemble(
         np.concatenate([r[0] for r in results], axis=0), sum(r[1] for r in results)
     )
@@ -531,10 +509,8 @@ def simulate_logprice(cfg: SimConfig, epsilon: float, keep_paths: bool = False) 
         ok = _finite_rows(x)
         return x[ok], paths[ok] if keep_paths else None, int(np.sum(~ok))
 
-    (results,) = _run_blocks(
-        block, [epsilon], cfg.n_paths, cfg.grid, cfg.model.vol.m,
-        cfg.seed, cfg.antithetic, cfg.max_workers, cfg.model,
-    )
+    (results,) = _run_blocks(block, [epsilon], cfg.n_paths, cfg.grid, cfg.model.vol.m, cfg.seed,
+                             cfg.max_workers, cfg.model)
     return LogPriceSamples(
         np.concatenate([r[0] for r in results], axis=0),
         sum(r[2] for r in results),
@@ -645,7 +621,7 @@ def _per_eps_payoff_stats(cfg, payoff):
     """
     per_entry = _run_blocks(
         lambda *block: _Moments.of(payoff(*block)), cfg.epsilon_ladder, cfg.n_paths, cfg.grid,
-        cfg.model.vol.m, cfg.seed, cfg.antithetic, cfg.max_workers, cfg.model,
+        cfg.model.vol.m, cfg.seed, cfg.max_workers, cfg.model,
     )
     return [functools.reduce(_Moments.merge, res) for res in per_entry]
 
@@ -692,7 +668,9 @@ def mc_exit_report(
     with m = 1 tests R_k >= theta_k (a > 0) or R_k <= theta_k (a < 0) on
     its running sum instead, ``FACE_NODES`` rows at a time, with thresholds
     exact to the walk's rounding (``_exit_thresholds``), so its hits are the
-    per-node test's bit for bit, and walks to node n alone.
+    per-node test's bit for bit, and forms the last window node alone.  The
+    walk, finite mask included, ends at the last window node: the event and
+    the exclusion of blown-up paths depend on the path up to the deadline.
     """
     model = cfg.model
     check_exit(model, domain, deadline, cfg.grid.horizon)
@@ -716,11 +694,13 @@ def mc_exit_report(
                 for k0 in range(0, last, FACE_NODES):
                     k1 = min(k0 + FACE_NODES, last)
                     hit |= passes(drive[k0:k1], theta[k0:k1, None]).any(axis=0)
-            first = cfg.grid.n_steps
+            first = last
         for k, x in _displacements(model, cfg.grid, eps, db, drive, lin, first):
-            if thresholds is None and k <= last:
+            if thresholds is None:
                 for a, c in faces:
                     hit |= (x[:, 0] * a[0] if model.m == 1 else x.dot(a)) >= c
+            if k == last:
+                break
         return hit[_finite_rows(x)].astype(float)
 
     stats = _per_eps_payoff_stats(cfg, payoff)

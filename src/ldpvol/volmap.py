@@ -8,7 +8,7 @@ for the gaussian (the uncorrelated toy model being its Brownian-kernel
 case), fractional and mixed families, the auxiliary process psi by explicit
 Euler; the reflected Euler recursion, clipped at zero; one causal forward
 sweep for ``volterra_sde``.
-The output map reflects at zero when requested (``paths.reflect_values``).
+The output map reflects the other families at zero when requested.
 The skeleton entry points (``solve_psi_batch``, ``gamma_y_batch``,
 ``hat_map_batch``) add the blow-up checks; the simulator excludes such paths
 instead.
@@ -121,6 +121,8 @@ class VolProcessSpec:
             raise DimensionError(f"v0 must have shape ({self.k_dim},)")
         if self.u_map is not None and not callable(self.u_map):
             raise UnsupportedFormError(f"u_map must be a callable, got {self.u_map!r}")
+        if self.family == REFLECTED:
+            self.reflect = True
         if self.reflect and self.d != 1:
             raise UnsupportedDomainError("reflection is supported for d = 1 only")
         if self.family in (GAUSSIAN, MIXED):
@@ -144,8 +146,6 @@ class VolProcessSpec:
         ):
             raise UnsupportedFormError("volterra_sde family needs a and/or c maps")
         if self.family == REFLECTED:
-            if not self.reflect:
-                self.reflect = True
             if self.k_dim != self.d:
                 raise DimensionError("reflected family uses k_dim = d state")
             if self.aux_drift is None or self.aux_disp is None:
@@ -463,9 +463,14 @@ def vol_state_vjp(spec: VolProcessSpec, incr, grid, noise_table, tape, vals_bar)
     return out
 
 
+def _reflects_output(spec: VolProcessSpec) -> bool:
+    """A reflected output of any family but the reflected one (clipped at 0)."""
+    return spec.reflect and spec.family != REFLECTED
+
+
 def output_map(spec: VolProcessSpec, vals: np.ndarray) -> np.ndarray:
     """Reflection at zero along the time axis when requested, else identity."""
-    return reflect_values(vals) if spec.reflect else vals
+    return reflect_values(vals) if _reflects_output(spec) else vals
 
 
 def _reflect_vjp(vals, out_bar):
@@ -549,7 +554,7 @@ def hat_map_vjp(spec: VolProcessSpec, dots: np.ndarray, grid: TimeGrid):
     vals = _checked_state(spec, vol_state(spec, incr, grid, cell_means, tape))
 
     def pullback(hat_bar):
-        if spec.reflect:
+        if _reflects_output(spec):
             hat_bar = _reflect_vjp(vals, hat_bar)
         return grid.dt * vol_state_vjp(spec, incr, grid, cell_means, tape, hat_bar)
 

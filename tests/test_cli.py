@@ -342,20 +342,21 @@ def test_mc_verify_rejects_bad_worker_environment(tmp_path, capsys, monkeypatch,
     assert "LDPVOL_WORKERS" in json.loads(err)["message"]
 
 
-@pytest.mark.parametrize("flag", [False, True, "false", "true", 0, 1, None])
-def test_mc_verify_antithetic_takes_only_a_json_boolean(tmp_path, capsys, flag):
-    # "false" once read as bool("false"), True: the run went antithetic while
-    # resolved_config echoed "false"
+@pytest.mark.parametrize("flag", [True, False, "false", 0])
+def test_mc_verify_rejects_the_antithetic_key(tmp_path, capsys, monkeypatch, flag):
+    # every path is an i.i.d. draw: a config asking for antithetic pairs,
+    # or only naming the key, is refused before anything is drawn
+    def no_draws(*args, **kwargs):
+        raise AssertionError("paths drawn for a config with an antithetic key")
+
+    monkeypatch.setattr("ldpvol.mcsim._draw_increments", no_draws)
     code, out, err = run_cli(
         capsys, "mc-verify", "--config", _tail_config(tmp_path, antithetic=flag)
     )
-    if isinstance(flag, bool):
-        assert code == EXIT_OK
-        assert json.loads(out)["resolved_config"]["antithetic"] is flag
-    else:
-        assert code == EXIT_CONFIG
-        assert out == ""
-        assert json.loads(err)["error"] == "DomainError"
+    assert code == EXIT_CONFIG
+    assert out == ""
+    assert json.loads(err)["error"] == "DomainError"
+    assert "antithetic" in json.loads(err)["message"]
 
 
 HALF = {"kind": "half_space", "normal": [1.0], "offset": 0.17}

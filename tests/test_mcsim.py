@@ -273,16 +273,6 @@ def test_block_rng_is_seedsequence_keyed_sfc64():
     assert len(firsts) == 32
 
 
-def test_antithetic_fill_matches_concatenation():
-    size, n, m, dt = 1001, 7, 2, 0.01
-    out = np.full((size + 50, n, m), np.nan)
-    _draw_increments(_block_rng(3, 4), out[:size], dt, antithetic=True)
-    z = _block_rng(3, 4).standard_normal(((size + 1) // 2, n, m))
-    want = np.concatenate([z, -z], axis=0)[:size] * math.sqrt(dt)
-    np.testing.assert_array_equal(out[:size], want)
-    assert np.all(np.isnan(out[size:]))  # rows past the block stay untouched
-
-
 def _affine_pair():
     """An affine d = m = 2 Gaussian model with a full correlation matrix C."""
     vol = VolProcessSpec(
@@ -305,14 +295,14 @@ def _reads_db(model):
     return not is_constant(model.vol) or bool(model.C.any())
 
 
-def _block_noise(seed, b, size, grid, model, antithetic):
+def _block_noise(seed, b, size, grid, model):
     """Block b's whole-block fills, driver noise dB then price noise dW; dB
     is zero, and not drawn, where nothing reads it."""
     rng = _block_rng(seed, b)
     db, dw = np.zeros((2, size, grid.n_steps, model.vol.m))
     if _reads_db(model):
-        _draw_increments(rng, db, grid.dt, antithetic)
-    _draw_increments(rng, dw, grid.dt, antithetic)
+        _draw_increments(rng, db, grid.dt)
+    _draw_increments(rng, dw, grid.dt)
     return db, dw
 
 
@@ -333,16 +323,15 @@ _DRIVE_MODELS = {
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("name", sorted(_DRIVE_MODELS))
-def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
+def test_block_drive_is_the_mixed_whole_block_noise(name, workers):
     # the price noise drawn and mixed MIX_ROWS paths at a time is, bit for
     # bit, the mix of whole-block fills (db, then dW) stored node-major, also
     # where an affine or constant vol draws db in chunks and parks it in the
     # drive buffer (db is None then), and where a constant vol with C = 0
     # draws no db at all; a constant vol's drive is its running
-    # sigma-weighted sum, summed before the antithetic negation (exact); the
-    # second block is odd and not a multiple of MIX_ROWS
+    # sigma-weighted sum; the second block is odd and not a multiple of
+    # MIX_ROWS
     model = _DRIVE_MODELS[name]()
     grid = TimeGrid(1.0, 5)
     seed, sizes, m = 23, [BLOCK_SIZE, 1001], model.vol.m
@@ -352,23 +341,18 @@ def test_block_drive_is_the_mixed_whole_block_noise(name, antithetic, workers):
     def block(eps, db, drive, lin):
         return [None if a is None else a.copy() for a in (db, drive, lin)]
 
-    (got,) = _run_blocks(block, [0.3], sum(sizes), grid, m, seed, antithetic, workers, model)
+    (got,) = _run_blocks(block, [0.3], sum(sizes), grid, m, seed, workers, model)
     assert _reads_db(model) == (name != "bs_const")
     for b, size in enumerate(sizes):
-        db, dw = _block_noise(seed, b, size, grid, model, antithetic)
+        db, dw = _block_noise(seed, b, size, grid, model)
         if is_affine(model.vol):
             assert got[b][0] is None
         else:
             np.testing.assert_array_equal(got[b][0], db)
         np.testing.assert_array_equal(got[b][1], _block_drive(model, grid, dw, db))
         # the eps-free vol part rides in the same chunks, for a non-constant
-        # affine vol only;
-        # an antithetic block negates its first half (L(-z) = -L(z) only up to
-        # rounding where y is nonzero)
-        lin = _lin(model.vol, grid, db)
-        if lin is not None and antithetic:
-            lin[:, (size + 1) // 2 :] = -lin[:, : size // 2]
-        np.testing.assert_array_equal(got[b][2], lin)
+        # affine vol only
+        np.testing.assert_array_equal(got[b][2], _lin(model.vol, grid, db))
 
 
 def _exit_ladder_peak(model, grid, n_paths):
@@ -432,9 +416,8 @@ def _per_eps_terminal(model, grid, eps, db, drive):
     return x
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("name", sorted(_LADDER_MODELS))
-def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
+def test_block_vol_part_matches_the_per_epsilon_scheme(name):
     # every ladder epsilon of one block: a constant vol (bs_const) reads one
     # row of its running noise sum, within rounding of the node loop; an
     # affine vol (toy, unreflected Gaussian) reads y + sqrt(eps) L built once
@@ -442,7 +425,7 @@ def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
     # keeps the per-epsilon scheme, bit for bit
     model = _LADDER_MODELS[name]()
     grid = TimeGrid(1.0, 40)
-    whole, dw = _block_noise(9, 0, 3001, grid, model, antithetic)
+    whole, dw = _block_noise(9, 0, 3001, grid, model)
     raw = np.moveaxis(_phi_drive(model, dw, whole), 1, 0)
     seen = []
 
@@ -458,7 +441,7 @@ def test_block_vol_part_matches_the_per_epsilon_scheme(name, antithetic):
         return x, _per_eps_terminal(model, grid, eps, whole, raw)
 
     ladder = [0.4, 0.2, 0.1, 0.05]
-    per_eps = _run_blocks(block, ladder, 3001, grid, model.vol.m, 9, antithetic, 1, model)
+    per_eps = _run_blocks(block, ladder, 3001, grid, model.vol.m, 9, 1, model)
     assert seen == [is_affine(model.vol) and not is_constant(model.vol)] * len(ladder)
     assert is_affine(model.vol) == (name in ("bs_const", "toy_sabr", "rough_gauss", "mg_h03"))
     assert is_constant(model.vol) == (name == "bs_const")
@@ -591,9 +574,9 @@ def test_ladder_draws_each_block_once(monkeypatch):
         streams.append(1)
         return _block_rng(*args)
 
-    def counting_fill(rng, out, dt, antithetic):
+    def counting_fill(rng, out, dt):
         fills.append(out.size)
-        _draw_increments(rng, out, dt, antithetic)
+        _draw_increments(rng, out, dt)
 
     monkeypatch.setattr(mcsim, "_block_rng", counting_rng)
     monkeypatch.setattr(mcsim, "_draw_increments", counting_fill)
@@ -667,8 +650,7 @@ def test_first_row_keeps_the_single_epsilon_key():
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("antithetic", [False, True])
-def test_constant_vol_matches_the_brownian_kernel_bit_for_bit(antithetic, workers):
+def test_constant_vol_matches_the_brownian_kernel_bit_for_bit(workers):
     # with rho != 0 a constant-vol block draws dB as the Brownian-kernel vol
     # does and skips only the vol part its sigma never reads, so tail and exit
     # ladders are bit-identical; the kept terminal values, read off the
@@ -679,7 +661,7 @@ def test_constant_vol_matches_the_brownian_kernel_bit_for_bit(antithetic, worker
     got = []
     for model in (bs_const(rho=-0.5), _brownian_bs(rho=-0.5)):
         cfg = _cfg(model, ladder=(0.4, 0.2, 0.1), n_paths=BLOCK_SIZE + 1001, seed=29, grid=grid,
-                   antithetic=antithetic, max_workers=workers)
+                   max_workers=workers)
         got.append((
             ldp_tail_report(cfg, 0.1, reference_rate=0.0).to_json_obj(),
             mc_exit_report(cfg, dom, 1.0, reference_rate=0.0).to_json_obj(),
@@ -715,9 +697,8 @@ _CONSTANT_MODELS = {
 }
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("name", sorted(_CONSTANT_MODELS))
-def test_constant_kind_matches_the_node_loop(name, antithetic):
+def test_constant_kind_matches_the_node_loop(name):
     # a constant vol's terminal values and kept paths, read off the block's
     # running noise sum, lie within 1e-13 of the per-epsilon node loop on the
     # same whole-block fills, and its tail and exit ladders (deadline < T)
@@ -733,8 +714,7 @@ def test_constant_kind_matches_the_node_loop(name, antithetic):
         dom = ExitDomain("box", lower=x0 - 0.15, upper=x0 + 0.1)
     faces = [(a, c - float(a @ x0)) for a, c in dom.faces()]
     window = (grid.nodes <= deadline + 1e-12) & (grid.nodes > 0)
-    cfg = _cfg(model, ladder=ladder, n_paths=sum(sizes), seed=seed, grid=grid,
-               antithetic=antithetic)
+    cfg = _cfg(model, ladder=ladder, n_paths=sum(sizes), seed=seed, grid=grid)
     reports = {"exit_probability": mc_exit_report(cfg, dom, deadline, reference_rate=0.0)}
     if model.m == 1:
         reports["tail_probability"] = ldp_tail_report(cfg, 0.1, reference_rate=0.0)
@@ -742,7 +722,7 @@ def test_constant_kind_matches_the_node_loop(name, antithetic):
     moms = {q: [[] for _ in ladder] for q in reports}
     start = 0
     for b, size in enumerate(sizes):
-        db, dw = _block_noise(seed, b, size, grid, model, antithetic)
+        db, dw = _block_noise(seed, b, size, grid, model)
         raw = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
         running = _block_drive(model, grid, dw, db)
         for li, eps in enumerate(ladder):
@@ -784,9 +764,8 @@ _CONSTANT_EXITS = {
 }
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("case", sorted(_CONSTANT_EXITS))
-def test_constant_exit_thresholds_match_the_node_loop(case, antithetic):
+def test_constant_exit_thresholds_match_the_node_loop(case):
     # a bs_const exit tests each face as a threshold on the running noise
     # sum; its rows equal, exactly, both those of the displacement formed
     # node by node off the running sum (the per-node test it replaces) and
@@ -799,7 +778,7 @@ def test_constant_exit_thresholds_match_the_node_loop(case, antithetic):
     window = (grid.nodes <= deadline + 1e-12) & (grid.nodes > 0)
     moms = {how: [[] for _ in ladder] for how in ("running", "node_loop")}
     for b, size in enumerate(sizes):
-        db, dw = _block_noise(seed, b, size, grid, model, antithetic)
+        db, dw = _block_noise(seed, b, size, grid, model)
         raw = np.moveaxis(_phi_drive(model, dw, db), 1, 0)
         running = _block_drive(model, grid, dw, db)
         for li, eps in enumerate(ladder):
@@ -817,7 +796,7 @@ def test_constant_exit_thresholds_match_the_node_loop(case, antithetic):
                 moms[how][li].append(_Moments.of(hit.astype(float)))
     for workers in (1, 2):
         cfg = _cfg(model, ladder=ladder, n_paths=sum(sizes), seed=seed, grid=grid,
-                   antithetic=antithetic, max_workers=workers)
+                   max_workers=workers)
         rep = mc_exit_report(cfg, dom, deadline, reference_rate=0.0)
         for li, eps in enumerate(ladder):
             for how in moms:
@@ -835,9 +814,8 @@ _WALK_MODELS = {
 }
 
 
-@pytest.mark.parametrize("antithetic", [False, True])
 @pytest.mark.parametrize("name", sorted(_WALK_MODELS))
-def test_walk_from_any_node_matches_the_walk_from_node_one(name, antithetic):
+def test_walk_from_any_node_matches_the_walk_from_node_one(name):
     # started at node k, the walk yields nodes k..n alone, in order, and at
     # each of them the displacement of the walk from node 1, bit for bit:
     # the constant kind forms those nodes alone, the others step through
@@ -856,7 +834,7 @@ def test_walk_from_any_node_matches_the_walk_from_node_one(name, antithetic):
             assert not part[:, :first].any()
         return np.all(_finite_rows(whole))
 
-    per_eps = _run_blocks(block, [0.4, 0.1], 1001, grid, model.vol.m, 3, antithetic, 1, model)
+    per_eps = _run_blocks(block, [0.4, 0.1], 1001, grid, model.vol.m, 3, 1, model)
     assert all(ok for res in per_eps for ok in res)
 
 
@@ -919,8 +897,7 @@ def test_constant_block_draw_makes_no_chunk_temporary():
     grid, size = TimeGrid(1.0, 400), 1 << 12
     drive, chunk = size * grid.n_steps * 8, MIX_ROWS * grid.n_steps * 8
     for model in (bs_const(), bs_const(rho=-0.5)):
-        draw = functools.partial(_run_blocks, lambda *args: None, [0.2], size, grid, 1, 3,
-                                 False, 1, model)
+        draw = functools.partial(_run_blocks, lambda *args: None, [0.2], size, grid, 1, 3, 1, model)
         draw()  # the grid's cached nodes and first-call set-up are not the draw's
         tracemalloc.start()
         try:
@@ -1076,17 +1053,6 @@ def test_call_report_atm_rate_zero_regime():
     assert logs[-1] < logs[0] / 3.0
 
 
-def test_call_report_antithetic_consistent():
-    m = bs_const()
-    base = _cfg(m, ladder=(0.2,), n_paths=100000, seed=21)
-    anti = _cfg(m, ladder=(0.2,), n_paths=100000, seed=21, antithetic=True)
-    K = math.exp(0.1)
-    r1 = mc_call_report(base, K, reference_rate=0.125).rows[0]
-    r2 = mc_call_report(anti, K, reference_rate=0.125).rows[0]
-    se = math.hypot(r1.std_error * r1.estimate / r1.epsilon, r2.std_error * r2.estimate / r2.epsilon)
-    assert abs(r1.estimate - r2.estimate) < 3 * se
-
-
 def test_exit_report_reflection_oracle():
     m = bs_const()
     h = 0.17
@@ -1148,6 +1114,38 @@ def test_exit_report_far_boundary_zero_hits():
     rep = mc_exit_report(cfg, dom, 1.0, reference_rate=0.3**2 / 0.08)
     assert not rep.rows[0].zero_hits
     assert rep.rows[1].zero_hits
+
+
+def test_exit_report_standard_error_is_honest():
+    # over 128 seeds the spread of -eps log p_hat matches the delta-method
+    # standard error the report gives, which holds only if the paths are
+    # independent: paths drawn in antithetic pairs read 1.33-1.45 here
+    dom = ExitDomain("box", lower=[-0.1], upper=[0.1])
+    est, se = [], []
+    for seed in range(128):
+        cfg = _cfg(bs_const(), ladder=(0.1,), n_paths=2048, seed=seed, grid=TimeGrid(1.0, 50))
+        row = mc_exit_report(cfg, dom, 1.0, reference_rate=0.0).rows[0]
+        est.append(row.eps_log_estimate)
+        se.append(row.std_error)
+    assert 0.8 <= np.std(est, ddof=1) / np.median(se) <= 1.25
+
+
+@pytest.mark.parametrize("make", [bs_const, _brownian_bs], ids=["constant", "brownian_kernel"])
+def test_exit_report_ignores_blowups_after_the_deadline(make):
+    # sigma jumps to 1e12 after t = 0.5, so every path blows up before T
+    # but none by the deadline 0.5: the exclusions, like the event, read the
+    # path up to the deadline alone, at the thresholds on the running sum
+    # (constant vol) and on the node loop (Brownian-kernel vol) alike
+    model = make()
+    model.sigma = lambda t, u: np.where(np.asarray(t) > 0.5, 1e12, 0.2) * np.ones(np.shape(u)[:-1])
+    n_paths = 3000
+    cfg = _cfg(model, ladder=(0.4, 0.2), n_paths=n_paths, seed=5, grid=TimeGrid(1.0, 20))
+    assert simulate_logprice(cfg, 0.4).n_excluded == n_paths
+    dom = ExitDomain("half_space", normal=[1.0], offset=0.1)
+    rep = mc_exit_report(cfg, dom, 0.5, reference_rate=0.0)
+    for row, hits in zip(rep.rows, rep.diagnostics["hits"]):
+        assert row.n_effective == n_paths
+        assert 0 < hits < n_paths
 
 
 def test_tail_report_computes_reference_rate():

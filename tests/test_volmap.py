@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from ldpvol import TimeGrid, Control, brownian, riemann_liouville, hs_apply, integrate
-from ldpvol.errors import DimensionError, UnsupportedFormError
+from ldpvol.errors import DimensionError, UnsupportedDomainError, UnsupportedFormError
 from ldpvol.kernels import rms_weights
 from ldpvol.paths import reflect_values
 from ldpvol.presets import make_model
@@ -317,6 +317,26 @@ def test_reflected_hat_nonnegative():
     assert np.all(h.values >= 0.0)
     # strongly negative drive pins the reflected path at zero eventually
     assert h.values[-1, 0] == pytest.approx(0.0, abs=1e-12)
+
+
+@pytest.mark.parametrize("reflect", [False, True])
+def test_reflected_family_is_one_dimensional(reflect):
+    # the reflected family sets its reflect flag whatever is passed, so d = 2
+    # is refused with or without it
+    drift, disp = ou_coefficients(1.0, 0.0, 1.0)
+    with pytest.raises(UnsupportedDomainError):
+        VolProcessSpec(family=REFLECTED, d=2, m=1, k_dim=2, aux_drift=drift, aux_disp=disp,
+                       reflect=reflect)
+
+
+def test_output_map_reflects_what_the_scheme_leaves_unreflected():
+    # the reflected family's clipped state is its own output; a reflected
+    # Gaussian output is reflected by the map
+    vals = np.array([[[0.1], [-0.2], [0.3], [-0.4]]])
+    assert output_map(make_model("reflected_ou").vol, vals) is vals
+    spec = VolProcessSpec(family=GAUSSIAN, d=1, m=1, noise_kernels=[[brownian()]], reflect=True)
+    np.testing.assert_array_equal(output_map(spec, vals), reflect_values(vals))
+    assert np.all(output_map(spec, vals) >= 0.0)
 
 
 def _running_minimum_state(spec, incr, grid):
