@@ -289,6 +289,13 @@ def _affine_pair():
     return ModelSpec(m=2, vol=vol, sigma=sigma, C=[[0.3, 0.2], [-0.1, 0.4]], s0=[1.0, 1.0])
 
 
+def _plain_ids(values):
+    """Case ids ending in "-False": these cases ran with antithetic=False
+    while antithetic pairs existed, and keep their ids now that every block
+    is a plain i.i.d. draw."""
+    return [f"{value}-False" for value in values]
+
+
 def _reads_db(model):
     """Whether a block of ``model`` draws the driver noise dB: its vol is not
     constant, or its price noise is correlated with dB."""
@@ -323,7 +330,7 @@ _DRIVE_MODELS = {
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-@pytest.mark.parametrize("name", sorted(_DRIVE_MODELS))
+@pytest.mark.parametrize("name", sorted(_DRIVE_MODELS), ids=_plain_ids(sorted(_DRIVE_MODELS)))
 def test_block_drive_is_the_mixed_whole_block_noise(name, workers):
     # the price noise drawn and mixed MIX_ROWS paths at a time is, bit for
     # bit, the mix of whole-block fills (db, then dW) stored node-major, also
@@ -416,7 +423,7 @@ def _per_eps_terminal(model, grid, eps, db, drive):
     return x
 
 
-@pytest.mark.parametrize("name", sorted(_LADDER_MODELS))
+@pytest.mark.parametrize("name", sorted(_LADDER_MODELS), ids=_plain_ids(sorted(_LADDER_MODELS)))
 def test_block_vol_part_matches_the_per_epsilon_scheme(name):
     # every ladder epsilon of one block: a constant vol (bs_const) reads one
     # row of its running noise sum, within rounding of the node loop; an
@@ -649,7 +656,7 @@ def test_first_row_keeps_the_single_epsilon_key():
         assert rep.diagnostics["hits"][0] == hits
 
 
-@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("workers", [1, 2], ids=["False-1", "False-2"])  # see _plain_ids
 def test_constant_vol_matches_the_brownian_kernel_bit_for_bit(workers):
     # with rho != 0 a constant-vol block draws dB as the Brownian-kernel vol
     # does and skips only the vol part its sigma never reads, so tail and exit
@@ -697,7 +704,7 @@ _CONSTANT_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_CONSTANT_MODELS))
+@pytest.mark.parametrize("name", sorted(_CONSTANT_MODELS), ids=_plain_ids(sorted(_CONSTANT_MODELS)))
 def test_constant_kind_matches_the_node_loop(name):
     # a constant vol's terminal values and kept paths, read off the block's
     # running noise sum, lie within 1e-13 of the per-epsilon node loop on the
@@ -764,7 +771,7 @@ _CONSTANT_EXITS = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(_CONSTANT_EXITS))
+@pytest.mark.parametrize("case", sorted(_CONSTANT_EXITS), ids=_plain_ids(sorted(_CONSTANT_EXITS)))
 def test_constant_exit_thresholds_match_the_node_loop(case):
     # a bs_const exit tests each face as a threshold on the running noise
     # sum; its rows equal, exactly, both those of the displacement formed
@@ -814,7 +821,7 @@ _WALK_MODELS = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(_WALK_MODELS))
+@pytest.mark.parametrize("name", sorted(_WALK_MODELS), ids=_plain_ids(sorted(_WALK_MODELS)))
 def test_walk_from_any_node_matches_the_walk_from_node_one(name):
     # started at node k, the walk yields nodes k..n alone, in order, and at
     # each of them the displacement of the walk from node 1, bit for bit:
